@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .harness import SweepPlan, plan_from_config, run_cell, stats_report, sweep
-from .linalg import Rng, derive_seed, matmul, quantile
+from .linalg import Rng, derive_seed, quantile
 from .metrics import (
     StatTestResult,
     TailRatioReport,
@@ -84,7 +84,6 @@ __all__ = [
     "make_blobs",
     "make_pima_like",
     "matched_capacity",
-    "matmul",
     "paired_t_one_sided",
     "parse_config",
     "plan_from_config",

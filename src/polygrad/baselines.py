@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arena import ArenaParams
 from .errors import NumericOverflowError, ShapeError
 from .linalg import Rng, gauss_init
-from .polynet import DualState
+from .polynet import DualState, jacobian_stream
 from .tape import Tape
 
 __all__ = [
@@ -59,7 +60,7 @@ class ReluLayer:
 
 
 @dataclass
-class BaselineNet:
+class BaselineNet(ArenaParams):
     """Plain MLP with fixed max(0, z) activations and a linear head."""
 
     layers: list[ReluLayer]
@@ -83,6 +84,7 @@ class BaselineNet:
             prev = layer.out_width
         if self.head_weights.shape[1] != prev or self.head_bias.shape != (self.head_weights.shape[0],):
             raise ShapeError("head does not conform to last layer")
+        self._bind_arena()
 
     @property
     def input_dim(self) -> int:
@@ -115,14 +117,15 @@ class BaselineNet:
         head_w = gauss_init(rng.spawn("head"), num_classes, fan_in, 1.0 / np.sqrt(fan_in))
         return cls(layers, head_w, np.zeros(num_classes), dropout_rate)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
+    def _slots(self) -> list[tuple[str, object, str]]:
+        slots = []
         for i, layer in enumerate(self.layers):
-            params[f"layer{i}.W"] = layer.weights
-            params[f"layer{i}.b"] = layer.bias
-        params["head.W"] = self.head_weights
-        params["head.b"] = self.head_bias
-        return params
+            slots += [(f"layer{i}.W", layer, "weights"), (f"layer{i}.b", layer, "bias")]
+        return slots + [("head.W", self, "head_weights"), ("head.b", self, "head_bias")]
+
+    def activation_slopes(self, preacts: list[np.ndarray]) -> list[np.ndarray]:
+        """Subgradient 1[z > 0] per layer, taken as exactly 0 at the kink."""
+        return [(z > 0.0).astype(np.float64) for z in preacts]
 
 
 def _check_input(net: BaselineNet, x: np.ndarray) -> np.ndarray:
@@ -182,22 +185,16 @@ def baseline_forward_dual(net: BaselineNet, x: np.ndarray) -> tuple[np.ndarray, 
     penalty reporting and the substrate-ablation diagnostics.
     """
     x = _check_input(net, x)
-    dual = DualState(jacobians=[])
+    dual = DualState()
     h = x
-    S = None
-    for i, layer in enumerate(net.layers):
+    for layer in net.layers:
         z = h @ layer.weights.T + layer.bias
         h = np.maximum(z, 0.0)
-        slope = (z > 0.0).astype(np.float64)
-        if S is None:
-            S = slope[:, :, None] * layer.weights[None, :, :]
-        else:
-            S = slope[:, :, None] * (layer.weights @ S)
         dual.preacts.append(z)
         dual.acts.append(h)
-        dual.jacobians.append(S)
     logits = h @ net.head_weights.T + net.head_bias
-    dual.head_jacobian = net.head_weights @ S
+    dual.jacobians = jacobian_stream(net, dual.preacts)
+    dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
     return logits, dual
 
 

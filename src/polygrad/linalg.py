@@ -1,4 +1,4 @@
-"""Dense float64 kernels, seeded RNG, and quantile primitives.
+"""Seeded RNG, Gaussian initialization, and quantile primitives.
 
 Matrices are plain 2-D ``numpy.ndarray`` values in row-major order and
 double precision. Public operations validate shapes and promise finite
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["Rng", "derive_seed", "matmul", "quantile", "gauss_init"]
+__all__ = ["Rng", "derive_seed", "quantile", "gauss_init"]
 
 
 def derive_seed(*parts) -> int:
@@ -57,20 +57,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("matmul produced non-finite entries")
-    return out
 
 
 def quantile(values, q: float) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arena import ArenaParams
 from .errors import MemoryBudgetError, NumericOverflowError, ShapeError
 from .linalg import Rng, gauss_init
 
@@ -33,6 +34,7 @@ __all__ = [
     "poly_deriv",
     "forward_values",
     "forward_dual",
+    "jacobian_stream",
     "dreg_penalty",
     "count_parameters",
 ]
@@ -141,7 +143,7 @@ class PolyLayer:
 
 
 @dataclass
-class PolyNetwork:
+class PolyNetwork(ArenaParams):
     """Stack of PolyLayers plus a linear classification head."""
 
     layers: list[PolyLayer]
@@ -166,6 +168,7 @@ class PolyNetwork:
             )
         if self.head_bias.shape != (self.head_weights.shape[0],):
             raise ShapeError("head bias does not conform to head weights")
+        self._bind_arena()
 
     @property
     def input_dim(self) -> int:
@@ -203,19 +206,16 @@ class PolyNetwork:
         head_w = gauss_init(rng.spawn("head"), num_classes, fan_in, 1.0 / np.sqrt(fan_in))
         return cls(layers, head_w, np.zeros(num_classes))
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Ordered registry of every trainable array, one slot each."""
-        params: dict[str, np.ndarray] = {}
+    def _slots(self) -> list[tuple[str, object, str]]:
+        slots = []
         for i, layer in enumerate(self.layers):
-            params[f"layer{i}.W"] = layer.weights
-            params[f"layer{i}.b"] = layer.bias
-            params[f"layer{i}.c0"] = layer.coeffs.c0
-            params[f"layer{i}.c1"] = layer.coeffs.c1
-            params[f"layer{i}.c2"] = layer.coeffs.c2
-            params[f"layer{i}.c3"] = layer.coeffs.c3
-        params["head.W"] = self.head_weights
-        params["head.b"] = self.head_bias
-        return params
+            slots += [(f"layer{i}.W", layer, "weights"), (f"layer{i}.b", layer, "bias")]
+            slots += [(f"layer{i}.c{k}", layer.coeffs, f"c{k}") for k in range(4)]
+        return slots + [("head.W", self, "head_weights"), ("head.b", self, "head_bias")]
+
+    def activation_slopes(self, preacts: list[np.ndarray]) -> list[np.ndarray]:
+        """phi'(z) per layer, from that layer's pre-activations."""
+        return [poly_deriv(layer.coeffs, z, order=1) for layer, z in zip(self.layers, preacts)]
 
 
 @dataclass
@@ -280,25 +280,37 @@ def forward_dual(
             f"widths={net.widths}; cap is {max_dual_bytes}"
         )
 
-    dual = DualState(jacobians=[])
+    dual = DualState()
     h = x
-    S = None  # (batch, width, d); layer-0 value is the implicit identity
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
         h = poly_eval(layer.coeffs, z)
         _check_finite(h, f"layer {i}")
-        fprime = poly_deriv(layer.coeffs, z, order=1)
-        if S is None:
-            S = fprime[:, :, None] * layer.weights[None, :, :]
-        else:
-            S = fprime[:, :, None] * (layer.weights @ S)
         dual.preacts.append(z)
         dual.acts.append(h)
-        dual.jacobians.append(S)
     logits = h @ net.head_weights.T + net.head_bias
     _check_finite(logits, "head")
-    dual.head_jacobian = net.head_weights @ S
+    dual.jacobians = jacobian_stream(net, dual.preacts)
+    dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
     return logits, dual
+
+
+def jacobian_stream(net, preacts: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-sample cumulative input-Jacobians from a forward pass's
+    pre-activations; works for any network with ``activation_slopes``.
+
+    Returns one (batch, width_l, d) block per layer:
+    S1 = diag(phi'(z1)) @ W1 and Sl = diag(phi'(zl)) @ Wl @ S(l-1).
+    """
+    blocks = []
+    S = None  # layer-0 value is the implicit identity
+    for layer, slope in zip(net.layers, net.activation_slopes(preacts)):
+        if S is None:
+            S = slope[:, :, None] * layer.weights[None, :, :]
+        else:
+            S = slope[:, :, None] * (layer.weights @ S)
+        blocks.append(S)
+    return blocks
 
 
 def dreg_penalty(

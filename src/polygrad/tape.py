@@ -10,7 +10,10 @@ Jacobian-stream products, Frobenius accumulation, softmax
 cross-entropy, and scalar combination.
 
 Gradients accumulate on nodes; parameter leaves are registered by name,
-each in exactly one slot.
+each in exactly one slot. A parameter leaf may be given a preallocated
+``grad_out`` array (typically a view into one flat gradient vector):
+``backward`` then writes that leaf's gradient there instead of
+allocating a copy.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ __all__ = ["Node", "Tape"]
 class Node:
     """One recorded value. ``grad`` is populated by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "parents", "vjp", "recompute", "name")
+    __slots__ = ("value", "grad", "grad_out", "parents", "vjp", "recompute", "name")
 
-    def __init__(self, value, parents=(), vjp=None, recompute=None, name=""):
+    def __init__(self, value, parents=(), vjp=None, recompute=None, name="", grad_out=None):
         self.value = value
         self.grad = None
+        self.grad_out = grad_out
         self.parents = parents
         self.vjp = vjp
         self.recompute = recompute
@@ -41,10 +45,13 @@ class Node:
 def _accumulate(node: Node, grad):
     if grad is None:
         return
-    if node.grad is None:
-        node.grad = np.array(grad, dtype=np.float64, copy=True)
-    else:
+    if node.grad is not None:
         node.grad += grad
+    elif node.grad_out is not None:
+        node.grad_out[...] = grad
+        node.grad = node.grad_out
+    else:
+        node.grad = np.array(grad, dtype=np.float64, copy=True)
 
 
 class Tape:
@@ -58,8 +65,8 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, value, name: str = "", param: bool = False) -> Node:
-        node = self._record(Node(np.asarray(value, dtype=np.float64), name=name))
+    def leaf(self, value, name: str = "", param: bool = False, grad_out: np.ndarray | None = None) -> Node:
+        node = self._record(Node(np.asarray(value, dtype=np.float64), name=name, grad_out=grad_out))
         if param:
             if not name:
                 raise ValueError("parameter leaves need a name")
@@ -67,10 +74,6 @@ class Tape:
                 raise ValueError(f"duplicate parameter registry slot: {name}")
             self.params[name] = node
         return node
-
-    def constant(self, value) -> Node:
-        # Identical to a leaf; kept separate for readability at call sites.
-        return self.leaf(value, name="const")
 
     # -- primitives ------------------------------------------------------
 
@@ -290,6 +293,10 @@ class Tape:
                 continue
             for parent, grad in zip(node.parents, node.vjp(node.grad)):
                 _accumulate(parent, grad)
+        for node in self.params.values():
+            if node.grad is None and node.grad_out is not None:
+                node.grad_out[...] = 0.0
+                node.grad = node.grad_out
 
     def grads(self) -> dict[str, np.ndarray]:
         """Per-parameter gradients; zero arrays for unreached parameters."""

@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import BaselineNet, baseline_forward, baseline_forward_dual, dropout_masks
 from .errors import NumericOverflowError
 from .linalg import Rng
-from .polynet import PolyNetwork, dreg_penalty, forward_dual, forward_values
+from .polynet import DualState, PolyNetwork, dreg_penalty, forward_dual, forward_values, jacobian_stream
 from .tape import Node, Tape
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Decoupled decay shrinks affine parameters only; pulling the activation
-# coefficients toward zero would fight the near-identity parameterization.
-_NO_DECAY_SUFFIXES = (".c0", ".c1", ".c2", ".c3")
 
 
 @dataclass
@@ -84,6 +80,10 @@ class Objective:
     penalty: Node | None
     input_leaf: Node
     logits: Node
+    preacts: list[Node]  # per-layer z = h @ W.T + b
+    masked: bool  # dropout masks scaled the value stream
+    grad: np.ndarray  # flat gradient, laid out like net.arena.flat
+    grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
 
 
 def build_objective(
@@ -98,11 +98,18 @@ def build_objective(
 
     The Jacobian stream is recorded only when the penalty weight is
     positive; with dropout active, the stream is row-masked in step so
-    it stays the exact Jacobian of the masked value stream.
+    it stays the exact Jacobian of the masked value stream. A backward
+    pass writes the parameter gradients into ``grad``, a fresh flat
+    vector in the arena's layout.
     """
     t = Tape()
     xs = t.leaf(np.asarray(x, dtype=np.float64), name="x")
-    params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
+    grad = np.zeros(net.arena.size)
+    grads = net.arena.views(grad)
+    params = {
+        name: t.leaf(arr, name=name, param=True, grad_out=grads[name])
+        for name, arr in net.parameters().items()
+    }
 
     need_dual = cfg.lambda_dreg > 0.0
     use_dropout = mode == "train" and getattr(net, "dropout_rate", 0.0) > 0.0
@@ -114,10 +121,12 @@ def build_objective(
     h = xs
     S = None
     S_nodes: list[Node] = []
+    preacts: list[Node] = []
     for i, layer in enumerate(net.layers):
         W = params[f"layer{i}.W"]
         b = params[f"layer{i}.b"]
         z = t.linear(h, W, b)
+        preacts.append(z)
         if is_poly:
             c0, c1, c2, c3 = (params[f"layer{i}.c{k}"] for k in range(4))
             h = t.poly_val(z, c0, c1, c2, c3)
@@ -144,7 +153,7 @@ def build_objective(
             blocks.append(t.jac_head(params["head.W"], S_nodes[-1]))
         penalty = t.mean_scalars([t.frob_mean(S) for S in blocks])
         loss = t.add_scaled(task, penalty, cfg.lambda_dreg)
-    return Objective(t, loss, task, penalty, xs, logits)
+    return Objective(t, loss, task, penalty, xs, logits, preacts, masks is not None, grad, grads)
 
 
 @dataclass
@@ -152,7 +161,8 @@ class LossBundle:
     loss: float
     task_loss: float
     penalty: float
-    grads: dict[str, np.ndarray]
+    grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
+    grad: np.ndarray  # flat gradient, laid out like net.arena.flat
 
 
 def measure_penalty(net: PolyNetwork | BaselineNet, x: np.ndarray, include_head: bool = False) -> float:
@@ -176,18 +186,27 @@ def loss_and_grads(
 
     When the penalty weight is zero the objective is exactly the task
     loss; the penalty value is still measured (outside the tape) so
-    training logs stay comparable across models.
+    training logs stay comparable across models. It equals
+    ``measure_penalty(net, x)``: without dropout it is built from the
+    pre-activations the tape already holds; under dropout the tape's
+    stream is masked, so an eval-mode dual pass measures it.
     """
     obj = build_objective(net, x, labels, cfg, mode=mode, dropout_rng=dropout_rng)
     loss = float(obj.loss.value)
     if not np.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
     obj.tape.backward(obj.loss)
+    include_head = cfg.include_head_in_penalty
     if obj.penalty is not None:
         penalty = float(obj.penalty.value)
+    elif obj.masked:
+        penalty = measure_penalty(net, x, include_head)
     else:
-        penalty = measure_penalty(net, x, cfg.include_head_in_penalty)
-    return LossBundle(loss, float(obj.task.value), penalty, obj.tape.grads())
+        dual = DualState(jacobians=jacobian_stream(net, [z.value for z in obj.preacts]))
+        if include_head:
+            dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
+        penalty = dreg_penalty(dual, include_head=include_head)
+    return LossBundle(loss, float(obj.task.value), penalty, obj.grads, obj.grad)
 
 
 def objective_value(
@@ -245,55 +264,51 @@ def evaluate_accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
 
 
 # -- optimizers ------------------------------------------------------------
+#
+# Both steps update a network's whole flat parameter vector (``net.arena.flat``)
+# at once; ``n_decayed`` leading entries get decoupled weight decay, the
+# trailing cubic coefficients do not.
 
 
-def _decayed(name: str) -> bool:
-    return not name.endswith(_NO_DECAY_SUFFIXES)
-
-
-def step_sgd(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+def step_sgd(params: np.ndarray, grad: np.ndarray, cfg: TrainConfig, n_decayed: int) -> None:
     """In-place SGD step with decoupled weight decay."""
-    for name, p in params.items():
-        p -= cfg.learning_rate * grads[name]
-        if cfg.weight_decay > 0.0 and _decayed(name):
-            p -= cfg.learning_rate * cfg.weight_decay * p
+    params -= cfg.learning_rate * grad
+    if cfg.weight_decay > 0.0:
+        decayed = params[:n_decayed]
+        decayed -= cfg.learning_rate * cfg.weight_decay * decayed
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def step_adam(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     cfg: TrainConfig,
+    n_decayed: int,
 ) -> None:
     """In-place Adam step (bias-corrected) with decoupled weight decay."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        if cfg.weight_decay > 0.0 and _decayed(name):
-            p -= cfg.learning_rate * cfg.weight_decay * p
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    if cfg.weight_decay > 0.0:
+        decayed = params[:n_decayed]
+        decayed -= cfg.learning_rate * cfg.weight_decay * decayed
 
 
 # -- training loop ---------------------------------------------------------
@@ -339,7 +354,9 @@ def train(
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout")
-    params = net.parameters()
+    arena = net.arena
+    arena.check_bound(net.parameters())
+    params = arena.flat
     adam = AdamState.for_params(params) if cfg.optimizer == "adam" else None
 
     n = train_x.shape[0]
@@ -361,9 +378,9 @@ def train(
                     f"training diverged: {err}", epoch=epoch, batch=start // cfg.batch_size
                 ) from err
             if cfg.optimizer == "sgd":
-                step_sgd(params, bundle.grads, cfg)
+                step_sgd(params, bundle.grad, cfg, arena.n_decayed)
             else:
-                step_adam(params, bundle.grads, adam, cfg)
+                step_adam(params, bundle.grad, adam, cfg, arena.n_decayed)
             task_losses.append(bundle.task_loss)
             penalties.append(bundle.penalty)
         try:

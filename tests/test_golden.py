@@ -1,0 +1,75 @@
+"""Cross-commit bit identity of sweep results.
+
+Each golden file under ``tests/golden/`` is a sweep's ``results.jsonl``
+with ``wall_time_seconds`` dropped from every row. The test reruns the
+sweep and compares every line byte for byte, so any change to the
+numbers a plan produces (accuracy, tau, norms, losses, penalties) fails
+here, however small.
+
+Regenerate the files only when a change to the results is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from polygrad.config import load_config, parse_config
+from polygrad.harness import plan_from_config, resolve_dataset, sweep
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# All five roster models on a small pima slice, with the full sweep's
+# training knobs: every model family, optimizer path and penalty-logging
+# path runs, in a few seconds.
+PIMA_SLICE = """\
+format_version = 1
+data.source = pima_like
+data.seed = 7
+plan.models = cr, vanilla, dropout, weight_decay, relu_dreg
+plan.fractions = 0.05
+plan.seeds = 0, 1
+train.widths = 8, 8
+train.epochs = 20
+train.learning_rate = 0.002
+train.lambda_dreg = 0.5
+"""
+
+PLANS = {
+    "blobs_smoke.jsonl": lambda: load_config(ROOT / "plans" / "blobs_smoke.txt"),
+    "pima_slice.jsonl": lambda: parse_config(PIMA_SLICE, "<pima slice>"),
+}
+
+
+def result_lines(config, out_dir) -> list[str]:
+    """The sweep's results.jsonl lines without wall_time_seconds."""
+    plan = plan_from_config(config)
+    sweep(plan, resolve_dataset(plan, str(out_dir)), str(out_dir))
+    lines = []
+    with open(Path(out_dir) / "results.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            row.pop("wall_time_seconds")
+            lines.append(json.dumps(row, sort_keys=True))
+    return lines
+
+
+@pytest.mark.parametrize("golden", sorted(PLANS))
+def test_results_match_golden(golden, tmp_path):
+    expected = (GOLDEN / golden).read_text(encoding="utf-8").splitlines()
+    assert result_lines(PLANS[golden](), tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, make_config in PLANS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = result_lines(make_config(), tmp)
+        (GOLDEN / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        print(f"wrote {GOLDEN / name}: {len(lines)} rows", file=sys.stderr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polygrad.errors import ShapeError
-from polygrad.linalg import Rng, derive_seed, gauss_init, matmul, quantile
+from polygrad.linalg import Rng, derive_seed, gauss_init, quantile
 
 
 class TestDeriveSeed:
@@ -66,35 +66,6 @@ class TestRng:
 
     def test_standard_normal_shape(self):
         assert Rng(0).standard_normal(3, 4).shape == (3, 4)
-
-
-class TestMatmul:
-    def test_frozen_example(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_against_triple_loop(self):
-        rng = Rng(11)
-        a = rng.standard_normal(4, 6)
-        b = rng.standard_normal(6, 3)
-        slow = np.zeros((4, 3))
-        for i in range(4):
-            for j in range(3):
-                for k in range(6):
-                    slow[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - slow)) < 1e-12
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_rejects_mismatched_inner_dims(self):
-        with pytest.raises(ShapeError, match="mismatch"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_rejects_non_finite_output(self):
-        with pytest.raises(FloatingPointError):
-            matmul(np.array([[1e308, 1e308]]), np.array([[1e308], [1e308]]))
 
 
 class TestQuantile:

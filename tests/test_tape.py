@@ -164,6 +164,22 @@ class TestTapeMechanics:
         assert g["used"].shape == (2, 3) and float(np.abs(g["used"]).sum()) > 0
         np.testing.assert_array_equal(g["idle"], np.zeros((4, 4)))
 
+    def test_grad_out_receives_gradients_in_place(self):
+        W, S = rand("go-W", 2, 3), rand("go-S", 4, 3)
+        plain = Tape()
+        out = plain.frob_mean(plain.jac_seed(plain.leaf(S[:, :2]), plain.leaf(W, name="W", param=True)))
+        plain.backward(out)
+        flat = np.full(2 * 3 + 5, 7.0)  # stale contents must not leak into the result
+        t = Tape()
+        leaf = t.leaf(W, name="W", param=True, grad_out=flat[:6].reshape(2, 3))
+        t.leaf(np.ones(5), name="idle", param=True, grad_out=flat[6:])
+        out = t.frob_mean(t.jac_seed(t.leaf(S[:, :2]), leaf))
+        for _ in range(2):  # a second sweep overwrites, never accumulates
+            t.backward(out)
+            np.testing.assert_array_equal(flat[:6].reshape(2, 3), plain.grads()["W"])
+            np.testing.assert_array_equal(flat[6:], np.zeros(5))
+        assert all(g.base is flat for g in t.grads().values())
+
     def test_replay_reproduces_recorded_loss_bitwise(self):
         from polygrad.linalg import Rng as R
         from polygrad.polynet import PolyNetwork

@@ -1,12 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
-from polygrad.baselines import BaselineNet, baseline_forward_dual
+from polygrad.arena import ParamArena
+from polygrad.baselines import BaselineNet, ReluLayer, baseline_forward_dual
+from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import PolyNetwork
+from polygrad.polynet import ActivationCoeffs, PolyLayer, PolyNetwork
 from polygrad.train import (
     AdamState,
     TrainConfig,
@@ -15,6 +19,7 @@ from polygrad.train import (
     cross_entropy,
     evaluate_accuracy,
     loss_and_grads,
+    measure_penalty,
     objective_value,
     softmax,
     step_adam,
@@ -182,41 +187,145 @@ class TestInferenceHelpers:
 
 class TestOptimizers:
     def test_sgd_frozen_step(self):
-        params = {"w": np.array([0.0])}
-        step_sgd(params, {"w": np.array([1.0])}, TrainConfig(learning_rate=0.1, optimizer="sgd"))
-        np.testing.assert_allclose(params["w"], [-0.1], atol=1e-15)
+        params = np.array([0.0])
+        step_sgd(params, np.array([1.0]), TrainConfig(learning_rate=0.1, optimizer="sgd"), n_decayed=1)
+        np.testing.assert_allclose(params, [-0.1], atol=1e-15)
 
     def test_sgd_decoupled_decay_frozen(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01, optimizer="sgd")
-        params = {"w": np.array([1.0])}
-        step_sgd(params, {"w": np.array([0.0])}, cfg)
-        np.testing.assert_allclose(params["w"], [0.999], atol=1e-15)
+        params = np.array([1.0])
+        step_sgd(params, np.array([0.0]), cfg, n_decayed=1)
+        np.testing.assert_allclose(params, [0.999], atol=1e-15)
 
     def test_decay_skips_activation_coefficients(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, optimizer="sgd")
-        params = {"layer0.W": np.array([1.0]), "layer0.c2": np.array([1.0])}
-        zeros = {k: np.zeros(1) for k in params}
-        step_sgd(params, zeros, cfg)
+        arena = ParamArena({"layer0.W": np.array([1.0]), "layer0.c2": np.array([1.0])})
+        params = arena.views(arena.flat)
+        step_sgd(arena.flat, np.zeros(arena.size), cfg, arena.n_decayed)
         assert params["layer0.W"][0] < 1.0
         assert params["layer0.c2"][0] == 1.0
 
     def test_adam_first_step_closed_form(self):
         cfg = TrainConfig(learning_rate=0.01)
         g = 0.3
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = AdamState.for_params(params)
-        step_adam(params, {"w": np.array([g])}, state, cfg)
+        step_adam(params, np.array([g]), state, cfg, n_decayed=1)
         expected = -cfg.learning_rate * g / (abs(g) + cfg.eps)
-        np.testing.assert_allclose(params["w"], [expected], atol=1e-12)
+        np.testing.assert_allclose(params, [expected], atol=1e-12)
         assert state.t == 1
 
     def test_adam_decay_skips_coefficients(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
-        params = {"layer0.W": np.array([2.0]), "layer0.c3": np.array([2.0])}
-        state = AdamState.for_params(params)
-        step_adam(params, {k: np.zeros(1) for k in params}, state, cfg)
+        arena = ParamArena({"layer0.W": np.array([2.0]), "layer0.c3": np.array([2.0])})
+        params = arena.views(arena.flat)
+        state = AdamState.for_params(arena.flat)
+        step_adam(arena.flat, np.zeros(arena.size), state, cfg, arena.n_decayed)
         assert params["layer0.W"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
         assert params["layer0.c3"][0] == 2.0
+
+
+class TestParamArena:
+    def test_decayed_slice_is_exactly_affine_and_head_entries(self):
+        net = poly_net("arena-decay", d=3, widths=(4, 3), classes=2)
+        arena = net.arena
+        decayed = arena.flat[: arena.n_decayed]
+        affine = 0
+        for name, arr in net.parameters().items():
+            is_coeff = name.split(".")[1] in ("c0", "c1", "c2", "c3")
+            assert np.shares_memory(arr, decayed) != is_coeff, name
+            affine += 0 if is_coeff else arr.size
+        assert arena.n_decayed == affine
+        # A decay-only step moves every W/b/head entry and no coefficient.
+        before = {k: v.copy() for k, v in net.parameters().items()}
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
+        step_adam(arena.flat, np.zeros(arena.size), AdamState.for_params(arena.flat), cfg, arena.n_decayed)
+        for name, arr in net.parameters().items():
+            if name.split(".")[1] in ("c0", "c1", "c2", "c3"):
+                np.testing.assert_array_equal(arr, before[name])
+            else:
+                np.testing.assert_array_equal(arr, before[name] - 0.1 * 0.5 * before[name])
+
+    def test_parameters_are_arena_views_and_checkpoint_unchanged(self):
+        poly = poly_net("arena-ckpt", d=3, widths=(4, 3), classes=2)
+        relu = BaselineNet.build(Rng(derive_seed("arena-ckpt-relu")), 3, [5, 4], 2, dropout_rate=0.2)
+        separate = {
+            "poly": PolyNetwork(
+                [
+                    PolyLayer(
+                        layer.weights.copy(),
+                        layer.bias.copy(),
+                        ActivationCoeffs(*(getattr(layer.coeffs, f"c{k}").copy() for k in range(4))),
+                    )
+                    for layer in poly.layers
+                ],
+                poly.head_weights.copy(),
+                poly.head_bias.copy(),
+            ),
+            "relu": BaselineNet(
+                [ReluLayer(layer.weights.copy(), layer.bias.copy()) for layer in relu.layers],
+                relu.head_weights.copy(),
+                relu.head_bias.copy(),
+                dropout_rate=0.2,
+            ),
+        }
+        for kind, net in (("poly", poly), ("relu", relu)):
+            for name, arr in net.parameters().items():
+                assert arr.base is net.arena.flat, name
+            assert checkpoint_bytes(net) == checkpoint_bytes(separate[kind])
+        # A deep copy gets its own arena rather than loose arrays.
+        clone = copy.deepcopy(poly)
+        assert all(arr.base is clone.arena.flat for arr in clone.parameters().values())
+        assert not np.shares_memory(clone.arena.flat, poly.arena.flat)
+        assert checkpoint_bytes(clone) == checkpoint_bytes(poly)
+        # In-place writes through the named arrays land in the flat vector.
+        poly.layers[0].coeffs.c2[:] = 5.0
+        assert np.count_nonzero(poly.arena.flat == 5.0) == poly.layers[0].coeffs.c2.size
+
+    def test_train_refuses_rebound_parameter(self):
+        tx, ty, ex, ey, ds = blob_split()
+        net = PolyNetwork.build(Rng(derive_seed("rebound")), ds.d, [6], ds.class_count)
+        net.head_bias = net.head_bias.copy()
+        with pytest.raises(ValueError, match="head.b"):
+            train(net, tx, ty, ex, ey, TrainConfig(epochs=1))
+
+    def test_consecutive_calls_return_independent_gradients(self):
+        net = poly_net("alias")
+        x, y = batch("alias-b", 5, 3, 2)
+        first = loss_and_grads(net, x, y, TrainConfig(lambda_dreg=0.0))
+        kept = first.grad.copy()
+        second = loss_and_grads(net, x, y, TrainConfig(lambda_dreg=2.0))
+        assert not np.shares_memory(first.grad, second.grad)
+        np.testing.assert_array_equal(first.grad, kept)
+        assert not np.array_equal(first.grad, second.grad)
+        for bundle in (first, second):
+            for arr in bundle.grads.values():
+                assert arr.base is bundle.grad
+
+
+class TestPenaltyLogging:
+    """With lambda = 0 the logged penalty equals measure_penalty bitwise."""
+
+    @pytest.mark.parametrize("include_head", [False, True])
+    @pytest.mark.parametrize("model", ["vanilla", "weight_decay", "dropout", "poly"])
+    def test_logged_penalty_equals_measure_penalty(self, model, include_head):
+        rng = Rng(derive_seed("penalty-log", model))
+        x = rng.spawn("x").standard_normal(16, 4)
+        y = np.asarray(rng.spawn("y").integers(0, 3, size=16))
+        if model == "poly":
+            net = PolyNetwork.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
+        else:
+            rate = 0.3 if model == "dropout" else 0.0
+            net = BaselineNet.build(rng.spawn("net"), 4, [6, 5], 3, dropout_rate=rate)
+        cfg = TrainConfig(
+            lambda_dreg=0.0,
+            dropout_rate=net.dropout_rate if model == "dropout" else 0.0,
+            weight_decay=1e-4 if model == "weight_decay" else 0.0,
+            include_head_in_penalty=include_head,
+        )
+        expected = measure_penalty(net, x, include_head)
+        bundle = loss_and_grads(net, x, y, cfg, mode="train", dropout_rng=rng.spawn("drop"))
+        assert bundle.penalty == expected
 
 
 def blob_split(seed=0):
