@@ -15,7 +15,6 @@ from .data import (
     load_csv,
     make_blobs,
     make_pima_like,
-    preprocess_pima,
     stratified_split,
     subsample_fraction,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "plan_from_config",
     "poly_deriv",
     "poly_eval",
-    "preprocess_pima",
     "quantile",
     "run_cell",
     "save_checkpoint",

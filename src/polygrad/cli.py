@@ -103,22 +103,27 @@ def cmd_sweep(args) -> int:
 
 
 def _eval_view(bundle, ds):
-    """Apply stored preprocessing and re-derive the training-time eval split."""
+    """Re-derive the training-time eval split and apply stored preprocessing to it.
+
+    Only the eval rows are transformed; the transform works row by row,
+    so this equals transforming every row and then indexing.
+    """
     if bundle.preprocess is not None:
         if list(ds.feature_names) != list(bundle.preprocess.feature_names):
             raise ShapeError(
                 f"dataset schema {ds.feature_names} does not match checkpoint "
                 f"schema {bundle.preprocess.feature_names}"
             )
-        X = bundle.preprocess.transform(ds.features)
-    else:
-        X = ds.features
     seed = bundle.provenance.get("seed")
     eval_fraction = bundle.provenance.get("eval_fraction", 0.2)
     if seed is None:
-        return X, ds.labels, np.arange(ds.n)
-    _, eval_idx = stratified_split(ds.labels, eval_fraction, int(seed))
-    return X[eval_idx], ds.labels[eval_idx], eval_idx
+        X, y, eval_idx = ds.features, ds.labels, np.arange(ds.n)
+    else:
+        _, eval_idx = stratified_split(ds.labels, eval_fraction, int(seed))
+        X, y = ds.features[eval_idx], ds.labels[eval_idx]
+    if bundle.preprocess is not None:
+        X = bundle.preprocess.transform(X)
+    return X, y, eval_idx
 
 
 def cmd_tailratio(args) -> int:

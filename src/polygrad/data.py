@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "save_csv",
     "PreprocessStats",
     "fit_preprocess",
-    "preprocess_pima",
     "stratified_split",
     "subsample_fraction",
     "make_blobs",
@@ -63,7 +63,6 @@ class Dataset:
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     feature_names: list[str]
     class_count: int
-    standardization: "PreprocessStats | None" = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -92,21 +91,71 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     Data rows are numbered from 1 (the header is row 0) in error
     messages. Labels may be any integer values; they are remapped to
     contiguous classes 0..K-1 in sorted order.
+
+    The data rows are parsed in one call to numpy's C reader. A file it
+    rejects (or one holding ASCII separator characters, which numpy
+    strips as cell padding and ``float()`` does not) is re-read with a
+    ``csv.reader`` + ``float()`` row loop, so every accepted value
+    equals ``float(cell)`` and every rejection names the row loop's row
+    and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         if label_column not in header:
             raise CsvParseError(f"{path}: missing column {label_column!r}", column=label_column)
-        label_pos = header.index(label_column)
-        feature_names = [h for h in header if h != label_column]
+        table = None if _has_separator_chars(path) else _bulk_parse(fh)
+    if table is None or table.shape[1] != len(header):
+        table = _parse_rows(path, header)
+    if table.shape[0] == 0:
+        raise CsvParseError(f"{path}: no data rows")
 
-        rows: list[list[float]] = []
-        raw_labels: list[float] = []
+    label_pos = header.index(label_column)
+    labels_f = table[:, label_pos]
+    non_integer = labels_f != np.round(labels_f)
+    if non_integer.any():
+        bad = int(np.flatnonzero(non_integer)[0]) + 1
+        raise CsvParseError(
+            f"{path}: non-integer label at row {bad}", row=bad, column=label_column
+        )
+    values, labels = np.unique(labels_f.astype(np.int64), return_inverse=True)
+    feature_names = [h for h in header if h != label_column]
+    ds = Dataset(np.delete(table, label_pos, axis=1), labels, feature_names, len(values))
+    hist = np.bincount(ds.labels, minlength=ds.class_count)
+    log.info("loaded %s: n=%d d=%d classes=%s", path, ds.n, ds.d, hist.tolist())
+    return ds
+
+
+def _has_separator_chars(path) -> bool:
+    """True if the file holds a byte in \\x1c-\\x1f (see load_csv)."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if any(ch in chunk for ch in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return True
+    return False
+
+
+def _bulk_parse(fh) -> np.ndarray | None:
+    """The remaining rows of fh as one float64 table, or None if numpy rejects them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
+            )
+    except ValueError:
+        return None
+
+
+def _parse_rows(path, header: list[str]) -> np.ndarray:
+    """Row-by-row parse; skips blank records and raises the exact CsvParseError."""
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_num, cells in enumerate(reader, start=1):
             if not cells or all(not c.strip() for c in cells):
                 continue
@@ -118,7 +167,7 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
             parsed = []
             for pos, cell in enumerate(cells):
                 try:
-                    value = float(cell)
+                    parsed.append(float(cell))
                 except ValueError:
                     raise CsvParseError(
                         f"{path}: non-numeric cell {cell.strip()!r} at row {row_num}, "
@@ -126,25 +175,8 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
                         row=row_num,
                         column=header[pos],
                     ) from None
-                parsed.append(value)
-            raw_labels.append(parsed.pop(label_pos))
             rows.append(parsed)
-
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    labels_f = np.asarray(raw_labels)
-    if not np.all(labels_f == np.round(labels_f)):
-        bad = int(np.flatnonzero(labels_f != np.round(labels_f))[0]) + 1
-        raise CsvParseError(
-            f"{path}: non-integer label at row {bad}", row=bad, column=label_column
-        )
-    values = np.sort(np.unique(labels_f.astype(np.int64)))
-    remap = {v: i for i, v in enumerate(values.tolist())}
-    labels = np.asarray([remap[int(v)] for v in labels_f], dtype=np.int64)
-    ds = Dataset(np.asarray(rows), labels, feature_names, class_count=len(values))
-    hist = np.bincount(ds.labels, minlength=ds.class_count)
-    log.info("loaded %s: n=%d d=%d classes=%s", path, ds.n, ds.d, hist.tolist())
-    return ds
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_csv(path, ds: Dataset, label_column: str = PIMA_LABEL) -> None:
@@ -215,20 +247,6 @@ def fit_preprocess(
     stds[stds == 0.0] = 1.0
     stats.stds = stds
     return stats
-
-
-def preprocess_pima(ds: Dataset, impute: bool = True, fit_idx: np.ndarray | None = None) -> Dataset:
-    """Impute-and-standardize a Pima-schema table, stats from fit_idx rows."""
-    if ds.d != len(PIMA_FEATURES):
-        raise ShapeError(f"expected {len(PIMA_FEATURES)} features, got {ds.d}")
-    stats = fit_preprocess(ds.features, ds.feature_names, fit_idx=fit_idx, impute=impute)
-    return Dataset(
-        stats.transform(ds.features),
-        ds.labels,
-        list(ds.feature_names),
-        ds.class_count,
-        standardization=stats,
-    )
 
 
 # -- splitting and subsampling ---------------------------------------------

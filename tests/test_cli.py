@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygrad.checkpoint import save_checkpoint
-from polygrad.cli import main
+from polygrad.checkpoint import load_checkpoint, save_checkpoint
+from polygrad.cli import _eval_view, main
+from polygrad.data import fit_preprocess, make_pima_like, stratified_split
 from polygrad.harness import read_results
 from polygrad.linalg import Rng
 from polygrad.polynet import PolyNetwork
@@ -93,6 +94,31 @@ class TestEval:
                      "--data", str(renamed)])
         assert code == 1
         assert "schema" in capsys.readouterr().err
+
+
+class TestEvalView:
+    @pytest.mark.parametrize("with_preprocess, provenance", [
+        (True, {"seed": 3, "eval_fraction": 0.25}),
+        (False, {"seed": 3}),
+        (True, {}),
+    ], ids=["preprocess", "raw", "no-seed"])
+    def test_equals_transform_all_then_index(self, tmp_path, with_preprocess, provenance):
+        ds = make_pima_like(seed=7, n_samples=300)
+        stats = fit_preprocess(ds.features, ds.feature_names) if with_preprocess else None
+        ck = tmp_path / "ck.json"
+        save_checkpoint(ck, PolyNetwork.build(Rng(0), ds.d, [4], 2), provenance, stats)
+        X, y, eval_idx = _eval_view(load_checkpoint(ck), ds)
+
+        full = stats.transform(ds.features) if stats is not None else ds.features
+        if "seed" in provenance:
+            _, want_idx = stratified_split(ds.labels, provenance.get("eval_fraction", 0.2),
+                                           provenance["seed"])
+        else:
+            want_idx = np.arange(ds.n)
+        np.testing.assert_array_equal(eval_idx, want_idx)
+        assert X.shape == full[want_idx].shape
+        assert X.tobytes() == full[want_idx].tobytes()
+        np.testing.assert_array_equal(y, ds.labels[want_idx])
 
 
 class TestTailRatio:

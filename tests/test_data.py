@@ -1,3 +1,4 @@
+import csv
 import logging
 
 import numpy as np
@@ -11,7 +12,6 @@ from polygrad.data import (
     load_csv,
     make_blobs,
     make_pima_like,
-    preprocess_pima,
     save_csv,
     stratified_split,
     subsample_fraction,
@@ -159,6 +159,111 @@ class TestCsvRoundTrip:
         assert exc.value.row == 2
 
 
+def _oracle(path, header):
+    """csv.reader + float(): the parsed table, or the first (row, column, message) error."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_num, cells in enumerate(reader, start=1):
+            if not cells or all(not c.strip() for c in cells):
+                continue
+            if len(cells) != len(header):
+                return None, (row_num, None,
+                              f"{path}: row {row_num} has {len(cells)} cells, expected {len(header)}")
+            for pos, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return None, (row_num, header[pos],
+                                  f"{path}: non-numeric cell {cell.strip()!r} at row {row_num}, "
+                                  f"column {header[pos]!r}")
+            rows.append([float(c) for c in cells])
+    return np.asarray(rows), None
+
+
+GRAMMAR_CELLS = [
+    " 1.5 ", "1_000", "nan", "-Infinity", "+1e5", "1e400", "0x10", "", "1.5.2",
+    "١٢",  # Arabic-Indic digits: float() reads 12
+    "\x1c1\x1c",  # numpy strips ASCII separators as padding, float() rejects them
+]
+GRAMMAR_ROWS = {
+    "quoted number": 'a,b,outcome\n1,"2.5",0\n3,4,1\n',
+    "CRLF line endings": "a,b,outcome\r\n1,2,0\r\n3,4,1\r\n",
+    "whitespace-only line": "a,b,outcome\n1,2,0\n   \n3,4,1\n",
+    "all-blank row": "a,b,outcome\n1,2,0\n,,\n3,4,1\n",
+    "trailing comma": "a,b,outcome\n1,2,0,\n3,4,1,\n",
+    "every row short": "a,b,outcome\n1,0\n3,1\n",
+}
+
+
+class TestCsvGrammar:
+    """load_csv agrees with a csv.reader + float() oracle on edge inputs."""
+
+    def _check(self, path):
+        expected, error = _oracle(path, ["a", "b", "outcome"])
+        if error is None:
+            ds = load_csv(path)
+            assert ds.features.shape == (expected.shape[0], 2)
+            assert ds.features.tobytes() == expected[:, :2].tobytes()
+            np.testing.assert_array_equal(ds.labels, expected[:, 2].astype(np.int64))
+        else:
+            with pytest.raises(CsvParseError) as exc:
+                load_csv(path)
+            assert (exc.value.row, exc.value.column, str(exc.value)) == error
+
+    @pytest.mark.parametrize("cell", GRAMMAR_CELLS)
+    def test_cell(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b,outcome\n1,2,0\n3,{cell},1\n5,6,0\n", encoding="utf-8", newline="")
+        self._check(p)
+
+    @pytest.mark.parametrize("name", sorted(GRAMMAR_ROWS))
+    def test_row_shape(self, tmp_path, name):
+        p = tmp_path / "t.csv"
+        p.write_text(GRAMMAR_ROWS[name], encoding="utf-8", newline="")
+        self._check(p)
+
+    def test_plain_file_takes_bulk_path(self, tmp_path, monkeypatch):
+        import polygrad.data as data_mod
+
+        def no_fallback(*args):
+            raise AssertionError("row loop ran on a well-formed file")
+
+        p = tmp_path / "t.csv"
+        save_csv(p, make_pima_like(seed=7, n_samples=64))
+        monkeypatch.setattr(data_mod, "_parse_rows", no_fallback)
+        assert load_csv(p).n == 64
+
+
+class TestCsvLarge:
+    def test_bitwise_roundtrip_5000_rows(self, tmp_path):
+        ds = make_pima_like(seed=7, n_samples=5000)
+        p = tmp_path / "big.csv"
+        save_csv(p, ds)
+        back = load_csv(p)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.feature_names == ds.feature_names
+        assert back.class_count == ds.class_count
+
+    def test_error_row_counts_blank_records(self, tmp_path):
+        ds = make_pima_like(seed=7, n_samples=5000)
+        p = tmp_path / "big.csv"
+        save_csv(p, ds)
+        header, *records = p.read_text().splitlines()
+        records.insert(10, "")  # record 11 is blank; the row loop still numbers it
+        cells = records[3999].split(",")
+        cells[PIMA_FEATURES.index("glucose")] = "oops"
+        records[3999] = ",".join(cells)
+        p.write_text("\n".join([header] + records) + "\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(p)
+        assert exc.value.row == 4000
+        assert exc.value.column == "glucose"
+        assert "'oops' at row 4000" in str(exc.value)
+
+
 class TestPreprocess:
     def test_impute_uses_nonzero_median(self):
         X = np.array([[0.0], [2.0], [4.0]])
@@ -202,19 +307,6 @@ class TestPreprocess:
         stats = fit_preprocess(X, ["glucose"], impute=False)
         assert stats.impute_values == {}
         np.testing.assert_allclose(stats.means, [2.0], atol=1e-12)
-
-    def test_preprocess_pima_schema_check(self):
-        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), ["a", "b"], 2)
-        with pytest.raises(ShapeError):
-            preprocess_pima(ds)
-
-    def test_preprocess_pima_standardizes(self):
-        ds = make_pima_like(seed=7, n_samples=256)
-        out = preprocess_pima(ds)
-        assert out.standardization is not None
-        np.testing.assert_allclose(out.features.mean(axis=0), np.zeros(8), atol=1e-9)
-        np.testing.assert_allclose(out.features.std(axis=0), np.ones(8), atol=1e-9)
-        np.testing.assert_array_equal(out.labels, ds.labels)
 
 
 class TestStratifiedSplit:
