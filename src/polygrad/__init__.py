@@ -7,7 +7,7 @@ gradient tail-ratio diagnostic with paired statistical tests, a
 tabular data protocol, and a resumable sweep harness.
 """
 
-from .baselines import BaselineNet, baseline_forward, baseline_input_grads, matched_capacity
+from .baselines import matched_capacity
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, parse_config
 from .data import (
@@ -39,7 +39,8 @@ from .metrics import (
 )
 from .polynet import (
     ActivationCoeffs,
-    PolyLayer,
+    Layer,
+    Net,
     PolyNetwork,
     dreg_penalty,
     forward_dual,
@@ -53,14 +54,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationCoeffs",
-    "BaselineNet",
     "ConfigError",
     "CsvParseError",
     "Dataset",
     "DegenerateDistributionError",
     "MemoryBudgetError",
+    "Layer",
+    "Net",
     "NumericOverflowError",
-    "PolyLayer",
     "PolyNetwork",
     "Rng",
     "ShapeError",
@@ -68,8 +69,6 @@ __all__ = [
     "SweepPlan",
     "TailRatioReport",
     "TrainConfig",
-    "baseline_forward",
-    "baseline_input_grads",
     "bonferroni",
     "derive_seed",
     "dreg_penalty",

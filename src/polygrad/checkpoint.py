@@ -11,10 +11,9 @@ import json
 
 import numpy as np
 
-from .baselines import BaselineNet, ReluLayer
 from .data import PreprocessStats
 from .errors import ConfigError, ShapeError
-from .polynet import ActivationCoeffs, PolyLayer, PolyNetwork
+from .polynet import ActivationCoeffs, Layer, Net
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes", "CheckpointBundle"]
 
@@ -53,7 +52,8 @@ def _checkpoint_dict(net, provenance: dict | None, preprocess: PreprocessStats |
         "params": {name: _encode_array(arr) for name, arr in net.parameters().items()},
         "provenance": dict(provenance or {}),
     }
-    if net.activation_kind == "relu":
+    # Cubic nets without dropout have never stored the field.
+    if net.activation_kind == "relu" or net.dropout_rate:
         obj["dropout_rate"] = _f(net.dropout_rate)
     if preprocess is not None:
         obj["preprocess"] = {
@@ -81,30 +81,23 @@ def load_checkpoint(path) -> CheckpointBundle:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint format_version {version!r}")
+    kind = obj["kind"]
+    if kind not in ("poly", "relu"):
+        raise ConfigError(f"{path}: unknown model kind {kind!r}")
     params = {name: _decode_array(spec) for name, spec in obj["params"].items()}
     widths = obj["widths"]
-    kind = obj["kind"]
 
-    if kind == "poly":
-        layers = [
-            PolyLayer(
-                params[f"layer{i}.W"],
-                params[f"layer{i}.b"],
-                ActivationCoeffs(*(params[f"layer{i}.c{k}"] for k in range(4))),
-            )
-            for i in range(len(widths))
-        ]
-        net = PolyNetwork(layers, params["head.W"], params["head.b"])
-    elif kind == "relu":
-        layers = [
-            ReluLayer(params[f"layer{i}.W"], params[f"layer{i}.b"]) for i in range(len(widths))
-        ]
-        net = BaselineNet(
-            layers, params["head.W"], params["head.b"], dropout_rate=float(obj["dropout_rate"])
-        )
-    else:
-        raise ConfigError(f"{path}: unknown model kind {kind!r}")
+    def coeffs(i: int) -> ActivationCoeffs | None:
+        if f"layer{i}.c0" not in params:
+            return None
+        return ActivationCoeffs(*(params[f"layer{i}.c{k}"] for k in range(4)))
 
+    layers = [
+        Layer(params[f"layer{i}.W"], params[f"layer{i}.b"], coeffs(i)) for i in range(len(widths))
+    ]
+    net = Net(layers, params["head.W"], params["head.b"], float(obj.get("dropout_rate", 0.0)))
+    if net.activation_kind != kind:
+        raise ShapeError(f"{path}: parameters describe a {net.activation_kind} net, kind is {kind!r}")
     if net.input_dim != obj["input_dim"] or net.widths != widths:
         raise ShapeError(f"{path}: stored shapes disagree with parameter arrays")
 

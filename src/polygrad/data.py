@@ -15,6 +15,7 @@ measurement columns) used when no real CSV is supplied.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import warnings
@@ -88,9 +89,9 @@ class Dataset:
 def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     """Read a comma-delimited numeric table with a header row.
 
-    Data rows are numbered from 1 (the header is row 0) in error
-    messages. Labels may be any integer values; they are remapped to
-    contiguous classes 0..K-1 in sorted order.
+    Error messages number rows by csv record: the header is row 0 and
+    blank records count. Labels may be any integer values; they are
+    remapped to contiguous classes 0..K-1 in sorted order.
 
     The data rows are parsed in one call to numpy's C reader. A file it
     rejects (or one holding ASCII separator characters, which numpy
@@ -117,7 +118,9 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     labels_f = table[:, label_pos]
     non_integer = labels_f != np.round(labels_f)
     if non_integer.any():
-        bad = int(np.flatnonzero(non_integer)[0]) + 1
+        index = int(np.flatnonzero(non_integer)[0])
+        with open(path, newline="", encoding="utf-8") as fh:
+            bad = next(itertools.islice(_records(fh), index, None))[0]
         raise CsvParseError(
             f"{path}: non-integer label at row {bad}", row=bad, column=label_column
         )
@@ -150,15 +153,20 @@ def _bulk_parse(fh) -> np.ndarray | None:
         return None
 
 
+def _records(fh):
+    """(csv record number, cells) of every non-blank data record; the header is record 0."""
+    reader = csv.reader(fh)
+    next(reader)
+    for row_num, cells in enumerate(reader, start=1):
+        if cells and any(c.strip() for c in cells):
+            yield row_num, cells
+
+
 def _parse_rows(path, header: list[str]) -> np.ndarray:
     """Row-by-row parse; skips blank records and raises the exact CsvParseError."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_num, cells in enumerate(reader, start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue
+        for row_num, cells in _records(fh):
             if len(cells) != len(header):
                 raise CsvParseError(
                     f"{path}: row {row_num} has {len(cells)} cells, expected {len(header)}",

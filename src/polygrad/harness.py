@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import BaselineNet, matched_capacity
+from .baselines import matched_capacity
 from .config import Config, config_hash
 from .data import (
     Dataset,
@@ -44,8 +44,9 @@ from .metrics import (
     tail_ratio,
     wilcoxon_signed_rank,
 )
-from .polynet import PolyNetwork
-from .train import TrainConfig, evaluate_accuracy, train
+from .polynet import Net
+from .train import TrainConfig, train
+from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test calls harness.evaluate_accuracy)
 
 __all__ = [
     "ROSTER",
@@ -308,8 +309,6 @@ def resolve_dataset(plan: SweepPlan, out_dir: str | None = None) -> Dataset:
 
 def build_model(spec: ModelSpec, input_dim: int, num_classes: int, init_seed: int, poly_widths: list[int]):
     rng = Rng(init_seed).spawn("init", spec.model_id)
-    if spec.kind == "poly":
-        return PolyNetwork.build(rng, input_dim, spec.widths, num_classes)
     widths = spec.widths
     if widths is None:
         match = matched_capacity(input_dim, poly_widths, num_classes)
@@ -322,7 +321,9 @@ def build_model(spec: ModelSpec, input_dim: int, num_classes: int, init_seed: in
             match.poly_params,
             100.0 * match.relative_gap,
         )
-    return BaselineNet.build(rng, input_dim, widths, num_classes, dropout_rate=spec.train.dropout_rate)
+    return Net.build(
+        rng, input_dim, widths, num_classes, activation=spec.kind, dropout_rate=spec.train.dropout_rate
+    )
 
 
 def _cell_tag(model_id: str, fraction: float, seed: int) -> str:
@@ -363,7 +364,7 @@ def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, see
     result = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
     report = tail_ratio(norms, model_id=model_id, fraction=fraction, seed=seed)
-    acc = evaluate_accuracy(net, X[eval_idx], ds.labels[eval_idx])
+    acc = result.log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
     return CellOutput(net, stats, result, report, acc, active, eval_idx)
 
 

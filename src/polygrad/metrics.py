@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import BaselineNet, baseline_forward_dual, baseline_input_grads
 from .errors import DegenerateDistributionError, NumericOverflowError
 from .linalg import quantile
-from .polynet import PolyNetwork, forward_dual
-from .train import softmax
+from .polynet import Net, forward_dual
+from .tape import Tape
+from .train import record_forward, softmax
 
 __all__ = [
     "TailRatioReport",
@@ -75,7 +75,7 @@ def tail_ratio(
 
 
 def input_grad_norms(
-    net: PolyNetwork | BaselineNet,
+    net: Net,
     x: np.ndarray,
     labels: np.ndarray | None = None,
     on: str = "loss",
@@ -84,16 +84,25 @@ def input_grad_norms(
 
     ``on="loss"`` (default) uses each sample's own cross-entropy; the
     polynomial path composes the analytic head Jacobian with the
-    softmax-layer gradient, the baseline path reverse-accumulates
-    through the network. ``on="logit"`` norms the predicted-class logit
-    gradient instead, which needs no labels.
+    softmax-layer gradient, the ReLU path reverse-accumulates the summed
+    per-sample cross-entropies through the tape (row b of the input
+    gradient is then exactly the gradient of row b's loss, because no
+    sample's loss touches another row). ``on="logit"`` norms the
+    predicted-class logit gradient instead, which needs no labels.
     """
     if on not in ("loss", "logit"):
         raise ValueError(f"unknown gradient target {on!r}")
     if on == "loss" and labels is None:
         raise ValueError("labels are required for loss-gradient norms")
 
-    if net.activation_kind == "poly":
+    if on == "loss" and net.activation_kind == "relu":
+        t = Tape()
+        xs = t.leaf(net.check_input(x), name="x")
+        params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
+        logits, _, _ = record_forward(t, net, xs, params)
+        t.backward(t.softmax_cross_entropy(logits, labels, reduction="sum"))
+        grads = xs.grad
+    else:
         logits, dual = forward_dual(net, x)
         J = dual.head_jacobian  # (batch, classes, d)
         if on == "logit":
@@ -103,14 +112,7 @@ def input_grad_norms(
             coeff = softmax(logits)
             coeff[np.arange(coeff.shape[0]), np.asarray(labels)] -= 1.0
             grads = np.einsum("bc,bcd->bd", coeff, J)
-        norms = np.sqrt((grads**2).sum(axis=1))
-    elif on == "logit":
-        logits, dual = baseline_forward_dual(net, x)
-        pick = np.argmax(logits, axis=1)
-        grads = dual.head_jacobian[np.arange(logits.shape[0]), pick]
-        norms = np.sqrt((grads**2).sum(axis=1))
-    else:
-        norms = baseline_input_grads(net, x, labels)
+    norms = np.sqrt((grads**2).sum(axis=1))
 
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:

@@ -1,11 +1,12 @@
-"""Cubic-activation networks and the dual-stream forward pass.
+"""Cubic-activation and ReLU networks and the dual-stream forward pass.
 
-A network is a stack of fully connected layers whose per-neuron
-activation is a learnable cubic phi(z) = c0 + c1 z + c2 z^2 + c3 z^3,
-followed by a linear head. ``forward_values`` runs the ordinary value
-stream; ``forward_dual`` additionally propagates, per sample, the
-cumulative Jacobian of each layer's output with respect to the network
-input, updated analytically layer by layer:
+A network is a stack of fully connected layers followed by a linear
+head. Every layer's per-neuron activation is either a learnable cubic
+phi(z) = c0 + c1 z + c2 z^2 + c3 z^3 or the fixed ReLU max(0, z), whose
+slope phi' is the subgradient 1[z > 0]. ``forward_values`` runs the
+ordinary value stream; ``forward_dual`` additionally propagates, per
+sample, the cumulative Jacobian of each layer's output with respect to
+the network input, updated analytically layer by layer:
 
     S1 = diag(phi'(z1)) @ W1
     Sl = diag(phi'(zl)) @ Wl @ S(l-1)          for l >= 2
@@ -27,7 +28,8 @@ from .linalg import Rng, gauss_init
 
 __all__ = [
     "ActivationCoeffs",
-    "PolyLayer",
+    "Layer",
+    "Net",
     "PolyNetwork",
     "DualState",
     "poly_eval",
@@ -114,12 +116,16 @@ def poly_deriv(coeffs: ActivationCoeffs, z: np.ndarray, order: int = 1) -> np.nd
 
 
 @dataclass
-class PolyLayer:
-    """Fully connected layer with learnable cubic activation."""
+class Layer:
+    """Fully connected layer: cubic activation with ``coeffs``, ReLU without.
+
+    The ReLU slope is the subgradient 1[z > 0], taken as exactly 0 at
+    the kink.
+    """
 
     weights: np.ndarray  # (out_width, in_width)
     bias: np.ndarray  # (out_width,)
-    coeffs: ActivationCoeffs  # width out_width
+    coeffs: ActivationCoeffs | None = None  # width out_width
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -127,10 +133,11 @@ class PolyLayer:
         if self.weights.ndim != 2:
             raise ShapeError("layer weights must be 2-D")
         out_w = self.weights.shape[0]
-        if self.bias.shape != (out_w,) or self.coeffs.width != out_w:
+        coeff_width = out_w if self.coeffs is None else self.coeffs.width
+        if self.bias.shape != (out_w,) or coeff_width != out_w:
             raise ShapeError(
                 f"layer fields disagree on width: weights {self.weights.shape}, "
-                f"bias {self.bias.shape}, coeffs {self.coeffs.width}"
+                f"bias {self.bias.shape}, coeffs {coeff_width}"
             )
 
     @property
@@ -141,20 +148,39 @@ class PolyLayer:
     def in_width(self) -> int:
         return self.weights.shape[1]
 
+    def activate(self, z: np.ndarray) -> np.ndarray:
+        """phi(z) for a cubic layer, max(0, z) for a ReLU layer."""
+        if self.coeffs is None:
+            return np.maximum(z, 0.0)
+        return poly_eval(self.coeffs, z)
+
+    def slope(self, z: np.ndarray) -> np.ndarray:
+        """phi'(z) for a cubic layer, 1[z > 0] for a ReLU layer."""
+        if self.coeffs is None:
+            return (z > 0.0).astype(np.float64)
+        return poly_deriv(self.coeffs, z, order=1)
+
 
 @dataclass
-class PolyNetwork(ArenaParams):
-    """Stack of PolyLayers plus a linear classification head."""
+class Net(ArenaParams):
+    """Stack of Layers plus a linear classification head.
 
-    layers: list[PolyLayer]
+    Every layer is cubic or every layer is ReLU; ``activation_kind``
+    says which. ``dropout_rate`` applies in train mode only.
+    """
+
+    layers: list[Layer]
     head_weights: np.ndarray  # (num_classes, last_width)
     head_bias: np.ndarray  # (num_classes,)
-
-    activation_kind = "poly"
+    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if not self.layers:
             raise ShapeError("network needs at least one layer")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if len({layer.coeffs is None for layer in self.layers}) != 1:
+            raise ShapeError("layers mix cubic and ReLU activations")
         self.head_weights = np.asarray(self.head_weights, dtype=np.float64)
         self.head_bias = np.asarray(self.head_bias, dtype=np.float64)
         prev = self.layers[0].in_width
@@ -169,6 +195,10 @@ class PolyNetwork(ArenaParams):
         if self.head_bias.shape != (self.head_weights.shape[0],):
             raise ShapeError("head bias does not conform to head weights")
         self._bind_arena()
+
+    @property
+    def activation_kind(self) -> str:
+        return "relu" if self.layers[0].coeffs is None else "poly"
 
     @property
     def input_dim(self) -> int:
@@ -189,33 +219,43 @@ class PolyNetwork(ArenaParams):
         input_dim: int,
         widths: list[int],
         num_classes: int,
+        activation: str = "poly",
+        dropout_rate: float = 0.0,
         coeff_noise: float = 0.01,
-    ) -> "PolyNetwork":
-        """Fresh network: W ~ N(0, 1/fan_in), zero bias, near-identity cubics."""
+    ) -> "Net":
+        """Fresh network: W ~ N(0, 1/fan_in), zero bias, and near-identity
+        cubics (``activation="poly"``) or ReLU (``activation="relu"``)."""
+        if activation not in ("poly", "relu"):
+            raise ValueError(f"activation must be 'poly' or 'relu', got {activation!r}")
         layers = []
         fan_in = input_dim
         for i, w in enumerate(widths):
-            layers.append(
-                PolyLayer(
-                    gauss_init(rng.spawn("W", i), w, fan_in, 1.0 / np.sqrt(fan_in)),
-                    np.zeros(w),
-                    ActivationCoeffs.near_identity(rng.spawn("coeffs", i), w, coeff_noise),
-                )
-            )
+            coeffs = None
+            if activation == "poly":
+                coeffs = ActivationCoeffs.near_identity(rng.spawn("coeffs", i), w, coeff_noise)
+            W = gauss_init(rng.spawn("W", i), w, fan_in, 1.0 / np.sqrt(fan_in))
+            layers.append(Layer(W, np.zeros(w), coeffs))
             fan_in = w
         head_w = gauss_init(rng.spawn("head"), num_classes, fan_in, 1.0 / np.sqrt(fan_in))
-        return cls(layers, head_w, np.zeros(num_classes))
+        return cls(layers, head_w, np.zeros(num_classes), dropout_rate)
 
     def _slots(self) -> list[tuple[str, object, str]]:
         slots = []
         for i, layer in enumerate(self.layers):
             slots += [(f"layer{i}.W", layer, "weights"), (f"layer{i}.b", layer, "bias")]
-            slots += [(f"layer{i}.c{k}", layer.coeffs, f"c{k}") for k in range(4)]
+            if layer.coeffs is not None:
+                slots += [(f"layer{i}.c{k}", layer.coeffs, f"c{k}") for k in range(4)]
         return slots + [("head.W", self, "head_weights"), ("head.b", self, "head_bias")]
 
-    def activation_slopes(self, preacts: list[np.ndarray]) -> list[np.ndarray]:
-        """phi'(z) per layer, from that layer's pre-activations."""
-        return [poly_deriv(layer.coeffs, z, order=1) for layer, z in zip(self.layers, preacts)]
+    def check_input(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a float64 (batch, input_dim) array, or ShapeError."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(f"input shape {x.shape} does not match input_dim {self.input_dim}")
+        return x
+
+
+PolyNetwork = Net  # the cubic-network name callers still build with; Net.build defaults to cubic
 
 
 @dataclass
@@ -235,26 +275,19 @@ class DualState:
     head_jacobian: np.ndarray | None = None
 
 
-def _check_input(net: PolyNetwork, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
-    return x
-
-
 def _check_finite(arr: np.ndarray, where: str):
     if not np.all(np.isfinite(arr)):
         raise NumericOverflowError(f"non-finite values in {where}", layer=where)
 
 
-def forward_values(net: PolyNetwork, x: np.ndarray) -> tuple[np.ndarray, DualState]:
-    """Value stream only: logits plus the z/phi(z) cache."""
-    x = _check_input(net, x)
+def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, DualState]:
+    """Value stream only: logits plus the z/phi(z) cache (eval mode, no dropout)."""
+    x = net.check_input(x)
     cache = DualState()
     h = x
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
-        h = poly_eval(layer.coeffs, z)
+        h = layer.activate(z)
         _check_finite(h, f"layer {i}")
         cache.preacts.append(z)
         cache.acts.append(h)
@@ -264,14 +297,14 @@ def forward_values(net: PolyNetwork, x: np.ndarray) -> tuple[np.ndarray, DualSta
 
 
 def forward_dual(
-    net: PolyNetwork, x: np.ndarray, max_dual_bytes: int = DEFAULT_DUAL_BYTES
+    net: Net, x: np.ndarray, max_dual_bytes: int = DEFAULT_DUAL_BYTES
 ) -> tuple[np.ndarray, DualState]:
     """Value stream plus per-sample cumulative input-Jacobians.
 
     Memory for the Jacobian blocks is batch * sum(widths) * d doubles;
     configurations beyond ``max_dual_bytes`` are rejected up front.
     """
-    x = _check_input(net, x)
+    x = net.check_input(x)
     batch, d = x.shape
     need = 8 * batch * d * (sum(net.widths) + net.num_classes)
     if need > max_dual_bytes:
@@ -279,32 +312,23 @@ def forward_dual(
             f"dual stream needs {need} bytes for batch={batch}, d={d}, "
             f"widths={net.widths}; cap is {max_dual_bytes}"
         )
-
-    dual = DualState()
-    h = x
-    for i, layer in enumerate(net.layers):
-        z = h @ layer.weights.T + layer.bias
-        h = poly_eval(layer.coeffs, z)
-        _check_finite(h, f"layer {i}")
-        dual.preacts.append(z)
-        dual.acts.append(h)
-    logits = h @ net.head_weights.T + net.head_bias
-    _check_finite(logits, "head")
+    logits, dual = forward_values(net, x)
     dual.jacobians = jacobian_stream(net, dual.preacts)
     dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
     return logits, dual
 
 
-def jacobian_stream(net, preacts: list[np.ndarray]) -> list[np.ndarray]:
+def jacobian_stream(net: Net, preacts: list[np.ndarray]) -> list[np.ndarray]:
     """Per-sample cumulative input-Jacobians from a forward pass's
-    pre-activations; works for any network with ``activation_slopes``.
+    pre-activations.
 
     Returns one (batch, width_l, d) block per layer:
     S1 = diag(phi'(z1)) @ W1 and Sl = diag(phi'(zl)) @ Wl @ S(l-1).
     """
     blocks = []
     S = None  # layer-0 value is the implicit identity
-    for layer, slope in zip(net.layers, net.activation_slopes(preacts)):
+    for layer, z in zip(net.layers, preacts):
+        slope = layer.slope(z)
         if S is None:
             S = slope[:, :, None] * layer.weights[None, :, :]
         else:
@@ -344,5 +368,5 @@ def dreg_penalty(
     return total / (batch * len(blocks))
 
 
-def count_parameters(net: PolyNetwork) -> int:
-    return sum(p.size for p in net.parameters().values())
+def count_parameters(net: Net) -> int:
+    return net.arena.size

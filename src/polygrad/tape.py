@@ -2,8 +2,7 @@
 
 The tape records each primitive in creation order together with the
 values needed for its vector-Jacobian product, so ``backward`` is a
-single reversed sweep and ``replay`` re-executes the forward record
-verbatim. Primitives are deliberately few: affine layers, the cubic
+single reversed sweep. Primitives are deliberately few: affine layers, the cubic
 activation and its first derivative (whose own backward brings in the
 second derivative), ReLU and its zero-gradient step factor, the three
 Jacobian-stream products, Frobenius accumulation, softmax
@@ -26,15 +25,14 @@ __all__ = ["Node", "Tape"]
 class Node:
     """One recorded value. ``grad`` is populated by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "grad_out", "parents", "vjp", "recompute", "name")
+    __slots__ = ("value", "grad", "grad_out", "parents", "vjp", "name")
 
-    def __init__(self, value, parents=(), vjp=None, recompute=None, name="", grad_out=None):
+    def __init__(self, value, parents=(), vjp=None, name="", grad_out=None):
         self.value = value
         self.grad = None
         self.grad_out = grad_out
         self.parents = parents
         self.vjp = vjp
-        self.recompute = recompute
         self.name = name
 
     def __repr__(self):
@@ -79,24 +77,19 @@ class Tape:
 
     def linear(self, h: Node, W: Node, b: Node) -> Node:
         """out = h @ W.T + b with b broadcast over rows."""
-
-        def fwd():
-            return h.value @ W.value.T + b.value
+        value = h.value @ W.value.T + b.value
 
         def vjp(g):
             return (g @ W.value, g.T @ h.value, g.sum(axis=0))
 
-        return self._record(Node(fwd(), (h, W, b), vjp, fwd, "linear"))
+        return self._record(Node(value, (h, W, b), vjp, "linear"))
 
     def poly_val(self, z: Node, c0: Node, c1: Node, c2: Node, c3: Node) -> Node:
         """Elementwise cubic c0 + c1 z + c2 z^2 + c3 z^3, coeffs per column."""
-
-        def fwd():
-            zv = z.value
-            return c0.value + zv * (c1.value + zv * (c2.value + zv * c3.value))
+        zv = z.value
+        value = c0.value + zv * (c1.value + zv * (c2.value + zv * c3.value))
 
         def vjp(g):
-            zv = z.value
             dz = g * (c1.value + zv * (2.0 * c2.value + 3.0 * c3.value * zv))
             return (
                 dz,
@@ -106,7 +99,7 @@ class Tape:
                 (g * zv * zv * zv).sum(axis=0),
             )
 
-        return self._record(Node(fwd(), (z, c0, c1, c2, c3), vjp, fwd, "poly_val"))
+        return self._record(Node(value, (z, c0, c1, c2, c3), vjp, "poly_val"))
 
     def poly_slope(self, z: Node, c1: Node, c2: Node, c3: Node) -> Node:
         """First derivative of the cubic: c1 + 2 c2 z + 3 c3 z^2.
@@ -115,71 +108,60 @@ class Tape:
         2 c2 + 6 c3 z, which is what makes the sensitivity penalty
         itself differentiable.
         """
-
-        def fwd():
-            zv = z.value
-            return c1.value + zv * (2.0 * c2.value + 3.0 * c3.value * zv)
+        zv = z.value
+        value = c1.value + zv * (2.0 * c2.value + 3.0 * c3.value * zv)
 
         def vjp(g):
-            zv = z.value
             dz = g * (2.0 * c2.value + 6.0 * c3.value * zv)
             return (dz, g.sum(axis=0), 2.0 * (g * zv).sum(axis=0), 3.0 * (g * zv * zv).sum(axis=0))
 
-        return self._record(Node(fwd(), (z, c1, c2, c3), vjp, fwd, "poly_slope"))
+        return self._record(Node(value, (z, c1, c2, c3), vjp, "poly_slope"))
 
     def relu(self, z: Node) -> Node:
-        def fwd():
-            return np.maximum(z.value, 0.0)
+        value = np.maximum(z.value, 0.0)
 
         def vjp(g):
             return (g * (z.value > 0.0),)
 
-        return self._record(Node(fwd(), (z,), vjp, fwd, "relu"))
+        return self._record(Node(value, (z,), vjp, "relu"))
 
     def relu_slope(self, z: Node) -> Node:
         """Subgradient factor 1[z > 0]; exactly 0 at z = 0.
 
         Piecewise constant, so nothing flows back to z.
         """
-
-        def fwd():
-            return (z.value > 0.0).astype(np.float64)
+        value = (z.value > 0.0).astype(np.float64)
 
         def vjp(g):
             return (None,)
 
-        return self._record(Node(fwd(), (z,), vjp, fwd, "relu_slope"))
+        return self._record(Node(value, (z,), vjp, "relu_slope"))
 
     def mask(self, h: Node, mask_values: np.ndarray) -> Node:
         """Elementwise multiply by a fixed (already scaled) dropout mask."""
         m = np.asarray(mask_values, dtype=np.float64)
 
-        def fwd():
-            return h.value * m
+        value = h.value * m
 
         def vjp(g):
             return (g * m,)
 
-        return self._record(Node(fwd(), (h,), vjp, fwd, "mask"))
+        return self._record(Node(value, (h,), vjp, "mask"))
 
     def jac_seed(self, slope: Node, W: Node) -> Node:
         """First Jacobian block: out[b] = diag(slope[b]) @ W, shape (B, w, d)."""
-
-        def fwd():
-            return slope.value[:, :, None] * W.value[None, :, :]
+        value = slope.value[:, :, None] * W.value[None, :, :]
 
         def vjp(g):
             dslope = np.einsum("bwd,wd->bw", g, W.value)
             dW = np.einsum("bw,bwd->wd", slope.value, g)
             return (dslope, dW)
 
-        return self._record(Node(fwd(), (slope, W), vjp, fwd, "jac_seed"))
+        return self._record(Node(value, (slope, W), vjp, "jac_seed"))
 
     def jac_chain(self, slope: Node, W: Node, S: Node) -> Node:
         """Propagated Jacobian: out[b] = diag(slope[b]) @ W @ S[b]."""
-
-        def fwd():
-            return slope.value[:, :, None] * (W.value @ S.value)
+        value = slope.value[:, :, None] * (W.value @ S.value)
 
         def vjp(g):
             t = W.value @ S.value
@@ -189,45 +171,39 @@ class Tape:
             dS = np.einsum("wk,bwd->bkd", W.value, dt)
             return (dslope, dW, dS)
 
-        return self._record(Node(fwd(), (slope, W, S), vjp, fwd, "jac_chain"))
+        return self._record(Node(value, (slope, W, S), vjp, "jac_chain"))
 
     def jac_head(self, W: Node, S: Node) -> Node:
         """Head Jacobian: out[b] = W @ S[b], shape (B, C, d)."""
-
-        def fwd():
-            return W.value @ S.value
+        value = W.value @ S.value
 
         def vjp(g):
             dW = np.einsum("bcd,bkd->ck", g, S.value)
             dS = np.einsum("ck,bcd->bkd", W.value, g)
             return (dW, dS)
 
-        return self._record(Node(fwd(), (W, S), vjp, fwd, "jac_head"))
+        return self._record(Node(value, (W, S), vjp, "jac_head"))
 
     def jac_mask(self, S: Node, mask_values: np.ndarray) -> Node:
         """Row-scale Jacobian blocks by a fixed dropout mask (B, w)."""
         m = np.asarray(mask_values, dtype=np.float64)
 
-        def fwd():
-            return S.value * m[:, :, None]
+        value = S.value * m[:, :, None]
 
         def vjp(g):
             return (g * m[:, :, None],)
 
-        return self._record(Node(fwd(), (S,), vjp, fwd, "jac_mask"))
+        return self._record(Node(value, (S,), vjp, "jac_mask"))
 
     def frob_mean(self, S: Node) -> Node:
         """Scalar: mean over batch of the summed squares of each block."""
-
-        def fwd():
-            batch = S.value.shape[0]
-            return np.float64(np.sum(S.value * S.value) / batch)
+        batch = S.value.shape[0]
+        value = np.float64(np.sum(S.value * S.value) / batch)
 
         def vjp(g):
-            batch = S.value.shape[0]
             return ((2.0 * float(g) / batch) * S.value,)
 
-        return self._record(Node(fwd(), (S,), vjp, fwd, "frob_mean"))
+        return self._record(Node(value, (S,), vjp, "frob_mean"))
 
     def softmax_cross_entropy(self, logits: Node, labels: np.ndarray, reduction: str = "mean") -> Node:
         """Scalar softmax cross-entropy over integer labels.
@@ -239,47 +215,38 @@ class Tape:
         if reduction not in ("mean", "sum"):
             raise ValueError(f"unknown reduction {reduction!r}")
 
-        def probs():
-            lv = logits.value
-            shifted = lv - lv.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            return e / e.sum(axis=1, keepdims=True)
-
-        def fwd():
-            lv = logits.value
-            shifted = lv - lv.max(axis=1, keepdims=True)
-            lse = np.log(np.sum(np.exp(shifted), axis=1)) + lv.max(axis=1)
-            losses = lse - lv[np.arange(lv.shape[0]), y]
-            return np.float64(losses.mean() if reduction == "mean" else losses.sum())
+        lv = logits.value
+        shifted = lv - lv.max(axis=1, keepdims=True)
+        lse = np.log(np.sum(np.exp(shifted), axis=1)) + lv.max(axis=1)
+        losses = lse - lv[np.arange(lv.shape[0]), y]
+        value = np.float64(losses.mean() if reduction == "mean" else losses.sum())
 
         def vjp(g):
-            p = probs()
+            e = np.exp(shifted)
+            p = e / e.sum(axis=1, keepdims=True)
             p[np.arange(p.shape[0]), y] -= 1.0
             scale = float(g) / p.shape[0] if reduction == "mean" else float(g)
             return (scale * p,)
 
-        return self._record(Node(fwd(), (logits,), vjp, fwd, "softmax_ce"))
+        return self._record(Node(value, (logits,), vjp, "softmax_ce"))
 
     def mean_scalars(self, terms: list[Node]) -> Node:
-        def fwd():
-            return np.float64(sum(t.value for t in terms) / len(terms))
+        value = np.float64(sum(t.value for t in terms) / len(terms))
 
         def vjp(g):
             share = float(g) / len(terms)
             return tuple(share for _ in terms)
 
-        return self._record(Node(fwd(), tuple(terms), vjp, fwd, "mean_scalars"))
+        return self._record(Node(value, tuple(terms), vjp, "mean_scalars"))
 
     def add_scaled(self, a: Node, b: Node, k: float) -> Node:
         """Scalar combine: a + k * b."""
-
-        def fwd():
-            return np.float64(a.value + k * b.value)
+        value = np.float64(a.value + k * b.value)
 
         def vjp(g):
             return (g, k * float(g))
 
-        return self._record(Node(fwd(), (a, b), vjp, fwd, "add_scaled"))
+        return self._record(Node(value, (a, b), vjp, "add_scaled"))
 
     # -- execution -------------------------------------------------------
 
@@ -304,14 +271,3 @@ class Tape:
             name: (node.grad if node.grad is not None else np.zeros_like(node.value))
             for name, node in self.params.items()
         }
-
-    def replay(self) -> np.ndarray:
-        """Re-execute the recorded forward pass; returns the final value.
-
-        Deterministic primitives make the replayed values bitwise equal
-        to the recorded ones; tests assert this.
-        """
-        for node in self.nodes:
-            if node.recompute is not None:
-                node.value = node.recompute()
-        return self.nodes[-1].value

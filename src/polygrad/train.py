@@ -9,15 +9,14 @@ the Jacobian stream itself, second activation derivatives included.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineNet, baseline_forward, baseline_forward_dual, dropout_masks
+from .baselines import dropout_masks
 from .errors import NumericOverflowError
 from .linalg import Rng
-from .polynet import DualState, PolyNetwork, dreg_penalty, forward_dual, forward_values, jacobian_stream
+from .polynet import DualState, Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
 from .tape import Node, Tape
 
 __all__ = [
@@ -38,9 +37,6 @@ __all__ = [
     "train",
 ]
 
-log = logging.getLogger(__name__)
-
-
 @dataclass
 class TrainConfig:
     lambda_dreg: float = 0.0
@@ -55,7 +51,6 @@ class TrainConfig:
     dropout_rate: float = 0.0
     seed: int = 0
     include_head_in_penalty: bool = False
-    early_stop_patience: int | None = None
 
     def __post_init__(self):
         if self.lambda_dreg < 0:
@@ -86,8 +81,50 @@ class Objective:
     grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
 
 
+def record_forward(
+    t: Tape,
+    net: Net,
+    xs: Node,
+    params: dict[str, Node],
+    masks: list[np.ndarray] | None = None,
+    need_dual: bool = False,
+) -> tuple[Node, list[Node], list[Node]]:
+    """Record the network's forward pass from input node ``xs`` on ``t``.
+
+    ``params`` maps ``net.parameters()`` names to the tape's leaves.
+    Returns the logits, the per-layer pre-activations and, when
+    ``need_dual``, the per-layer Jacobian blocks; with dropout ``masks``
+    the blocks are row-masked in step, so they stay the exact Jacobian
+    of the masked value stream.
+    """
+    h = xs
+    S = None
+    S_nodes: list[Node] = []
+    preacts: list[Node] = []
+    for i, layer in enumerate(net.layers):
+        W = params[f"layer{i}.W"]
+        z = t.linear(h, W, params[f"layer{i}.b"])
+        preacts.append(z)
+        if layer.coeffs is None:
+            h = t.relu(z)
+            slope = t.relu_slope(z) if need_dual else None
+        else:
+            c0, c1, c2, c3 = (params[f"layer{i}.c{k}"] for k in range(4))
+            h = t.poly_val(z, c0, c1, c2, c3)
+            slope = t.poly_slope(z, c1, c2, c3) if need_dual else None
+        if masks is not None:
+            h = t.mask(h, masks[i])
+        if need_dual:
+            S = t.jac_seed(slope, W) if S is None else t.jac_chain(slope, W, S)
+            if masks is not None:
+                S = t.jac_mask(S, masks[i])
+            S_nodes.append(S)
+    logits = t.linear(h, params["head.W"], params["head.b"])
+    return logits, preacts, S_nodes
+
+
 def build_objective(
-    net: PolyNetwork | BaselineNet,
+    net: Net,
     x: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
@@ -97,11 +134,12 @@ def build_objective(
     """Record the full forward pass of the composite loss on a fresh tape.
 
     The Jacobian stream is recorded only when the penalty weight is
-    positive; with dropout active, the stream is row-masked in step so
-    it stays the exact Jacobian of the masked value stream. A backward
+    positive. Dropout masks are drawn only in train mode. A backward
     pass writes the parameter gradients into ``grad``, a fresh flat
     vector in the arena's layout.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     t = Tape()
     xs = t.leaf(np.asarray(x, dtype=np.float64), name="x")
     grad = np.zeros(net.arena.size)
@@ -112,37 +150,11 @@ def build_objective(
     }
 
     need_dual = cfg.lambda_dreg > 0.0
-    use_dropout = mode == "train" and getattr(net, "dropout_rate", 0.0) > 0.0
+    use_dropout = mode == "train" and net.dropout_rate > 0.0
     if use_dropout and dropout_rng is None:
         raise ValueError("train-mode dropout needs an rng")
     masks = dropout_masks(net, x.shape[0], dropout_rng) if use_dropout else None
-    is_poly = net.activation_kind == "poly"
-
-    h = xs
-    S = None
-    S_nodes: list[Node] = []
-    preacts: list[Node] = []
-    for i, layer in enumerate(net.layers):
-        W = params[f"layer{i}.W"]
-        b = params[f"layer{i}.b"]
-        z = t.linear(h, W, b)
-        preacts.append(z)
-        if is_poly:
-            c0, c1, c2, c3 = (params[f"layer{i}.c{k}"] for k in range(4))
-            h = t.poly_val(z, c0, c1, c2, c3)
-            slope = t.poly_slope(z, c1, c2, c3) if need_dual else None
-        else:
-            h = t.relu(z)
-            slope = t.relu_slope(z) if need_dual else None
-        if masks is not None:
-            h = t.mask(h, masks[i])
-        if need_dual:
-            S = t.jac_seed(slope, W) if S is None else t.jac_chain(slope, W, S)
-            if masks is not None:
-                S = t.jac_mask(S, masks[i])
-            S_nodes.append(S)
-
-    logits = t.linear(h, params["head.W"], params["head.b"])
+    logits, preacts, S_nodes = record_forward(t, net, xs, params, masks, need_dual)
     task = t.softmax_cross_entropy(logits, labels, reduction="mean")
 
     penalty = None
@@ -165,17 +177,14 @@ class LossBundle:
     grad: np.ndarray  # flat gradient, laid out like net.arena.flat
 
 
-def measure_penalty(net: PolyNetwork | BaselineNet, x: np.ndarray, include_head: bool = False) -> float:
+def measure_penalty(net: Net, x: np.ndarray, include_head: bool = False) -> float:
     """Report-only penalty value from a plain dual forward pass."""
-    if net.activation_kind == "poly":
-        _, dual = forward_dual(net, x)
-    else:
-        _, dual = baseline_forward_dual(net, x)
+    _, dual = forward_dual(net, x)
     return dreg_penalty(dual, include_head=include_head)
 
 
 def loss_and_grads(
-    net: PolyNetwork | BaselineNet,
+    net: Net,
     x: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
@@ -210,7 +219,7 @@ def loss_and_grads(
 
 
 def objective_value(
-    net: PolyNetwork | BaselineNet,
+    net: Net,
     x: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
@@ -229,11 +238,8 @@ def objective_value(
 # -- plain inference helpers ----------------------------------------------
 
 
-def predict_logits(net: PolyNetwork | BaselineNet, x: np.ndarray) -> np.ndarray:
-    if net.activation_kind == "poly":
-        logits, _ = forward_values(net, x)
-    else:
-        logits, _ = baseline_forward(net, x, mode="eval")
+def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
+    logits, _ = forward_values(net, x)
     return logits
 
 
@@ -333,12 +339,12 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
-    net: PolyNetwork | BaselineNet
+    net: Net
     log: TrainLog
 
 
 def train(
-    net: PolyNetwork | BaselineNet,
+    net: Net,
     train_x: np.ndarray,
     train_y: np.ndarray,
     eval_x: np.ndarray,
@@ -361,8 +367,6 @@ def train(
 
     n = train_x.shape[0]
     log_out = TrainLog()
-    best_acc = -1.0
-    stale = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         task_losses = []
@@ -390,13 +394,4 @@ def train(
         log_out.epochs.append(
             EpochStats(epoch, float(np.mean(task_losses)), float(np.mean(penalties)), eval_acc)
         )
-        if cfg.early_stop_patience is not None:
-            if eval_acc > best_acc:
-                best_acc = eval_acc
-                stale = 0
-            else:
-                stale += 1
-                if stale > cfg.early_stop_patience:
-                    log.info("early stop at epoch %d (patience %d)", epoch, cfg.early_stop_patience)
-                    break
     return TrainResult(net, log_out)

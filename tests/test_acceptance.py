@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
-from polygrad.baselines import BaselineNet, count_parameters
 from polygrad.cli import main
 from polygrad.config import load_config
 from polygrad.harness import plan_from_config, read_results, resolve_dataset, sweep
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import paired_t_one_sided, tail_ratio, wilcoxon_signed_rank
-from polygrad.polynet import PolyNetwork, forward_dual, forward_values
+from polygrad.polynet import Net, count_parameters, forward_dual, forward_values
 from polygrad.train import TrainConfig, loss_and_grads, objective_value
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
@@ -68,7 +67,7 @@ def test_01_jacobian_stream_matches_finite_differences(capsys):
         depth = int(rng.integers(1, 5))
         widths = [int(w) for w in rng.integers(1, 17, depth)]
         classes = int(rng.integers(2, 5))
-        net = PolyNetwork.build(rng.spawn("net"), d, widths, classes)
+        net = Net.build(rng.spawn("net"), d, widths, classes)
         x = rng.spawn("x").standard_normal(3, d)
         _, dual = forward_dual(net, x)
         step = 1e-6
@@ -92,8 +91,8 @@ def test_01_jacobian_stream_matches_finite_differences(capsys):
 def test_02_full_objective_gradients_match_finite_differences(capsys):
     t0 = time.perf_counter()
     rng = Rng(derive_seed("grad-exact"))
-    poly = PolyNetwork.build(rng.spawn("poly"), 4, [6, 5], 3)
-    relu = BaselineNet.build(rng.spawn("relu"), 4, [6, 5], 3)
+    poly = Net.build(rng.spawn("poly"), 4, [6, 5], 3)
+    relu = Net.build(rng.spawn("relu"), 4, [6, 5], 3, activation="relu")
     x = rng.spawn("x").standard_normal(8, 4)
     y = np.arange(8) % 3
     n_params = count_parameters(poly)
@@ -250,7 +249,7 @@ def test_10_informational_jacobian_cost_scaling(capsys):
     dims = [8, 16, 32, 64]
     times = []
     for d in dims:
-        net = PolyNetwork.build(Rng(derive_seed("scale", str(d))), d, [16, 16], 2)
+        net = Net.build(Rng(derive_seed("scale", str(d))), d, [16, 16], 2)
         x = Rng(derive_seed("scale-x", str(d))).standard_normal(256, d)
         forward_dual(net, x)  # warm up
         best = min(

@@ -5,24 +5,22 @@ import pytest
 
 from conftest import fd_gradient, rel_err
 from polygrad.baselines import (
-    BaselineNet,
-    ReluLayer,
-    baseline_forward,
-    baseline_forward_dual,
-    baseline_input_grads,
-    baseline_param_count,
-    count_parameters,
+    POLY_PER_NEURON,
+    RELU_PER_NEURON,
     dropout_masks,
     matched_capacity,
-    poly_param_count,
+    param_count,
 )
 from polygrad.errors import ShapeError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.train import softmax
+from polygrad.metrics import input_grad_norms
+from polygrad.polynet import Layer, Net, count_parameters, forward_dual, forward_values
+from polygrad.train import TrainConfig, build_objective, softmax
 
 
 def relu_net(seed="bl", d=4, widths=(6, 5), classes=3, dropout=0.0):
-    return BaselineNet.build(Rng(derive_seed(seed)), d, list(widths), classes, dropout_rate=dropout)
+    rng = Rng(derive_seed(seed))
+    return Net.build(rng, d, list(widths), classes, activation="relu", dropout_rate=dropout)
 
 
 class TestConstruction:
@@ -35,29 +33,30 @@ class TestConstruction:
 
     def test_count_matches_formula(self):
         net = relu_net()
-        assert count_parameters(net) == baseline_param_count(4, [6, 5], 3)
+        assert count_parameters(net) == param_count(4, [6, 5], 3, RELU_PER_NEURON)
 
     def test_fewer_params_than_poly_at_equal_widths(self):
-        assert baseline_param_count(8, [16, 16], 2) < poly_param_count(8, [16, 16], 2)
+        relu = param_count(8, [16, 16], 2, RELU_PER_NEURON)
+        poly = param_count(8, [16, 16], 2, POLY_PER_NEURON)
+        assert relu < poly
         # the gap is exactly the four coefficient vectors per layer
-        assert poly_param_count(8, [16, 16], 2) - baseline_param_count(8, [16, 16], 2) == 4 * 32
+        assert poly - relu == 4 * 32
 
     def test_bad_dropout_rejected(self):
         with pytest.raises(ValueError):
-            BaselineNet([ReluLayer(np.zeros((2, 2)), np.zeros(2))], np.zeros((2, 2)), np.zeros(2),
-                        dropout_rate=1.0)
+            Net([Layer(np.zeros((2, 2)), np.zeros(2))], np.zeros((2, 2)), np.zeros(2), dropout_rate=1.0)
 
     def test_width_chain_validated(self):
-        layers = [ReluLayer(np.zeros((3, 2)), np.zeros(3)), ReluLayer(np.zeros((2, 4)), np.zeros(2))]
+        layers = [Layer(np.zeros((3, 2)), np.zeros(3)), Layer(np.zeros((2, 4)), np.zeros(2))]
         with pytest.raises(ShapeError):
-            BaselineNet(layers, np.zeros((2, 2)), np.zeros(2))
+            Net(layers, np.zeros((2, 2)), np.zeros(2))
 
 
 class TestForward:
     def test_matches_manual_numpy(self):
         net = relu_net()
         x = Rng(derive_seed("bl-x")).standard_normal(5, 4)
-        logits, cache = baseline_forward(net, x)
+        logits, cache = forward_values(net, x)
         h = x
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
@@ -69,27 +68,26 @@ class TestForward:
     def test_all_positive_region_is_affine(self):
         rng = Rng(derive_seed("pos"))
         W = np.abs(rng.spawn("W").standard_normal(4, 3)) + 0.1
-        net = BaselineNet([ReluLayer(W, np.zeros(4))], rng.spawn("h").standard_normal(2, 4),
-                          np.zeros(2))
+        net = Net([Layer(W, np.zeros(4))], rng.spawn("h").standard_normal(2, 4), np.zeros(2))
         x = np.abs(rng.spawn("x").standard_normal(5, 3)) + 0.1
-        logits, _ = baseline_forward(net, x)
+        logits, _ = forward_values(net, x)
         np.testing.assert_allclose(logits, x @ W.T @ net.head_weights.T, atol=1e-12)
 
     def test_train_mode_dropout_needs_rng(self):
         net = relu_net(dropout=0.3)
         with pytest.raises(ValueError, match="rng"):
-            baseline_forward(net, np.zeros((2, 4)), mode="train")
+            build_objective(net, np.zeros((2, 4)), np.zeros(2, int), TrainConfig(), mode="train")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            baseline_forward(relu_net(), np.zeros((2, 4)), mode="predict")
+            build_objective(relu_net(), np.zeros((2, 4)), np.zeros(2, int), TrainConfig(), mode="predict")
 
     def test_eval_ignores_dropout(self):
         net = relu_net(dropout=0.5)
         x = Rng(0).standard_normal(3, 4)
-        a, _ = baseline_forward(net, x, mode="eval")
-        b, _ = baseline_forward(net, x, mode="eval")
-        np.testing.assert_array_equal(a, b)
+        a, _ = forward_values(net, x)
+        obj = build_objective(net, x, np.zeros(3, int), TrainConfig(), mode="eval", dropout_rng=Rng(1))
+        np.testing.assert_array_equal(a, obj.logits.value)
 
 
 class TestDropout:
@@ -110,15 +108,16 @@ class TestDropout:
         # activations, so the inverted-dropout expectation equals the
         # eval forward; 10^4 draws put the sample mean within 2%.
         rng = Rng(derive_seed("dropout-expect"))
-        net = BaselineNet.build(rng.spawn("net"), 3, [12], 2, dropout_rate=0.3)
+        net = Net.build(rng.spawn("net"), 3, [12], 2, activation="relu", dropout_rate=0.3)
         x = rng.spawn("x").standard_normal(4, 3) + 0.5
-        eval_logits, _ = baseline_forward(net, x, mode="eval")
+        eval_logits, _ = forward_values(net, x)
         draws = Rng(derive_seed("dropout-draws"))
         acc = np.zeros_like(eval_logits)
+        labels = np.zeros(4, int)
         n = 10_000
         for _ in range(n):
-            logits, _ = baseline_forward(net, x, mode="train", rng=draws)
-            acc += logits
+            obj = build_objective(net, x, labels, TrainConfig(), mode="train", dropout_rng=draws)
+            acc += obj.logits.value
         scale = float(np.abs(eval_logits).max())
         assert float(np.abs(acc / n - eval_logits).max()) < 0.02 * scale
 
@@ -127,15 +126,15 @@ class TestDualAndInputGrads:
     def test_dual_logits_match_eval_forward(self):
         net = relu_net("bl-dual")
         x = Rng(derive_seed("bl-dual-x")).standard_normal(4, 4)
-        a, _ = baseline_forward(net, x)
-        b, dual = baseline_forward_dual(net, x)
+        a, _ = forward_values(net, x)
+        b, dual = forward_dual(net, x)
         np.testing.assert_array_equal(a, b)
         assert dual.head_jacobian.shape == (4, 3, 4)
 
     def test_head_jacobian_matches_finite_differences(self):
         x = Rng(derive_seed("bl-fd")).spawn("x").standard_normal(5, 4)
-        net = BaselineNet.build(Rng(derive_seed("bl-fd")).spawn("net"), 4, [6, 5], 3)
-        _, dual = baseline_forward_dual(net, x)
+        net = Net.build(Rng(derive_seed("bl-fd")).spawn("net"), 4, [6, 5], 3, activation="relu")
+        _, dual = forward_dual(net, x)
         margin = min(float(np.abs(z).min()) for z in dual.preacts)
         assert margin > 1e-3, "probe batch sits too close to a ReLU kink"
         step = 1e-6
@@ -145,27 +144,26 @@ class TestDualAndInputGrads:
                 xp[b, j] += step
                 xm = x.copy()
                 xm[b, j] -= step
-                lp, _ = baseline_forward(net, xp)
-                lm, _ = baseline_forward(net, xm)
+                lp, _ = forward_values(net, xp)
+                lm, _ = forward_values(net, xm)
                 assert rel_err(dual.head_jacobian[b, :, j], (lp[b] - lm[b]) / (2 * step)) < 1e-6
 
     def test_slope_is_zero_exactly_at_kink(self):
-        net = BaselineNet([ReluLayer(np.ones((2, 2)), np.zeros(2))], np.ones((2, 2)), np.zeros(2))
-        _, dual = baseline_forward_dual(net, np.zeros((1, 2)))  # z = 0 everywhere
+        net = Net([Layer(np.ones((2, 2)), np.zeros(2))], np.ones((2, 2)), np.zeros(2))
+        _, dual = forward_dual(net, np.zeros((1, 2)))  # z = 0 everywhere
         np.testing.assert_array_equal(dual.jacobians[0], np.zeros((1, 2, 2)))
 
     def test_input_grads_closed_form_in_affine_region(self):
         rng = Rng(derive_seed("closed-form"))
         W1 = np.abs(rng.spawn("w1").standard_normal(4, 3)) + 0.1
-        net = BaselineNet([ReluLayer(W1, np.zeros(4))], rng.spawn("head").standard_normal(2, 4),
-                          np.zeros(2))
+        net = Net([Layer(W1, np.zeros(4))], rng.spawn("head").standard_normal(2, 4), np.zeros(2))
         x = np.abs(rng.spawn("x").standard_normal(5, 3)) + 0.1
         y = np.array([0, 1, 0, 1, 1])
-        logits, _ = baseline_forward(net, x)
+        logits, _ = forward_values(net, x)
         coeff = softmax(logits)
         coeff[np.arange(5), y] -= 1.0
         expected = np.sqrt(((coeff @ net.head_weights @ W1) ** 2).sum(axis=1))
-        np.testing.assert_allclose(baseline_input_grads(net, x, y), expected, atol=1e-12)
+        np.testing.assert_allclose(input_grad_norms(net, x, y), expected, atol=1e-12)
 
     def test_input_grads_match_finite_differences(self):
         from polygrad.train import cross_entropy
@@ -173,7 +171,7 @@ class TestDualAndInputGrads:
         net = relu_net("big")
         x = Rng(derive_seed("big-x")).standard_normal(4, 4)
         y = np.array([0, 1, 2, 1])
-        norms = baseline_input_grads(net, x, y)
+        norms = input_grad_norms(net, x, y)
         step = 1e-6
         for b in range(4):
             g = np.zeros(4)
@@ -182,8 +180,8 @@ class TestDualAndInputGrads:
                 xp[b, j] += step
                 xm = x.copy()
                 xm[b, j] -= step
-                lp, _ = baseline_forward(net, xp)
-                lm, _ = baseline_forward(net, xm)
+                lp, _ = forward_values(net, xp)
+                lm, _ = forward_values(net, xm)
                 per_p = cross_entropy(lp, y, reduction="none")[b]
                 per_m = cross_entropy(lm, y, reduction="none")[b]
                 g[j] = (per_p - per_m) / (2 * step)
@@ -194,7 +192,7 @@ class TestMatchedCapacity:
     def test_reference_widths_within_tolerance(self):
         m = matched_capacity(8, [16, 16], 2)
         assert m.widths == [19, 19]
-        assert m.baseline_params == baseline_param_count(8, [19, 19], 2)
+        assert m.baseline_params == param_count(8, [19, 19], 2, RELU_PER_NEURON)
         assert abs(m.relative_gap) <= 0.05 and m.within_tolerance
 
     def test_canonical_sweep_widths(self):

@@ -3,21 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from polygrad.baselines import BaselineNet, baseline_forward
 from polygrad.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from polygrad.data import PreprocessStats
 from polygrad.errors import ConfigError, ShapeError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import PolyNetwork, forward_values
+from polygrad.polynet import Net, forward_values
 from polygrad.train import predict_logits
 
 
 def poly_net():
-    return PolyNetwork.build(Rng(derive_seed("ckpt-poly")), 4, [6, 5], 3)
+    return Net.build(Rng(derive_seed("ckpt-poly")), 4, [6, 5], 3)
 
 
 def relu_net(dropout=0.35):
-    return BaselineNet.build(Rng(derive_seed("ckpt-relu")), 4, [6, 5], 3, dropout_rate=dropout)
+    return Net.build(Rng(derive_seed("ckpt-relu")), 4, [6, 5], 3, activation="relu", dropout_rate=dropout)
 
 
 def preprocess_stats():
@@ -67,8 +66,8 @@ class TestRoundTrip:
         path = tmp_path / "c.json"
         save_checkpoint(path, net)
         loaded = load_checkpoint(path).net
-        a, _ = baseline_forward(net, x)
-        b, _ = baseline_forward(loaded, x)
+        a, _ = forward_values(net, x)
+        b, _ = forward_values(loaded, x)
         np.testing.assert_array_equal(a, b)
 
     def test_preprocess_stats_restored_exactly(self, tmp_path):
@@ -138,6 +137,15 @@ class TestValidation:
         obj["kind"] = "transformer"
         path.write_text(json.dumps(obj))
         with pytest.raises(ConfigError, match="transformer"):
+            load_checkpoint(path)
+
+    def test_kind_must_match_parameters(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, poly_net())
+        obj = json.loads(path.read_text())
+        obj["kind"] = "relu"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ShapeError, match="poly net"):
             load_checkpoint(path)
 
     def test_tampered_widths(self, tmp_path):

@@ -11,7 +11,7 @@ from polygrad.cli import _eval_view, main
 from polygrad.data import fit_preprocess, make_pima_like, stratified_split
 from polygrad.harness import read_results
 from polygrad.linalg import Rng
-from polygrad.polynet import PolyNetwork
+from polygrad.polynet import Net
 
 PLAN = Path(__file__).resolve().parent.parent / "plans" / "blobs_smoke.txt"
 
@@ -106,7 +106,7 @@ class TestEvalView:
         ds = make_pima_like(seed=7, n_samples=300)
         stats = fit_preprocess(ds.features, ds.feature_names) if with_preprocess else None
         ck = tmp_path / "ck.json"
-        save_checkpoint(ck, PolyNetwork.build(Rng(0), ds.d, [4], 2), provenance, stats)
+        save_checkpoint(ck, Net.build(Rng(0), ds.d, [4], 2), provenance, stats)
         X, y, eval_idx = _eval_view(load_checkpoint(ck), ds)
 
         full = stats.transform(ds.features) if stats is not None else ds.features
@@ -137,7 +137,7 @@ class TestTailRatio:
 
     def test_all_zero_gradients_fail_cleanly(self, trained, tmp_path, capsys):
         out, _ = trained
-        net = PolyNetwork.build(Rng(0), 2, [3], 3)
+        net = Net.build(Rng(0), 2, [3], 3)
         for arr in net.parameters().values():
             arr[:] = 0.0
         ck = tmp_path / "zero.json"

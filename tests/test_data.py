@@ -224,6 +224,18 @@ class TestCsvGrammar:
         p.write_text(GRAMMAR_ROWS[name], encoding="utf-8", newline="")
         self._check(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,outcome\n1,0\n\n2,0.5\n", "non-integer label at row 3"),
+        ("a,outcome\n1,0\n\nx,0\n", "non-numeric cell 'x' at row 3, column 'a'"),
+    ])
+    def test_label_and_cell_errors_count_blank_records(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(p)
+        assert exc.value.row == 3
+        assert message in str(exc.value)
+
     def test_plain_file_takes_bulk_path(self, tmp_path, monkeypatch):
         import polygrad.data as data_mod
 

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygrad.baselines import BaselineNet
 from polygrad.config import load_config, parse_config
 from polygrad.harness import (
     RESULT_FIELDS,
@@ -22,7 +21,7 @@ from polygrad.harness import (
 )
 from polygrad.linalg import derive_seed
 from polygrad.metrics import paired_t_one_sided, wilcoxon_signed_rank
-from polygrad.polynet import PolyNetwork
+from polygrad.polynet import Net
 from polygrad.train import TrainConfig
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
@@ -67,13 +66,13 @@ class TestBuildModel:
     def test_poly_uses_declared_widths(self):
         spec = ModelSpec("cr", "poly", [8, 8], TrainConfig())
         net = build_model(spec, 8, 2, derive_seed("bm"), [8, 8])
-        assert isinstance(net, PolyNetwork)
+        assert isinstance(net, Net) and net.activation_kind == "poly"
         assert net.widths == [8, 8]
 
     def test_relu_widths_derived_by_capacity_match(self):
         spec = ModelSpec("vanilla", "relu", None, TrainConfig())
         net = build_model(spec, 8, 2, derive_seed("bm"), [8, 8])
-        assert isinstance(net, BaselineNet)
+        assert isinstance(net, Net) and net.activation_kind == "relu"
         assert net.widths == [10, 10]
 
     def test_explicit_relu_widths_win(self):

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from polygrad.baselines import BaselineNet, baseline_input_grads
 from polygrad.errors import DegenerateDistributionError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import (
@@ -17,7 +16,8 @@ from polygrad.metrics import (
     tail_ratio,
     wilcoxon_signed_rank,
 )
-from polygrad.polynet import PolyNetwork
+from polygrad.polynet import Net
+from polygrad.tape import Tape
 from polygrad.train import cross_entropy, predict_logits
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -81,7 +81,7 @@ class TestTailRatio:
 
 def poly_probe():
     rng = Rng(derive_seed("metrics-net"))
-    net = PolyNetwork.build(rng.spawn("net"), 4, [6, 5], 3)
+    net = Net.build(rng.spawn("net"), 4, [6, 5], 3)
     x = rng.spawn("x").standard_normal(6, 4)
     y = np.array([0, 1, 2, 0, 1, 2])
     return net, x, y
@@ -106,12 +106,19 @@ class TestInputGradNorms:
 
     def test_relu_loss_grads_match_direct_computation(self):
         rng = Rng(derive_seed("metrics-relu"))
-        net = BaselineNet.build(rng.spawn("net"), 4, [6, 5], 3)
+        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu")
         x = rng.spawn("x").standard_normal(6, 4)
         y = np.array([0, 1, 2, 0, 1, 2])
+        # Reverse accumulation over the summed per-sample losses, layer by layer.
+        t = Tape()
+        xs = h = t.leaf(x, name="x")
+        for layer in net.layers:
+            h = t.relu(t.linear(h, t.leaf(layer.weights), t.leaf(layer.bias)))
+        logits = t.linear(h, t.leaf(net.head_weights), t.leaf(net.head_bias))
+        t.backward(t.softmax_cross_entropy(logits, y, reduction="sum"))
         np.testing.assert_allclose(
             input_grad_norms(net, x, labels=y),
-            baseline_input_grads(net, x, y), atol=1e-12)
+            np.sqrt(np.sum(xs.grad * xs.grad, axis=1)), atol=1e-12)
 
     def test_logit_mode_norms_predicted_class_row(self):
         net, x, _ = poly_probe()
@@ -134,7 +141,7 @@ class TestInputGradNorms:
             input_grad_norms(net, x, labels=y, on="hessian")
 
     def test_overflow_names_offending_sample(self):
-        net = PolyNetwork.build(Rng(0), 1, [1], 2)
+        net = Net.build(Rng(0), 1, [1], 2)
         params = net.parameters()
         params["layer0.W"][:] = 1e150
         params["layer0.c1"][:] = 1e200

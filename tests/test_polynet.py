@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
+from polygrad.baselines import dropout_masks
 from polygrad.errors import MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import (
     ActivationCoeffs,
-    PolyLayer,
-    PolyNetwork,
+    Layer,
+    Net,
     count_parameters,
     dreg_penalty,
     forward_dual,
     forward_values,
+    jacobian_stream,
     poly_deriv,
     poly_eval,
 )
+from polygrad.tape import Tape
+from polygrad.train import record_forward
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
     rng = Rng(derive_seed(seed))
-    return PolyNetwork.build(rng, d, list(widths), classes, coeff_noise=0.05)
+    return Net.build(rng, d, list(widths), classes, coeff_noise=0.05)
 
 
 class TestActivationCoeffs:
@@ -114,14 +118,33 @@ class TestNetworkConstruction:
         assert count_parameters(net) == expected
 
     def test_layer_width_chain_validated(self):
-        l0 = PolyLayer(np.zeros((3, 2)), np.zeros(3), ActivationCoeffs.identity(3))
-        l1 = PolyLayer(np.zeros((2, 4)), np.zeros(2), ActivationCoeffs.identity(2))
+        l0 = Layer(np.zeros((3, 2)), np.zeros(3), ActivationCoeffs.identity(3))
+        l1 = Layer(np.zeros((2, 4)), np.zeros(2), ActivationCoeffs.identity(2))
         with pytest.raises(ShapeError):
-            PolyNetwork([l0, l1], np.zeros((2, 2)), np.zeros(2))
+            Net([l0, l1], np.zeros((2, 2)), np.zeros(2))
+
+    def test_mixed_cubic_and_relu_layers_rejected(self):
+        l0 = Layer(np.zeros((3, 2)), np.zeros(3), ActivationCoeffs.identity(3))
+        l1 = Layer(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ShapeError, match="mix"):
+            Net([l0, l1], np.zeros((2, 2)), np.zeros(2))
+        relu_first = [Layer(np.zeros((3, 2)), np.zeros(3)),
+                      Layer(np.zeros((2, 3)), np.zeros(2), ActivationCoeffs.identity(2))]
+        with pytest.raises(ShapeError, match="mix"):
+            Net(relu_first, np.zeros((2, 2)), np.zeros(2))
+
+    def test_activation_kind_follows_layers(self):
+        rng = Rng(derive_seed("kind"))
+        assert Net.build(rng, 3, [4], 2).activation_kind == "poly"
+        relu = Net.build(rng, 3, [4], 2, activation="relu")
+        assert relu.activation_kind == "relu"
+        assert set(relu.parameters()) == {"layer0.W", "layer0.b", "head.W", "head.b"}
+        with pytest.raises(ValueError, match="activation"):
+            Net.build(rng, 3, [4], 2, activation="tanh")
 
     def test_empty_network_rejected(self):
         with pytest.raises(ShapeError):
-            PolyNetwork([], np.zeros((2, 2)), np.zeros(2))
+            Net([], np.zeros((2, 2)), np.zeros(2))
 
     def test_input_shape_validated(self):
         net = small_net()
@@ -150,11 +173,14 @@ class TestForwardValues:
         assert cache.jacobians is None and cache.head_jacobian is None
 
     def test_overflow_names_layer(self):
-        layer = PolyLayer(np.array([[1e200]]), np.zeros(1), ActivationCoeffs.identity(1))
-        net = PolyNetwork([layer], np.ones((2, 1)), np.zeros(2))
+        layer = Layer(np.array([[1e200]]), np.zeros(1), ActivationCoeffs.identity(1))
+        net = Net([layer], np.ones((2, 1)), np.zeros(2))
+        relu = Net([Layer(np.array([[1e200]]), np.zeros(1))], np.ones((2, 1)), np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericOverflowError, match="layer 0"):
                 forward_values(net, np.array([[1e200]]))
+            with pytest.raises(NumericOverflowError, match="layer 0"):
+                forward_values(relu, np.array([[1e200]]))
 
 
 class TestForwardDual:
@@ -173,8 +199,8 @@ class TestForwardDual:
         assert dual.head_jacobian.shape == (3, 3, 4)
 
     def test_identity_network_jacobian_is_identity(self):
-        layer = PolyLayer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
-        net = PolyNetwork([layer], np.eye(3), np.zeros(3))
+        layer = Layer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
+        net = Net([layer], np.eye(3), np.zeros(3))
         x = Rng(0).standard_normal(4, 3)
         _, dual = forward_dual(net, x)
         for b in range(4):
@@ -183,8 +209,8 @@ class TestForwardDual:
 
     def test_single_neuron_closed_form(self):
         # phi(z) = z^3 on z = 2x gives h = 8x^3 and dh/dx = 24x^2.
-        layer = PolyLayer(np.array([[2.0]]), np.zeros(1), ActivationCoeffs([0.0], [0.0], [0.0], [1.0]))
-        net = PolyNetwork([layer], np.array([[1.0]]), np.zeros(1))
+        layer = Layer(np.array([[2.0]]), np.zeros(1), ActivationCoeffs([0.0], [0.0], [0.0], [1.0]))
+        net = Net([layer], np.array([[1.0]]), np.zeros(1))
         x = np.array([[0.5]])
         logits, dual = forward_dual(net, x)
         assert logits[0, 0] == 1.0
@@ -223,9 +249,10 @@ class TestForwardDual:
                 assert rel_err(dual.head_jacobian[b, :, j], (lp[b] - lm[b]) / (2 * step)) < 1e-6
 
     def test_memory_budget_enforced(self):
-        net = small_net()
-        with pytest.raises(MemoryBudgetError, match="bytes"):
-            forward_dual(net, np.zeros((4, 4)), max_dual_bytes=100)
+        relu = Net.build(Rng(derive_seed("relu-cap")), 4, [5, 4], 3, activation="relu")
+        for net in (small_net(), relu):
+            with pytest.raises(MemoryBudgetError, match="bytes"):
+                forward_dual(net, np.zeros((4, 4)), max_dual_bytes=100)
 
     def test_memory_budget_default_allows_small_batches(self):
         net = small_net()
@@ -241,8 +268,8 @@ class TestDregPenalty:
         assert abs(dreg_penalty(dual) - manual) < 1e-12
 
     def test_identity_network_penalty_equals_dim(self):
-        layer = PolyLayer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
-        net = PolyNetwork([layer], np.eye(3), np.zeros(3))
+        layer = Layer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
+        net = Net([layer], np.eye(3), np.zeros(3))
         _, dual = forward_dual(net, np.zeros((5, 3)))
         # ||I_3||_F^2 = 3 for every sample and the single layer
         assert dreg_penalty(dual) == 3.0
@@ -278,3 +305,52 @@ class TestDregPenalty:
         _, cache = forward_values(net, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="forward_dual"):
             dreg_penalty(cache)
+
+
+def record(net, x, masks=None):
+    t = Tape()
+    xs = t.leaf(x, name="x")
+    params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
+    return record_forward(t, net, xs, params, masks, need_dual=True)
+
+
+class TestOneForwardPath:
+    """The tape-free forward, the dual forward and the tape record agree bitwise."""
+
+    @pytest.mark.parametrize("case", ["cubic", "relu", "relu-dropout"])
+    def test_streams_bitwise_equal(self, case):
+        rng = Rng(derive_seed("one-forward", case))
+        activation = "poly" if case == "cubic" else "relu"
+        rate = 0.3 if case == "relu-dropout" else 0.0
+        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, dropout_rate=rate,
+                        coeff_noise=0.05)
+        x = rng.spawn("x").standard_normal(7, 4)
+        # Unit masks put the mask and Jacobian-mask nodes on the tape; they
+        # must not change a bit of either stream.
+        masks = [np.ones((7, w)) for w in net.widths] if rate else None
+        logits, preacts, S_nodes = record(net, x, masks)
+        values, cache = forward_values(net, x)
+        dual_logits, dual = forward_dual(net, x)
+        blocks = jacobian_stream(net, cache.preacts)
+        assert values.tobytes() == dual_logits.tobytes() == logits.value.tobytes()
+        assert len(preacts) == len(S_nodes) == len(net.layers)
+        for i in range(len(net.layers)):
+            assert cache.preacts[i].tobytes() == preacts[i].value.tobytes()
+            assert blocks[i].tobytes() == dual.jacobians[i].tobytes() == S_nodes[i].value.tobytes()
+
+    def test_masked_record_matches_masked_layer_recomputation(self):
+        rng = Rng(derive_seed("one-forward-masked"))
+        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu", dropout_rate=0.3)
+        x = rng.spawn("x").standard_normal(7, 4)
+        masks = dropout_masks(net, 7, rng.spawn("masks"))
+        logits, preacts, S_nodes = record(net, x, masks)
+        h, S = x, None
+        for i, layer in enumerate(net.layers):
+            z = h @ layer.weights.T + layer.bias
+            assert z.tobytes() == preacts[i].value.tobytes()
+            h = layer.activate(z) * masks[i]
+            slope = layer.slope(z)[:, :, None]
+            S = slope * layer.weights[None, :, :] if S is None else slope * (layer.weights @ S)
+            S = S * masks[i][:, :, None]
+            assert S.tobytes() == S_nodes[i].value.tobytes()
+        assert (h @ net.head_weights.T + net.head_bias).tobytes() == logits.value.tobytes()

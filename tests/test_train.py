@@ -5,12 +5,11 @@ import pytest
 
 from conftest import fd_gradient, rel_err
 from polygrad.arena import ParamArena
-from polygrad.baselines import BaselineNet, ReluLayer, baseline_forward_dual
 from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import ActivationCoeffs, PolyLayer, PolyNetwork
+from polygrad.polynet import ActivationCoeffs, Layer, Net, forward_dual
 from polygrad.train import (
     AdamState,
     TrainConfig,
@@ -29,7 +28,7 @@ from polygrad.train import (
 
 
 def poly_net(seed="train-poly", d=3, widths=(4,), classes=2):
-    return PolyNetwork.build(Rng(derive_seed(seed)), d, list(widths), classes, coeff_noise=0.05)
+    return Net.build(Rng(derive_seed(seed)), d, list(widths), classes, coeff_noise=0.05)
 
 
 def batch(seed, n, d, classes):
@@ -88,10 +87,10 @@ class TestObjective:
             assert rel_err(bundle.grads[name], numeric) < 1e-6, name
 
     def test_gradients_match_finite_differences_relu_with_penalty(self):
-        net = BaselineNet.build(Rng(derive_seed("grad-relu")).spawn("net"), 4, [7, 6], 3)
+        net = Net.build(Rng(derive_seed("grad-relu")).spawn("net"), 4, [7, 6], 3, activation="relu")
         x = Rng(derive_seed("grad-relu")).spawn("x").standard_normal(4, 4)
         y = np.array([0, 2, 1, 1])
-        _, dual = baseline_forward_dual(net, x)
+        _, dual = forward_dual(net, x)
         margin = min(float(np.abs(z).min()) for z in dual.preacts)
         assert margin > 1e-4, "probe batch sits too close to a ReLU kink"
         cfg = TrainConfig(lambda_dreg=0.1)
@@ -123,7 +122,7 @@ class TestObjective:
             assert rel_err(with_pen.grads[name], task_only.grads[name]) < 1e-12
 
     def test_dropout_gradients_match_finite_differences(self):
-        net = BaselineNet.build(Rng(derive_seed("dnet")).spawn("n"), 3, [5], 2, dropout_rate=0.4)
+        net = Net.build(Rng(derive_seed("dnet")).spawn("n"), 3, [5], 2, activation="relu", dropout_rate=0.4)
         x = Rng(derive_seed("dx")).standard_normal(4, 3)
         y = np.array([0, 1, 1, 0])
         cfg = TrainConfig(lambda_dreg=0.3, dropout_rate=0.4)
@@ -140,13 +139,13 @@ class TestObjective:
             assert rel_err(grads[name], numeric) < 1e-6, name
 
     def test_dropout_without_rng_rejected(self):
-        net = BaselineNet.build(Rng(0), 3, [4], 2, dropout_rate=0.5)
+        net = Net.build(Rng(0), 3, [4], 2, activation="relu", dropout_rate=0.5)
         x, y = batch("drop-norng", 3, 3, 2)
         with pytest.raises(ValueError, match="rng"):
             build_objective(net, x, y, TrainConfig(dropout_rate=0.5), mode="train")
 
     def test_eval_mode_ignores_dropout(self):
-        net = BaselineNet.build(Rng(1), 3, [4], 2, dropout_rate=0.5)
+        net = Net.build(Rng(1), 3, [4], 2, activation="relu", dropout_rate=0.5)
         x, y = batch("drop-eval", 3, 3, 2)
         a = loss_and_grads(net, x, y, TrainConfig(), mode="eval")
         b = loss_and_grads(net, x, y, TrainConfig(), mode="eval")
@@ -248,11 +247,12 @@ class TestParamArena:
 
     def test_parameters_are_arena_views_and_checkpoint_unchanged(self):
         poly = poly_net("arena-ckpt", d=3, widths=(4, 3), classes=2)
-        relu = BaselineNet.build(Rng(derive_seed("arena-ckpt-relu")), 3, [5, 4], 2, dropout_rate=0.2)
+        relu_rng = Rng(derive_seed("arena-ckpt-relu"))
+        relu = Net.build(relu_rng, 3, [5, 4], 2, activation="relu", dropout_rate=0.2)
         separate = {
-            "poly": PolyNetwork(
+            "poly": Net(
                 [
-                    PolyLayer(
+                    Layer(
                         layer.weights.copy(),
                         layer.bias.copy(),
                         ActivationCoeffs(*(getattr(layer.coeffs, f"c{k}").copy() for k in range(4))),
@@ -262,8 +262,8 @@ class TestParamArena:
                 poly.head_weights.copy(),
                 poly.head_bias.copy(),
             ),
-            "relu": BaselineNet(
-                [ReluLayer(layer.weights.copy(), layer.bias.copy()) for layer in relu.layers],
+            "relu": Net(
+                [Layer(layer.weights.copy(), layer.bias.copy()) for layer in relu.layers],
                 relu.head_weights.copy(),
                 relu.head_bias.copy(),
                 dropout_rate=0.2,
@@ -284,7 +284,7 @@ class TestParamArena:
 
     def test_train_refuses_rebound_parameter(self):
         tx, ty, ex, ey, ds = blob_split()
-        net = PolyNetwork.build(Rng(derive_seed("rebound")), ds.d, [6], ds.class_count)
+        net = Net.build(Rng(derive_seed("rebound")), ds.d, [6], ds.class_count)
         net.head_bias = net.head_bias.copy()
         with pytest.raises(ValueError, match="head.b"):
             train(net, tx, ty, ex, ey, TrainConfig(epochs=1))
@@ -313,10 +313,10 @@ class TestPenaltyLogging:
         x = rng.spawn("x").standard_normal(16, 4)
         y = np.asarray(rng.spawn("y").integers(0, 3, size=16))
         if model == "poly":
-            net = PolyNetwork.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
+            net = Net.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
         else:
             rate = 0.3 if model == "dropout" else 0.0
-            net = BaselineNet.build(rng.spawn("net"), 4, [6, 5], 3, dropout_rate=rate)
+            net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu", dropout_rate=rate)
         cfg = TrainConfig(
             lambda_dreg=0.0,
             dropout_rate=net.dropout_rate if model == "dropout" else 0.0,
@@ -339,7 +339,7 @@ class TestTrainingLoop:
         tx, ty, ex, ey, ds = blob_split()
         nets = []
         for _ in range(2):
-            net = PolyNetwork.build(Rng(derive_seed("det")), ds.d, [6], ds.class_count)
+            net = Net.build(Rng(derive_seed("det")), ds.d, [6], ds.class_count)
             train(net, tx, ty, ex, ey, TrainConfig(epochs=3, seed=5))
             nets.append(net)
         for k, arr in nets[0].parameters().items():
@@ -349,14 +349,14 @@ class TestTrainingLoop:
         tx, ty, ex, ey, ds = blob_split()
         finals = []
         for seed in (0, 1):
-            net = PolyNetwork.build(Rng(derive_seed("seed-var")), ds.d, [6], ds.class_count)
+            net = Net.build(Rng(derive_seed("seed-var")), ds.d, [6], ds.class_count)
             res = train(net, tx, ty, ex, ey, TrainConfig(epochs=3, seed=seed))
             finals.append(res.log.final.task_loss)
         assert finals[0] != finals[1]
 
     def test_blobs_reach_high_accuracy(self):
         tx, ty, ex, ey, ds = blob_split()
-        net = PolyNetwork.build(Rng(derive_seed("acc-check")), ds.d, [8], ds.class_count)
+        net = Net.build(Rng(derive_seed("acc-check")), ds.d, [8], ds.class_count)
         res = train(net, tx, ty, ex, ey, TrainConfig(learning_rate=0.01, epochs=25, seed=1))
         assert res.log.final.eval_accuracy >= 0.95
         assert len(res.log.epochs) == 25
@@ -366,31 +366,23 @@ class TestTrainingLoop:
         tx, ty, ex, ey, ds = blob_split()
         finals = {}
         for lam in (0.0, 5.0):
-            net = PolyNetwork.build(Rng(derive_seed("suppress")), ds.d, [6], ds.class_count)
+            net = Net.build(Rng(derive_seed("suppress")), ds.d, [6], ds.class_count)
             res = train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=lam, epochs=10, seed=3))
             finals[lam] = res.log.final.penalty
         assert finals[5.0] < finals[0.0]
 
     def test_divergence_reports_epoch_and_batch(self):
         tx, ty, ex, ey, ds = blob_split()
-        net = PolyNetwork.build(Rng(derive_seed("diverge")), ds.d, [6], ds.class_count)
+        net = Net.build(Rng(derive_seed("diverge")), ds.d, [6], ds.class_count)
         cfg = TrainConfig(learning_rate=1e9, optimizer="sgd", epochs=5, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericOverflowError) as exc:
                 train(net, tx, ty, ex, ey, cfg)
         assert exc.value.epoch is not None
 
-    def test_early_stopping_with_flat_accuracy(self):
-        tx, ty, ex, ey, ds = blob_split()
-        net = PolyNetwork.build(Rng(derive_seed("early")), ds.d, [6], ds.class_count)
-        cfg = TrainConfig(learning_rate=1e-12, epochs=50, seed=0, early_stop_patience=2)
-        res = train(net, tx, ty, ex, ey, cfg)
-        # best at epoch 0, then three stale epochs trip patience 2
-        assert len(res.log.epochs) == 4
-
     def test_epoch_log_fields(self):
         tx, ty, ex, ey, ds = blob_split()
-        net = PolyNetwork.build(Rng(derive_seed("log")), ds.d, [6], ds.class_count)
+        net = Net.build(Rng(derive_seed("log")), ds.d, [6], ds.class_count)
         res = train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=0.1, epochs=2, seed=0))
         assert [e.epoch for e in res.log.epochs] == [0, 1]
         for e in res.log.epochs:
