@@ -61,22 +61,13 @@ class CapacityMatch:
     def relative_gap(self) -> float:
         return (self.baseline_params - self.poly_params) / self.poly_params
 
-    @property
-    def within_tolerance(self) -> bool:
-        return abs(self.relative_gap) <= 0.05
 
-
-def matched_capacity(
-    input_dim: int,
-    poly_widths: list[int],
-    num_classes: int,
-    tolerance: float = 0.05,
-) -> CapacityMatch:
+def matched_capacity(input_dim: int, poly_widths: list[int], num_classes: int) -> CapacityMatch:
     """Baseline widths whose parameter count best matches the polynomial net.
 
     Searches uniform scalings of the polynomial widths at equal depth.
-    An infeasible match (tiny widths) is logged and the nearest width is
-    returned so the run can proceed.
+    An infeasible match (gap beyond 5%, e.g. tiny widths) is logged and
+    the nearest width is returned so the run can proceed.
     """
     target = param_count(input_dim, poly_widths, num_classes, POLY_PER_NEURON)
     best: CapacityMatch | None = None
@@ -87,7 +78,7 @@ def matched_capacity(
         match = CapacityMatch(widths, count, target)
         if best is None or abs(match.relative_gap) < abs(best.relative_gap):
             best = match
-    if abs(best.relative_gap) > tolerance:
+    if abs(best.relative_gap) > 0.05:
         log.warning(
             "capacity match infeasible: baseline widths %s give %d params vs "
             "polynomial %d (gap %.1f%%); proceeding with nearest",

@@ -15,6 +15,7 @@ from .config import config_hash, load_config
 from .data import load_csv, stratified_split
 from .errors import ShapeError
 from .harness import (
+    default_comparisons,
     plan_from_config,
     read_results,
     render_stats_text,
@@ -131,7 +132,7 @@ def cmd_tailratio(args) -> int:
     ds = load_csv(args.data, args.label_column)
     X, y, eval_idx = _eval_view(bundle, ds)
     norms = input_grad_norms(bundle.net, X, y)
-    report = tail_ratio(norms, model_id=bundle.provenance.get("model_id"))
+    report = tail_ratio(norms)
 
     positive = norms[norms > 0]
     lo = float(positive.min())
@@ -168,9 +169,7 @@ def cmd_stats(args) -> int:
         comparisons = plan.comparisons
     else:
         models = sorted({r["model_id"] for r in rows if r.get("status") == "ok"})
-        comparisons = [
-            ("cr", m, metric) for m in models if m != "cr" for metric in ("tau", "accuracy")
-        ] if "cr" in models else []
+        comparisons = default_comparisons(models)
     report = stats_report(rows, comparisons)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "stats_report.json"), report)

@@ -34,21 +34,11 @@ class Config:
         self.values = values
         self.source = source
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
+    def get_str(self, key: str, default: str | None = None):
+        return self.values.get(key, default)
 
-    def _raw(self, key: str, default=None, required: bool = False) -> str | None:
-        if key in self.values:
-            return self.values[key]
-        if required:
-            raise ConfigError(f"{self.source}: missing required key {key!r}", key=key)
-        return default
-
-    def get_str(self, key: str, default: str | None = None, required: bool = False):
-        return self._raw(key, default, required)
-
-    def get_int(self, key: str, default: int | None = None, required: bool = False):
-        raw = self._raw(key, None, required)
+    def get_int(self, key: str, default: int | None = None):
+        raw = self.values.get(key)
         if raw is None:
             return default
         try:
@@ -56,8 +46,8 @@ class Config:
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects an integer, got {raw!r}", key=key) from None
 
-    def get_float(self, key: str, default: float | None = None, required: bool = False):
-        raw = self._raw(key, None, required)
+    def get_float(self, key: str, default: float | None = None):
+        raw = self.values.get(key)
         if raw is None:
             return default
         try:
@@ -65,8 +55,8 @@ class Config:
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects a number, got {raw!r}", key=key) from None
 
-    def get_bool(self, key: str, default: bool | None = None, required: bool = False):
-        raw = self._raw(key, None, required)
+    def get_bool(self, key: str, default: bool | None = None):
+        raw = self.values.get(key)
         if raw is None:
             return default
         low = raw.lower()
@@ -76,27 +66,25 @@ class Config:
             return False
         raise ConfigError(f"{self.source}: key {key!r} expects a boolean, got {raw!r}", key=key)
 
-    def get_list(self, key: str, default: list[str] | None = None, required: bool = False):
-        raw = self._raw(key, None, required)
+    def get_list(self, key: str, default: list[str] | None = None):
+        raw = self.values.get(key)
         if raw is None:
             return default if default is not None else []
         return [part.strip() for part in raw.split(",") if part.strip()]
 
-    def get_float_list(self, key: str, default: list[float] | None = None, required: bool = False):
-        parts = self.get_list(key, None, required)
-        if parts is None or (not parts and key not in self.values):
+    def get_float_list(self, key: str, default: list[float] | None = None):
+        if key not in self.values:
             return default if default is not None else []
         try:
-            return [float(p) for p in parts]
+            return [float(p) for p in self.get_list(key)]
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects numbers", key=key) from None
 
-    def get_int_list(self, key: str, default: list[int] | None = None, required: bool = False):
-        parts = self.get_list(key, None, required)
-        if parts is None or (not parts and key not in self.values):
+    def get_int_list(self, key: str, default: list[int] | None = None):
+        if key not in self.values:
             return default if default is not None else []
         try:
-            return [int(p) for p in parts]
+            return [int(p) for p in self.get_list(key)]
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects integers", key=key) from None
 
@@ -116,8 +104,10 @@ def parse_config(text: str, source: str = "<memory>") -> Config:
         if key in values:
             raise ConfigError(f"{source}: line {line_num}: duplicate key {key!r}", key=key)
         values[key] = value
+    if "format_version" not in values:
+        raise ConfigError(f"{source}: missing required key 'format_version'", key="format_version")
     cfg = Config(values, source)
-    version = cfg.get_int("format_version", required=True)
+    version = cfg.get_int("format_version")
     if version != FORMAT_VERSION:
         raise ConfigError(
             f"{source}: unsupported format_version {version} (expected {FORMAT_VERSION})",

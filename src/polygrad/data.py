@@ -265,7 +265,7 @@ def _round_half_up(x: float) -> int:
 
 
 def stratified_split(
-    labels_or_ds,
+    labels: np.ndarray,
     eval_fraction: float = 0.2,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +276,7 @@ def stratified_split(
     sorted; the eval set depends only on (labels, seed), never on any
     later fraction subsampling.
     """
-    labels = labels_or_ds.labels if isinstance(labels_or_ds, Dataset) else np.asarray(labels_or_ds)
+    labels = np.asarray(labels)
     if not 0.0 < eval_fraction < 1.0:
         raise ValueError("eval_fraction must be in (0, 1)")
     rng = Rng(seed).spawn("split")

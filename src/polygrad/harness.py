@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +52,7 @@ __all__ = [
     "RESULT_FIELDS",
     "ModelSpec",
     "SweepPlan",
+    "default_comparisons",
     "plan_from_config",
     "train_config_from_file",
     "resolve_dataset",
@@ -85,7 +85,7 @@ RESULT_FIELDS = (
     "wall_time_seconds",
 )
 
-# Roster semantics: which knob distinguishes each baseline from vanilla.
+# Activation substrate of each roster model.
 _ROSTER_KIND = {
     "cr": "poly",
     "vanilla": "relu",
@@ -169,6 +169,14 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
     return ModelSpec(model_id, kind, widths, tc)
 
 
+def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
+    """cr against every other model in ``models`` order, on tau and then
+    accuracy; none without cr."""
+    if "cr" not in models:
+        return []
+    return [("cr", m, metric) for m in models if m != "cr" for metric in ("tau", "accuracy")]
+
+
 def plan_from_config(cfg: Config) -> SweepPlan:
     models = cfg.get_list("plan.models", list(ROSTER))
     fractions = sorted(cfg.get_float_list("plan.fractions", [0.05, 0.1, 0.25, 0.5, 1.0]))
@@ -179,12 +187,7 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"plan fraction {f} outside (0, 1]", key="plan.fractions")
 
-    raw_cmp = cfg.get_list(
-        "plan.comparisons",
-        [f"cr:{m}:{metric}" for m in models if m != "cr" for metric in ("tau", "accuracy")]
-        if "cr" in models
-        else [],
-    )
+    raw_cmp = cfg.get_list("plan.comparisons", [":".join(c) for c in default_comparisons(models)])
     comparisons = []
     for item in raw_cmp:
         parts = item.split(":")
@@ -363,7 +366,7 @@ def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, see
 
     result = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
-    report = tail_ratio(norms, model_id=model_id, fraction=fraction, seed=seed)
+    report = tail_ratio(norms)
     acc = result.log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
     return CellOutput(net, stats, result, report, acc, active, eval_idx)
 

@@ -53,6 +53,7 @@ class Rng:
         return self._gen.random(shape)
 
     def integers(self, low: int, high: int, size=None):
+        """Integers in [low, high). Kept for the acceptance and unit-test fixtures."""
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -36,22 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TailRatioReport:
-    norms: tuple[float, ...]
     mean: float
     p99: float
     tau: float
     n: int
-    model_id: str | None = None
-    fraction: float | None = None
-    seed: int | None = None
 
 
-def tail_ratio(
-    norms,
-    model_id: str | None = None,
-    fraction: float | None = None,
-    seed: int | None = None,
-) -> TailRatioReport:
+def tail_ratio(norms) -> TailRatioReport:
     """p99-over-mean summary of a nonempty, nonnegative norm sequence."""
     arr = np.asarray(norms, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -62,40 +53,20 @@ def tail_ratio(
     if mean == 0.0:
         raise DegenerateDistributionError("all-zero gradient norms: tau undefined")
     p99 = quantile(arr, 0.99)
-    return TailRatioReport(
-        norms=tuple(float(v) for v in arr),
-        mean=mean,
-        p99=p99,
-        tau=p99 / mean,
-        n=int(arr.size),
-        model_id=model_id,
-        fraction=fraction,
-        seed=seed,
-    )
+    return TailRatioReport(mean=mean, p99=p99, tau=p99 / mean, n=int(arr.size))
 
 
-def input_grad_norms(
-    net: Net,
-    x: np.ndarray,
-    labels: np.ndarray | None = None,
-    on: str = "loss",
-) -> np.ndarray:
-    """Per-sample L2 norm of d(scalar)/d(input row).
+def input_grad_norms(net: Net, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample L2 norm of the gradient of each sample's own
+    cross-entropy with respect to its input row.
 
-    ``on="loss"`` (default) uses each sample's own cross-entropy; the
-    polynomial path composes the analytic head Jacobian with the
-    softmax-layer gradient, the ReLU path reverse-accumulates the summed
+    The polynomial path composes the analytic head Jacobian with the
+    softmax-layer gradient; the ReLU path reverse-accumulates the summed
     per-sample cross-entropies through the tape (row b of the input
     gradient is then exactly the gradient of row b's loss, because no
-    sample's loss touches another row). ``on="logit"`` norms the
-    predicted-class logit gradient instead, which needs no labels.
+    sample's loss touches another row).
     """
-    if on not in ("loss", "logit"):
-        raise ValueError(f"unknown gradient target {on!r}")
-    if on == "loss" and labels is None:
-        raise ValueError("labels are required for loss-gradient norms")
-
-    if on == "loss" and net.activation_kind == "relu":
+    if net.activation_kind == "relu":
         t = Tape()
         xs = t.leaf(net.check_input(x), name="x")
         params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
@@ -103,15 +74,11 @@ def input_grad_norms(
         t.backward(t.softmax_cross_entropy(logits, labels, reduction="sum"))
         grads = xs.grad
     else:
-        logits, dual = forward_dual(net, x)
-        J = dual.head_jacobian  # (batch, classes, d)
-        if on == "logit":
-            pick = np.argmax(logits, axis=1)
-            grads = J[np.arange(J.shape[0]), pick]
-        else:
-            coeff = softmax(logits)
-            coeff[np.arange(coeff.shape[0]), np.asarray(labels)] -= 1.0
-            grads = np.einsum("bc,bcd->bd", coeff, J)
+        logits, blocks = forward_dual(net, x)
+        J = blocks[-1]  # head Jacobian, (batch, classes, d)
+        coeff = softmax(logits)
+        coeff[np.arange(coeff.shape[0]), np.asarray(labels)] -= 1.0
+        grads = np.einsum("bc,bcd->bd", coeff, J)
     norms = np.sqrt((grads**2).sum(axis=1))
 
     bad = np.flatnonzero(~np.isfinite(norms))

@@ -10,7 +10,7 @@ the network input, updated analytically layer by layer:
 
     S1 = diag(phi'(z1)) @ W1
     Sl = diag(phi'(zl)) @ Wl @ S(l-1)          for l >= 2
-    head_jacobian = W_head @ SL
+    head Jacobian = W_head @ SL
 
 No backward pass and no second-order graph is involved; the extra cost
 is one (width x width) @ (width x d) product per layer per sample.
@@ -18,7 +18,7 @@ is one (width x width) @ (width x d) product per layer per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +31,17 @@ __all__ = [
     "Layer",
     "Net",
     "PolyNetwork",
-    "DualState",
     "poly_eval",
     "poly_deriv",
     "forward_values",
     "forward_dual",
     "jacobian_stream",
     "dreg_penalty",
-    "count_parameters",
 ]
 
-# Default cap on the per-call Jacobian-stream allocation. All S blocks for
-# a batch take batch * sum(width_l) * d doubles; reject configurations that
-# would exceed this many bytes (callers may raise the cap explicitly).
-DEFAULT_DUAL_BYTES = 1 << 29  # 512 MiB
+# Cap on the per-call Jacobian-stream allocation: the blocks of a batch take
+# batch * (sum(widths) + num_classes) * d doubles, checked before any is built.
+MAX_DUAL_BYTES = 1 << 29  # 512 MiB
 
 
 @dataclass
@@ -71,7 +68,7 @@ class ActivationCoeffs:
 
     @classmethod
     def identity(cls, width: int) -> "ActivationCoeffs":
-        """phi(z) = z exactly."""
+        """phi(z) = z exactly. Kept for the acceptance and unit-test fixtures."""
         z = np.zeros(width)
         return cls(z.copy(), np.ones(width), z.copy(), z.copy())
 
@@ -105,14 +102,10 @@ def poly_eval(coeffs: ActivationCoeffs, z: np.ndarray) -> np.ndarray:
     return coeffs.c0 + z * (coeffs.c1 + z * (coeffs.c2 + z * coeffs.c3))
 
 
-def poly_deriv(coeffs: ActivationCoeffs, z: np.ndarray, order: int = 1) -> np.ndarray:
-    """Analytic phi'(z) (order 1) or phi''(z) (order 2)."""
+def poly_deriv(coeffs: ActivationCoeffs, z: np.ndarray) -> np.ndarray:
+    """Elementwise analytic phi'(z), coefficients broadcast per column."""
     z = _check_width(coeffs, z)
-    if order == 1:
-        return coeffs.c1 + z * (2.0 * coeffs.c2 + 3.0 * coeffs.c3 * z)
-    if order == 2:
-        return 2.0 * coeffs.c2 + 6.0 * coeffs.c3 * z
-    raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    return coeffs.c1 + z * (2.0 * coeffs.c2 + 3.0 * coeffs.c3 * z)
 
 
 @dataclass
@@ -158,7 +151,7 @@ class Layer:
         """phi'(z) for a cubic layer, 1[z > 0] for a ReLU layer."""
         if self.coeffs is None:
             return (z > 0.0).astype(np.float64)
-        return poly_deriv(self.coeffs, z, order=1)
+        return poly_deriv(self.coeffs, z)
 
 
 @dataclass
@@ -224,7 +217,9 @@ class Net(ArenaParams):
         coeff_noise: float = 0.01,
     ) -> "Net":
         """Fresh network: W ~ N(0, 1/fan_in), zero bias, and near-identity
-        cubics (``activation="poly"``) or ReLU (``activation="relu"``)."""
+        cubics (``activation="poly"``) or ReLU (``activation="relu"``).
+        ``coeff_noise`` stays for the finite-difference gates, which raise it
+        to 0.05 so the curvature terms are exercised."""
         if activation not in ("poly", "relu"):
             raise ValueError(f"activation must be 'poly' or 'relu', got {activation!r}")
         layers = []
@@ -255,24 +250,7 @@ class Net(ArenaParams):
         return x
 
 
-PolyNetwork = Net  # the cubic-network name callers still build with; Net.build defaults to cubic
-
-
-@dataclass
-class DualState:
-    """Cached streams of one forward pass.
-
-    ``preacts``/``acts`` hold z and phi(z) per layer, (batch, width).
-    ``jacobians``, when populated, holds one (batch, width, d) block per
-    layer: jacobians[l][b] is the Jacobian of layer l's output w.r.t.
-    the input row b. ``head_jacobian`` is (batch, num_classes, d). The
-    implicit layer-0 Jacobian is the d x d identity and is never stored.
-    """
-
-    preacts: list[np.ndarray] = field(default_factory=list)
-    acts: list[np.ndarray] = field(default_factory=list)
-    jacobians: list[np.ndarray] | None = None
-    head_jacobian: np.ndarray | None = None
+PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test net with this name
 
 
 def _check_finite(arr: np.ndarray, where: str):
@@ -280,42 +258,42 @@ def _check_finite(arr: np.ndarray, where: str):
         raise NumericOverflowError(f"non-finite values in {where}", layer=where)
 
 
-def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, DualState]:
-    """Value stream only: logits plus the z/phi(z) cache (eval mode, no dropout)."""
+def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Value stream only (eval mode, no dropout): the logits and each
+    layer's pre-activation z, (batch, width)."""
     x = net.check_input(x)
-    cache = DualState()
+    preacts = []
     h = x
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
         h = layer.activate(z)
         _check_finite(h, f"layer {i}")
-        cache.preacts.append(z)
-        cache.acts.append(h)
+        preacts.append(z)
     logits = h @ net.head_weights.T + net.head_bias
     _check_finite(logits, "head")
-    return logits, cache
+    return logits, preacts
 
 
-def forward_dual(
-    net: Net, x: np.ndarray, max_dual_bytes: int = DEFAULT_DUAL_BYTES
-) -> tuple[np.ndarray, DualState]:
+def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value stream plus per-sample cumulative input-Jacobians.
 
-    Memory for the Jacobian blocks is batch * sum(widths) * d doubles;
-    configurations beyond ``max_dual_bytes`` are rejected up front.
+    Returns the logits and the Jacobian blocks: one (batch, width_l, d)
+    block per hidden layer (see ``jacobian_stream``), then the head's
+    (batch, num_classes, d) block ``head_weights @ blocks[-2]``. A batch
+    whose blocks would exceed ``MAX_DUAL_BYTES`` is rejected up front.
     """
     x = net.check_input(x)
     batch, d = x.shape
     need = 8 * batch * d * (sum(net.widths) + net.num_classes)
-    if need > max_dual_bytes:
+    if need > MAX_DUAL_BYTES:
         raise MemoryBudgetError(
             f"dual stream needs {need} bytes for batch={batch}, d={d}, "
-            f"widths={net.widths}; cap is {max_dual_bytes}"
+            f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
         )
-    logits, dual = forward_values(net, x)
-    dual.jacobians = jacobian_stream(net, dual.preacts)
-    dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
-    return logits, dual
+    logits, preacts = forward_values(net, x)
+    blocks = jacobian_stream(net, preacts)
+    blocks.append(net.head_weights @ blocks[-1])
+    return logits, blocks
 
 
 def jacobian_stream(net: Net, preacts: list[np.ndarray]) -> list[np.ndarray]:
@@ -337,36 +315,12 @@ def jacobian_stream(net: Net, preacts: list[np.ndarray]) -> list[np.ndarray]:
     return blocks
 
 
-def dreg_penalty(
-    dual: DualState,
-    include_layers: set[int] | None = None,
-    include_head: bool = False,
-) -> float:
-    """Mean over batch and included layers of ||S_l||_F^2.
+def dreg_penalty(blocks: list[np.ndarray]) -> float:
+    """Mean over the given Jacobian blocks and the batch of ||S||_F^2.
 
-    ``include_layers`` defaults to every hidden layer; the head Jacobian
-    is brought in separately via ``include_head``. The double mean keeps
-    the penalty weight scale-free in batch size and depth.
+    The double mean keeps the penalty weight scale-free in batch size
+    and depth.
     """
-    if dual.jacobians is None:
-        raise ValueError("dual state has no Jacobian stream; run forward_dual")
-    n_hidden = len(dual.jacobians)
-    if include_layers is None:
-        include_layers = set(range(n_hidden))
-    bad = [l for l in include_layers if not 0 <= l < n_hidden]
-    if bad:
-        raise ValueError(f"layer indices {bad} out of range for {n_hidden} layers")
-    blocks = [dual.jacobians[l] for l in sorted(include_layers)]
-    if include_head:
-        if dual.head_jacobian is None:
-            raise ValueError("dual state has no head Jacobian")
-        blocks.append(dual.head_jacobian)
-    if not blocks:
-        raise ValueError("penalty over an empty layer set")
     batch = blocks[0].shape[0]
     total = sum(float(np.sum(S * S)) for S in blocks)
     return total / (batch * len(blocks))
-
-
-def count_parameters(net: Net) -> int:
-    return net.arena.size

@@ -264,10 +264,3 @@ class Tape:
             if node.grad is None and node.grad_out is not None:
                 node.grad_out[...] = 0.0
                 node.grad = node.grad_out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """Per-parameter gradients; zero arrays for unreached parameters."""
-        return {
-            name: (node.grad if node.grad is not None else np.zeros_like(node.value))
-            for name, node in self.params.items()
-        }

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import dropout_masks
 from .errors import NumericOverflowError
 from .linalg import Rng
-from .polynet import DualState, Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
+from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
 from .tape import Node, Tape
 
 __all__ = [
@@ -73,7 +73,6 @@ class Objective:
     loss: Node
     task: Node
     penalty: Node | None
-    input_leaf: Node
     logits: Node
     preacts: list[Node]  # per-layer z = h @ W.T + b
     masked: bool  # dropout masks scaled the value stream
@@ -165,7 +164,7 @@ def build_objective(
             blocks.append(t.jac_head(params["head.W"], S_nodes[-1]))
         penalty = t.mean_scalars([t.frob_mean(S) for S in blocks])
         loss = t.add_scaled(task, penalty, cfg.lambda_dreg)
-    return Objective(t, loss, task, penalty, xs, logits, preacts, masks is not None, grad, grads)
+    return Objective(t, loss, task, penalty, logits, preacts, masks is not None, grad, grads)
 
 
 @dataclass
@@ -179,8 +178,8 @@ class LossBundle:
 
 def measure_penalty(net: Net, x: np.ndarray, include_head: bool = False) -> float:
     """Report-only penalty value from a plain dual forward pass."""
-    _, dual = forward_dual(net, x)
-    return dreg_penalty(dual, include_head=include_head)
+    _, blocks = forward_dual(net, x)
+    return dreg_penalty(blocks if include_head else blocks[:-1])
 
 
 def loss_and_grads(
@@ -211,10 +210,10 @@ def loss_and_grads(
     elif obj.masked:
         penalty = measure_penalty(net, x, include_head)
     else:
-        dual = DualState(jacobians=jacobian_stream(net, [z.value for z in obj.preacts]))
+        blocks = jacobian_stream(net, [z.value for z in obj.preacts])
         if include_head:
-            dual.head_jacobian = net.head_weights @ dual.jacobians[-1]
-        penalty = dreg_penalty(dual, include_head=include_head)
+            blocks.append(net.head_weights @ blocks[-1])
+        penalty = dreg_penalty(blocks)
     return LossBundle(loss, float(obj.task.value), penalty, obj.grads, obj.grad)
 
 
@@ -226,7 +225,8 @@ def objective_value(
 ) -> float:
     """Plain (tape-free) evaluation of the composite objective.
 
-    Independent of the tape path; the finite-difference tests drive this.
+    Kept as the finite-difference gates' oracle: it shares no code with
+    the tape path those gates check.
     """
     logits = predict_logits(net, x)
     task = cross_entropy(logits, labels)

@@ -355,12 +355,6 @@ class TestStratifiedSplit:
         c = stratified_split(labels, seed=6)
         assert not np.array_equal(a[1], c[1])
 
-    def test_accepts_dataset_argument(self):
-        ds = make_blobs(30, 2, 2, seed=1)
-        a = stratified_split(ds, seed=2)
-        b = stratified_split(ds.labels, seed=2)
-        np.testing.assert_array_equal(a[0], b[0])
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             stratified_split(np.array([0, 0, 1, 1]), eval_fraction=0.0)

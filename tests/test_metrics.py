@@ -43,10 +43,6 @@ class TestTailRatio:
         report = tail_ratio(np.full(50, 3.7))
         assert abs(report.tau - 1.0) < 1e-12
 
-    def test_metadata_passthrough(self):
-        report = tail_ratio(np.ones(5), model_id="cr", fraction=0.5, seed=3)
-        assert (report.model_id, report.fraction, report.seed) == ("cr", 0.5, 3)
-
     def test_scale_invariance(self):
         norms = Rng(derive_seed("tau-scale")).uniform(200) * 4.9 + 0.1
         a = tail_ratio(norms).tau
@@ -119,26 +115,6 @@ class TestInputGradNorms:
         np.testing.assert_allclose(
             input_grad_norms(net, x, labels=y),
             np.sqrt(np.sum(xs.grad * xs.grad, axis=1)), atol=1e-12)
-
-    def test_logit_mode_norms_predicted_class_row(self):
-        net, x, _ = poly_probe()
-        from polygrad.polynet import forward_dual
-
-        logits, dual = forward_dual(net, x)
-        pick = np.argmax(logits, axis=1)
-        rows = dual.head_jacobian[np.arange(x.shape[0]), pick]
-        expected = np.sqrt((rows**2).sum(axis=1))
-        np.testing.assert_allclose(input_grad_norms(net, x, on="logit"), expected, atol=1e-12)
-
-    def test_loss_mode_requires_labels(self):
-        net, x, _ = poly_probe()
-        with pytest.raises(ValueError, match="labels"):
-            input_grad_norms(net, x)
-
-    def test_unknown_mode_rejected(self):
-        net, x, y = poly_probe()
-        with pytest.raises(ValueError, match="gradient target"):
-            input_grad_norms(net, x, labels=y, on="hessian")
 
     def test_overflow_names_offending_sample(self):
         net = Net.build(Rng(0), 1, [1], 2)

@@ -157,17 +157,17 @@ class TestTapeMechanics:
     def test_grads_returns_zeros_for_unreached_params(self):
         t = Tape()
         used = t.leaf(rand("gr-used", 2, 3), name="used", param=True)
-        t.leaf(np.ones((4, 4)), name="idle", param=True)
+        idle = t.leaf(np.ones((4, 4)), name="idle", param=True, grad_out=np.full((4, 4), 7.0))
         out = t.frob_mean(t.jac_seed(t.leaf(rand("gr-s", 2, 2)), used))
         t.backward(out)
-        g = t.grads()
-        assert g["used"].shape == (2, 3) and float(np.abs(g["used"]).sum()) > 0
-        np.testing.assert_array_equal(g["idle"], np.zeros((4, 4)))
+        assert used.grad.shape == (2, 3) and float(np.abs(used.grad).sum()) > 0
+        np.testing.assert_array_equal(idle.grad, np.zeros((4, 4)))
 
     def test_grad_out_receives_gradients_in_place(self):
         W, S = rand("go-W", 2, 3), rand("go-S", 4, 3)
         plain = Tape()
-        out = plain.frob_mean(plain.jac_seed(plain.leaf(S[:, :2]), plain.leaf(W, name="W", param=True)))
+        plain_W = plain.leaf(W, name="W", param=True)
+        out = plain.frob_mean(plain.jac_seed(plain.leaf(S[:, :2]), plain_W))
         plain.backward(out)
         flat = np.full(2 * 3 + 5, 7.0)  # stale contents must not leak into the result
         t = Tape()
@@ -176,15 +176,15 @@ class TestTapeMechanics:
         out = t.frob_mean(t.jac_seed(t.leaf(S[:, :2]), leaf))
         for _ in range(2):  # a second sweep overwrites, never accumulates
             t.backward(out)
-            np.testing.assert_array_equal(flat[:6].reshape(2, 3), plain.grads()["W"])
+            np.testing.assert_array_equal(flat[:6].reshape(2, 3), plain_W.grad)
             np.testing.assert_array_equal(flat[6:], np.zeros(5))
-        assert all(g.base is flat for g in t.grads().values())
+        assert all(node.grad.base is flat for node in t.params.values())
 
     def test_backward_clears_stale_gradients(self):
         t = Tape()
         S = t.leaf(rand("clr-S", 2, 3, 4), name="S", param=True)
         out = t.frob_mean(S)
         t.backward(out)
-        first = t.grads()["S"].copy()
+        first = S.grad.copy()
         t.backward(out)
-        np.testing.assert_array_equal(t.grads()["S"], first)
+        np.testing.assert_array_equal(S.grad, first)

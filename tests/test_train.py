@@ -9,7 +9,7 @@ from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import ActivationCoeffs, Layer, Net, forward_dual
+from polygrad.polynet import ActivationCoeffs, Layer, Net, forward_values
 from polygrad.train import (
     AdamState,
     TrainConfig,
@@ -90,8 +90,8 @@ class TestObjective:
         net = Net.build(Rng(derive_seed("grad-relu")).spawn("net"), 4, [7, 6], 3, activation="relu")
         x = Rng(derive_seed("grad-relu")).spawn("x").standard_normal(4, 4)
         y = np.array([0, 2, 1, 1])
-        _, dual = forward_dual(net, x)
-        margin = min(float(np.abs(z).min()) for z in dual.preacts)
+        _, preacts = forward_values(net, x)
+        margin = min(float(np.abs(z).min()) for z in preacts)
         assert margin > 1e-4, "probe batch sits too close to a ReLU kink"
         cfg = TrainConfig(lambda_dreg=0.1)
         bundle = loss_and_grads(net, x, y, cfg)
@@ -133,7 +133,7 @@ class TestObjective:
 
         obj = rebuild()
         obj.tape.backward(obj.loss)
-        grads = obj.tape.grads()
+        grads = obj.grads
         for name, arr in net.parameters().items():
             numeric = fd_gradient(lambda: float(rebuild().loss.value), arr)
             assert rel_err(grads[name], numeric) < 1e-6, name
