@@ -7,7 +7,6 @@ gradient tail-ratio diagnostic with paired statistical tests, a
 tabular data protocol, and a resumable sweep harness.
 """
 
-from .baselines import matched_capacity
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, parse_config
 from .data import (
@@ -26,7 +25,7 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
 )
-from .harness import SweepPlan, plan_from_config, run_cell, stats_report, sweep
+from .harness import SweepPlan, matched_capacity, plan_from_config, run_cell, stats_report, sweep
 from .linalg import Rng, derive_seed, quantile
 from .metrics import (
     StatTestResult,

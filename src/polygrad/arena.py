@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ParamArena", "ArenaParams"]
+__all__ = ["ParamArena"]
 
 # Decoupled decay shrinks affine parameters only; pulling the activation
 # coefficients toward zero would fight the near-identity parameterization.
@@ -59,37 +59,3 @@ class ParamArena:
             if arr.base is not self.flat:
                 raise ValueError(f"parameter {name} was rebound; mutate parameters in place")
 
-
-class ArenaParams:
-    """Mixin for networks whose parameters live in a ``ParamArena``.
-
-    The network lists its trainable arrays as ``(name, owner, attribute)``
-    slots in registry order and calls ``_bind_arena`` once its arrays are
-    validated.
-    """
-
-    arena: ParamArena
-
-    def _slots(self) -> list[tuple[str, object, str]]:
-        raise NotImplementedError
-
-    def _bind_arena(self) -> None:
-        """Copy every slot's array into a new arena and rebind the slot to its view."""
-        slots = self._slots()
-        self.arena = ParamArena({name: getattr(owner, attr) for name, owner, attr in slots})
-        views = self.arena.views(self.arena.flat)
-        for name, owner, attr in slots:
-            setattr(owner, attr, views[name])
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Ordered registry of every trainable array, one slot each.
-
-        Each array is a view into ``self.arena.flat``.
-        """
-        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
-
-    def __setstate__(self, state: dict) -> None:
-        # Pickling and deepcopy copy each view on its own; rebuild the arena
-        # so the copy's parameters share one vector again.
-        self.__dict__.update(state)
-        self._bind_arena()

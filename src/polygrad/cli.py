@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +27,8 @@ from .harness import (
     train_config_from_file,
 )
 from .metrics import input_grad_norms, tail_ratio
-from .train import cross_entropy, evaluate_accuracy, predict_logits
+from .train import accuracy, cross_entropy, predict_logits
+from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test reads cli.evaluate_accuracy)
 
 log = logging.getLogger(__name__)
 
@@ -56,37 +58,15 @@ def cmd_train(args) -> int:
         "seed": seed,
         "config_hash": config_hash(cfg),
         "eval_fraction": plan.eval_fraction,
-        "epochs_trained": len(out.train_result.log.epochs),
+        "epochs_trained": len(out.log.epochs),
     }
     ck_path = os.path.join(args.out, "checkpoint.json")
     save_checkpoint(ck_path, out.net, provenance, out.preprocess)
 
     with open(os.path.join(args.out, "trainlog.jsonl"), "w", encoding="utf-8") as fh:
-        for e in out.train_result.log.epochs:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": e.epoch,
-                        "task_loss": e.task_loss,
-                        "penalty": e.penalty,
-                        "eval_accuracy": e.eval_accuracy,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    summary = {
-        "format_version": 1,
-        "model_id": model_id,
-        "fraction": fraction,
-        "seed": seed,
-        "eval_accuracy": out.eval_accuracy,
-        "tau": out.tail.tau,
-        "mean_norm": out.tail.mean,
-        "p99_norm": out.tail.p99,
-        "final_task_loss": out.train_result.log.final.task_loss,
-        "final_penalty": out.train_result.log.final.penalty,
-    }
+        for e in out.log.epochs:
+            fh.write(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n")
+    summary = {"format_version": 1, "model_id": model_id, "fraction": fraction, "seed": seed, **out.metrics()}
     _write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -194,7 +174,7 @@ def cmd_eval(args) -> int:
     logits = predict_logits(bundle.net, X)
     out = {
         "eval_rows": int(eval_idx.size),
-        "accuracy": evaluate_accuracy(bundle.net, X, y),
+        "accuracy": accuracy(logits, y),
         "task_loss": cross_entropy(logits, y),
     }
     print(json.dumps(out, sort_keys=True))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import matched_capacity
 from .config import Config, config_hash
 from .data import (
     Dataset,
@@ -36,14 +35,13 @@ from .data import (
 from .errors import ConfigError, DegenerateDistributionError, NumericOverflowError
 from .linalg import Rng, derive_seed
 from .metrics import (
-    StatTestResult,
     bonferroni,
     input_grad_norms,
     paired_t_one_sided,
     tail_ratio,
     wilcoxon_signed_rank,
 )
-from .polynet import Net
+from .polynet import Net, param_count
 from .train import TrainConfig, train
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test calls harness.evaluate_accuracy)
 
@@ -56,6 +54,7 @@ __all__ = [
     "plan_from_config",
     "train_config_from_file",
     "resolve_dataset",
+    "matched_capacity",
     "build_model",
     "CellOutput",
     "train_cell",
@@ -71,7 +70,16 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
-ROSTER = ("cr", "vanilla", "dropout", "weight_decay", "relu_dreg")
+# model_id -> (activation substrate, {knob: default}). A model takes only
+# the regularizer knobs its row lists; every other knob is 0 for it.
+ROSTER = {
+    "cr": ("poly", {"lambda_dreg": 0.1}),
+    "vanilla": ("relu", {}),
+    "dropout": ("relu", {"dropout_rate": 0.2}),
+    "weight_decay": ("relu", {"weight_decay": 1e-4}),
+    "relu_dreg": ("relu", {"lambda_dreg": 0.1}),
+}
+_KNOBS = ("lambda_dreg", "dropout_rate", "weight_decay")
 RESULT_FIELDS = (
     "model_id",
     "fraction",
@@ -85,15 +93,6 @@ RESULT_FIELDS = (
     "wall_time_seconds",
 )
 
-# Activation substrate of each roster model.
-_ROSTER_KIND = {
-    "cr": "poly",
-    "vanilla": "relu",
-    "dropout": "relu",
-    "weight_decay": "relu",
-    "relu_dreg": "relu",
-}
-
 
 @dataclass
 class ModelSpec:
@@ -101,6 +100,11 @@ class ModelSpec:
     kind: str  # poly | relu
     widths: list[int] | None  # None: derive by capacity matching
     train: TrainConfig
+    dropout_rate: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 @dataclass
@@ -126,38 +130,26 @@ class SweepPlan:
         return [(m, f, s) for m in self.models for f in self.fractions for s in self.seeds]
 
 
-_MODEL_KEYS = (
-    "widths",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "lambda_dreg",
-    "dropout_rate",
-    "weight_decay",
-    "optimizer",
-    "include_head_in_penalty",
-)
+# Keys every model takes, as model.<id>.<key> or as the shared train.<key>.
+_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate", "optimizer", "include_head_in_penalty")
 
 
 def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec:
     if model_id not in ROSTER:
         raise ConfigError(f"unknown roster model {model_id!r}", key=f"model.{model_id}")
-    kind = _ROSTER_KIND[model_id]
+    kind, defaults = ROSTER[model_id]
 
     def pick(getter, key, default):
         return getter(f"model.{model_id}.{key}", getter(f"train.{key}", default))
 
-    lambda_default = 0.1 if model_id in ("cr", "relu_dreg") else 0.0
-    dropout_default = 0.2 if model_id == "dropout" else 0.0
-    decay_default = 1e-4 if model_id == "weight_decay" else 0.0
+    knobs = {k: pick(cfg.get_float, k, defaults[k]) if k in defaults else 0.0 for k in _KNOBS}
     tc = TrainConfig(
-        lambda_dreg=pick(cfg.get_float, "lambda_dreg", lambda_default) if model_id in ("cr", "relu_dreg") else 0.0,
+        lambda_dreg=knobs["lambda_dreg"],
         learning_rate=pick(cfg.get_float, "learning_rate", 1e-3),
         batch_size=pick(cfg.get_int, "batch_size", 32),
         epochs=pick(cfg.get_int, "epochs", 150),
         optimizer=pick(cfg.get_str, "optimizer", "adam"),
-        weight_decay=pick(cfg.get_float, "weight_decay", decay_default) if model_id == "weight_decay" else 0.0,
-        dropout_rate=pick(cfg.get_float, "dropout_rate", dropout_default) if model_id == "dropout" else 0.0,
+        weight_decay=knobs["weight_decay"],
         include_head_in_penalty=pick(cfg.get_bool, "include_head_in_penalty", False),
     )
     if kind == "poly":
@@ -166,7 +158,7 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
         # Identical-conditions fairness: baseline widths are derived from
         # the polynomial architecture by parameter-count matching.
         widths = cfg.get_int_list(f"model.{model_id}.widths", []) or None
-    return ModelSpec(model_id, kind, widths, tc)
+    return ModelSpec(model_id, kind, widths, tc, knobs["dropout_rate"])
 
 
 def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
@@ -233,7 +225,11 @@ def plan_from_config(cfg: Config) -> SweepPlan:
 
 
 def _validate_keys(cfg: Config) -> None:
-    """Reject any key outside the documented vocabulary, naming it."""
+    """Reject any key outside the documented vocabulary, naming it.
+
+    ``model.<id>.<knob>`` is valid only for a knob in the model's roster
+    row; a knob set there for another model would do nothing.
+    """
     allowed = {
         "format_version",
         "run.seed",
@@ -253,8 +249,9 @@ def _validate_keys(cfg: Config) -> None:
         "plan.seeds",
         "plan.comparisons",
     }
-    allowed.update(f"train.{k}" for k in _MODEL_KEYS)
-    allowed.update(f"model.{m}.{k}" for m in ROSTER for k in _MODEL_KEYS)
+    allowed.update(f"train.{k}" for k in _SHARED_KEYS + _KNOBS)
+    for m, (_, defaults) in ROSTER.items():
+        allowed.update(f"model.{m}.{k}" for k in _SHARED_KEYS + tuple(defaults))
     for key in sorted(cfg.values):
         if key not in allowed:
             raise ConfigError(f"{cfg.source}: unknown key {key!r}", key=key)
@@ -310,6 +307,46 @@ def resolve_dataset(plan: SweepPlan, out_dir: str | None = None) -> Dataset:
     return load_csv(path, plan.label_column)
 
 
+@dataclass
+class CapacityMatch:
+    widths: list[int]
+    baseline_params: int
+    poly_params: int
+
+    @property
+    def relative_gap(self) -> float:
+        return (self.baseline_params - self.poly_params) / self.poly_params
+
+
+def matched_capacity(input_dim: int, poly_widths: list[int], num_classes: int) -> CapacityMatch:
+    """ReLU baseline widths whose parameter count best matches the polynomial net.
+
+    Searches uniform scalings of the polynomial widths at equal depth, so
+    comparisons are about the activation substrate rather than model size.
+    An infeasible match (gap beyond 5%, e.g. tiny widths) is logged and
+    the nearest width is returned so the run can proceed.
+    """
+    target = param_count(input_dim, poly_widths, num_classes, "poly")
+    best: CapacityMatch | None = None
+    max_width = max(poly_widths) * 2 + 8
+    for delta in range(-max(poly_widths) + 1, max_width):
+        widths = [max(1, w + delta) for w in poly_widths]
+        count = param_count(input_dim, widths, num_classes, "relu")
+        match = CapacityMatch(widths, count, target)
+        if best is None or abs(match.relative_gap) < abs(best.relative_gap):
+            best = match
+    if abs(best.relative_gap) > 0.05:
+        log.warning(
+            "capacity match infeasible: baseline widths %s give %d params vs "
+            "polynomial %d (gap %.1f%%); proceeding with nearest",
+            best.widths,
+            best.baseline_params,
+            best.poly_params,
+            100.0 * best.relative_gap,
+        )
+    return best
+
+
 def build_model(spec: ModelSpec, input_dim: int, num_classes: int, init_seed: int, poly_widths: list[int]):
     rng = Rng(init_seed).spawn("init", spec.model_id)
     widths = spec.widths
@@ -324,9 +361,7 @@ def build_model(spec: ModelSpec, input_dim: int, num_classes: int, init_seed: in
             match.poly_params,
             100.0 * match.relative_gap,
         )
-    return Net.build(
-        rng, input_dim, widths, num_classes, activation=spec.kind, dropout_rate=spec.train.dropout_rate
-    )
+    return Net.build(rng, input_dim, widths, num_classes, activation=spec.kind, dropout_rate=spec.dropout_rate)
 
 
 def _cell_tag(model_id: str, fraction: float, seed: int) -> str:
@@ -337,11 +372,23 @@ def _cell_tag(model_id: str, fraction: float, seed: int) -> str:
 class CellOutput:
     net: object
     preprocess: object
-    train_result: object
+    log: object
     tail: object
     eval_accuracy: float
     active_idx: np.ndarray
     eval_idx: np.ndarray
+
+    def metrics(self) -> dict:
+        """The six metrics a cell reports, as results rows and ``polygrad train``'s summary hold them."""
+        final = self.log.final
+        return {
+            "eval_accuracy": self.eval_accuracy,
+            "tau": self.tail.tau,
+            "mean_norm": self.tail.mean,
+            "p99_norm": self.tail.p99,
+            "final_task_loss": final.task_loss,
+            "final_penalty": final.penalty,
+        }
 
 
 def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> CellOutput:
@@ -364,11 +411,11 @@ def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, see
     net = build_model(spec, ds.d, ds.class_count, init_seed, poly_widths)
     cfg = replace(spec.train, seed=derive_seed("train", model_id, f"{fraction!r}", str(seed)))
 
-    result = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg)
+    train_log = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
     report = tail_ratio(norms)
-    acc = result.log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
-    return CellOutput(net, stats, result, report, acc, active, eval_idx)
+    acc = train_log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
+    return CellOutput(net, stats, train_log, report, acc, active, eval_idx)
 
 
 def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> dict:
@@ -383,16 +430,7 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
     }
     try:
         out = train_cell(ds, plan, model_id, fraction, seed)
-        final = out.train_result.log.final
-        row.update(
-            eval_accuracy=out.eval_accuracy,
-            tau=out.tail.tau,
-            mean_norm=out.tail.mean,
-            p99_norm=out.tail.p99,
-            final_task_loss=final.task_loss,
-            final_penalty=final.penalty,
-            wall_time_seconds=time.perf_counter() - t0,
-        )
+        row.update(out.metrics(), wall_time_seconds=time.perf_counter() - t0)
     except (NumericOverflowError, DegenerateDistributionError, ValueError) as err:
         log.warning("cell %s failed: %s", _cell_tag(model_id, fraction, seed), err)
         row.update(
@@ -401,10 +439,6 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
             wall_time_seconds=time.perf_counter() - t0,
         )
     return row
-
-
-def _cell_worker(args) -> dict:
-    return run_cell(*args)
 
 
 def read_results(path) -> list[dict]:
@@ -449,7 +483,7 @@ def sweep(
     computed: dict[tuple, dict] = {}
     if pending and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {c: pool.submit(_cell_worker, (ds, plan, *c)) for c in pending}
+            futures = {c: pool.submit(run_cell, ds, plan, *c) for c in pending}
             for c in pending:
                 computed[c] = futures[c].result()
     else:
@@ -488,6 +522,8 @@ def write_results_csv(path, rows: list[dict]) -> None:
 
 
 def _paired_values(by_cell: dict, a: str, b: str, fraction: float, seeds: list, metric: str):
+    """Paired ``(x, y, missing)`` for models a and b at one fraction, oriented
+    so that x > y favors a: higher accuracy, lower tau."""
     key = "tau" if metric == "tau" else "eval_accuracy"
     a_vals, b_vals, missing = [], [], []
     for s in seeds:
@@ -498,7 +534,9 @@ def _paired_values(by_cell: dict, a: str, b: str, fraction: float, seeds: list, 
             continue
         a_vals.append(ra[key])
         b_vals.append(rb[key])
-    return np.asarray(a_vals), np.asarray(b_vals), missing
+    if metric == "accuracy":
+        return np.asarray(a_vals), np.asarray(b_vals), missing
+    return np.asarray(b_vals), np.asarray(a_vals), missing
 
 
 def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> dict:
@@ -533,11 +571,14 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
             summary[m][format(f, "g")] = block
 
     instances = []
+    pooled = []
+    tested: dict[str, list] = {"t": [], "wilcoxon": []}  # (report block, result) per test type
     for a, b, metric in comparisons:
+        xs, ys = [], []
         for f in fractions:
-            a_vals, b_vals, missing = _paired_values(by_cell, a, b, f, seeds, metric)
-            # "a better" direction: accuracy up, tau down.
-            x, y = (a_vals, b_vals) if metric == "accuracy" else (b_vals, a_vals)
+            x, y, missing = _paired_values(by_cell, a, b, f, seeds, metric)
+            xs.extend(x)
+            ys.extend(y)
             entry = {
                 "model_a": a,
                 "model_b": b,
@@ -552,32 +593,12 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
                     try:
                         res = testfn(x, y)
                         entry[name] = {"statistic": res.statistic, "p_value": res.p_value}
+                        tested[name].append((entry[name], res))
                     except ValueError as err:
                         entry[name] = {"error": str(err)}
             else:
                 entry["error"] = "insufficient paired rows"
             instances.append(entry)
-
-    # Family-wise correction per test type over the executed instances.
-    m_family = max(1, sum(1 for e in instances if "t" in e or "wilcoxon" in e))
-    for e in instances:
-        for name in ("t", "wilcoxon"):
-            if name in e and "p_value" in e[name]:
-                adj = bonferroni(
-                    [StatTestResult("x", e[name]["statistic"], e[name]["p_value"], e["n_pairs"])],
-                    m_family,
-                )[0]
-                e[name]["p_adjusted"] = adj.p_adjusted
-                e[name]["bonferroni_m"] = m_family
-
-    pooled = []
-    for a, b, metric in comparisons:
-        xs, ys = [], []
-        for f in fractions:
-            a_vals, b_vals, _ = _paired_values(by_cell, a, b, f, seeds, metric)
-            x, y = (a_vals, b_vals) if metric == "accuracy" else (b_vals, a_vals)
-            xs.extend(x)
-            ys.extend(y)
         entry = {"model_a": a, "model_b": b, "metric": metric, "n_pairs": len(xs)}
         if len(xs) >= 2:
             xs_a, ys_a = np.asarray(xs), np.asarray(ys)
@@ -588,6 +609,13 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
             except ValueError as err:
                 entry["t"] = {"error": str(err)}
         pooled.append(entry)
+
+    # Family-wise correction per test type over the executed instances.
+    m_family = max(1, sum(1 for e in instances if "t" in e or "wilcoxon" in e))
+    for done in tested.values():
+        for (block, _), adj in zip(done, bonferroni([res for _, res in done], m_family)):
+            block["p_adjusted"] = adj.p_adjusted
+            block["bonferroni_m"] = m_family
 
     return {
         "format_version": FORMAT_VERSION,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import ArenaParams
+from .arena import ParamArena
 from .errors import MemoryBudgetError, NumericOverflowError, ShapeError
 from .linalg import Rng, gauss_init
 
@@ -31,6 +31,7 @@ __all__ = [
     "Layer",
     "Net",
     "PolyNetwork",
+    "param_count",
     "poly_eval",
     "poly_deriv",
     "forward_values",
@@ -155,11 +156,12 @@ class Layer:
 
 
 @dataclass
-class Net(ArenaParams):
+class Net:
     """Stack of Layers plus a linear classification head.
 
     Every layer is cubic or every layer is ReLU; ``activation_kind``
-    says which. ``dropout_rate`` applies in train mode only.
+    says which. ``dropout_rate`` applies in train mode only. Every
+    trainable array is a view into ``self.arena.flat``.
     """
 
     layers: list[Layer]
@@ -235,6 +237,7 @@ class Net(ArenaParams):
         return cls(layers, head_w, np.zeros(num_classes), dropout_rate)
 
     def _slots(self) -> list[tuple[str, object, str]]:
+        """Every trainable array as ``(name, owner, attribute)``, in registry order."""
         slots = []
         for i, layer in enumerate(self.layers):
             slots += [(f"layer{i}.W", layer, "weights"), (f"layer{i}.b", layer, "bias")]
@@ -242,12 +245,45 @@ class Net(ArenaParams):
                 slots += [(f"layer{i}.c{k}", layer.coeffs, f"c{k}") for k in range(4)]
         return slots + [("head.W", self, "head_weights"), ("head.b", self, "head_bias")]
 
+    def _bind_arena(self) -> None:
+        """Copy every slot's array into a new arena and rebind the slot to its view."""
+        slots = self._slots()
+        self.arena = ParamArena({name: getattr(owner, attr) for name, owner, attr in slots})
+        views = self.arena.views(self.arena.flat)
+        for name, owner, attr in slots:
+            setattr(owner, attr, views[name])
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Ordered registry of every trainable array, one slot each.
+
+        Each array is a view into ``self.arena.flat``.
+        """
+        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling and deepcopy copy each view on its own; rebuild the arena
+        # so the copy's parameters share one vector again.
+        self.__dict__.update(state)
+        self._bind_arena()
+
     def check_input(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a float64 (batch, input_dim) array, or ShapeError."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"input shape {x.shape} does not match input_dim {self.input_dim}")
         return x
+
+
+def param_count(input_dim: int, widths: list[int], num_classes: int, activation: str) -> int:
+    """Parameter count of ``Net.build(..., activation=activation)``: each hidden
+    neuron has its weights and a bias, plus four coefficients when cubic."""
+    per_neuron = 5 if activation == "poly" else 1
+    total = 0
+    fan_in = input_dim
+    for w in widths:
+        total += w * fan_in + per_neuron * w
+        fan_in = w
+    return total + num_classes * fan_in + num_classes
 
 
 PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test net with this name

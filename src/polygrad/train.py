@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import dropout_masks
 from .errors import NumericOverflowError
 from .linalg import Rng
 from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
@@ -33,7 +32,6 @@ __all__ = [
     "step_adam",
     "EpochStats",
     "TrainLog",
-    "TrainResult",
     "train",
 ]
 
@@ -48,7 +46,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    dropout_rate: float = 0.0
     seed: int = 0
     include_head_in_penalty: bool = False
 
@@ -63,8 +60,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 @dataclass
@@ -122,6 +117,17 @@ def record_forward(
     return logits, preacts, S_nodes
 
 
+def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
+    """Inverted-dropout masks, one per hidden layer, pre-scaled by 1/(1-rate)."""
+    rate = net.dropout_rate
+    keep = 1.0 - rate
+    masks = []
+    for layer in net.layers:
+        u = rng.uniform(batch, layer.out_width)
+        masks.append((u >= rate).astype(np.float64) / keep)
+    return masks
+
+
 def build_objective(
     net: Net,
     x: np.ndarray,
@@ -133,9 +139,9 @@ def build_objective(
     """Record the full forward pass of the composite loss on a fresh tape.
 
     The Jacobian stream is recorded only when the penalty weight is
-    positive. Dropout masks are drawn only in train mode. A backward
-    pass writes the parameter gradients into ``grad``, a fresh flat
-    vector in the arena's layout.
+    positive. Dropout masks, at the net's own ``dropout_rate``, are drawn
+    only in train mode. A backward pass writes the parameter gradients
+    into ``grad``, a fresh flat vector in the arena's layout.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -337,12 +343,6 @@ class TrainLog:
         return self.epochs[-1]
 
 
-@dataclass
-class TrainResult:
-    net: Net
-    log: TrainLog
-
-
 def train(
     net: Net,
     train_x: np.ndarray,
@@ -350,8 +350,8 @@ def train(
     eval_x: np.ndarray,
     eval_y: np.ndarray,
     cfg: TrainConfig,
-) -> TrainResult:
-    """Deterministic minibatch training of either network family.
+) -> TrainLog:
+    """Deterministic minibatch training of ``net`` in place; returns the per-epoch log.
 
     All randomness (shuffling, dropout masks) comes from generators
     derived from ``cfg.seed``, so identical inputs give bitwise
@@ -394,4 +394,4 @@ def train(
         log_out.epochs.append(
             EpochStats(epoch, float(np.mean(task_losses)), float(np.mean(penalties)), eval_acc)
         )
-    return TrainResult(net, log_out)
+    return log_out

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
-from polygrad.baselines import (
-    POLY_PER_NEURON,
-    RELU_PER_NEURON,
-    dropout_masks,
-    matched_capacity,
-    param_count,
-)
 from polygrad.errors import ShapeError
+from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
-from polygrad.polynet import Layer, Net, forward_dual, forward_values
-from polygrad.train import TrainConfig, build_objective, softmax
+from polygrad.polynet import Layer, Net, forward_dual, forward_values, param_count
+from polygrad.train import TrainConfig, build_objective, dropout_masks, softmax
 
 
 def relu_net(seed="bl", d=4, widths=(6, 5), classes=3, dropout=0.0):
@@ -33,11 +27,11 @@ class TestConstruction:
 
     def test_count_matches_formula(self):
         net = relu_net()
-        assert net.arena.size == param_count(4, [6, 5], 3, RELU_PER_NEURON)
+        assert net.arena.size == param_count(4, [6, 5], 3, "relu")
 
     def test_fewer_params_than_poly_at_equal_widths(self):
-        relu = param_count(8, [16, 16], 2, RELU_PER_NEURON)
-        poly = param_count(8, [16, 16], 2, POLY_PER_NEURON)
+        relu = param_count(8, [16, 16], 2, "relu")
+        poly = param_count(8, [16, 16], 2, "poly")
         assert relu < poly
         # the gap is exactly the four coefficient vectors per layer
         assert poly - relu == 4 * 32
@@ -192,7 +186,7 @@ class TestMatchedCapacity:
     def test_reference_widths_within_tolerance(self):
         m = matched_capacity(8, [16, 16], 2)
         assert m.widths == [19, 19]
-        assert m.baseline_params == param_count(8, [19, 19], 2, RELU_PER_NEURON)
+        assert m.baseline_params == param_count(8, [19, 19], 2, "relu")
         assert abs(m.relative_gap) <= 0.05
 
     def test_canonical_sweep_widths(self):

@@ -133,7 +133,7 @@ class TestPlanFromConfig:
         assert plan.specs["cr"].train.lambda_dreg == 0.1
         assert plan.specs["relu_dreg"].train.lambda_dreg == 0.1
         assert plan.specs["vanilla"].train.lambda_dreg == 0.0
-        assert plan.specs["dropout"].train.dropout_rate == 0.2
+        assert plan.specs["dropout"].dropout_rate == 0.2
         assert plan.specs["weight_decay"].train.weight_decay == 1e-4
         assert plan.specs["cr"].kind == "poly"
         assert all(plan.specs[m].kind == "relu" for m in ROSTER if m != "cr")
@@ -143,10 +143,29 @@ class TestPlanFromConfig:
                                        "train.weight_decay = 0.01"))
         assert plan.specs["cr"].train.lambda_dreg == 0.7
         assert plan.specs["vanilla"].train.lambda_dreg == 0.0
-        assert plan.specs["vanilla"].train.dropout_rate == 0.0
+        assert plan.specs["vanilla"].dropout_rate == 0.0
         assert plan.specs["vanilla"].train.weight_decay == 0.0
-        assert plan.specs["dropout"].train.dropout_rate == 0.4
+        assert plan.specs["dropout"].dropout_rate == 0.4
         assert plan.specs["weight_decay"].train.weight_decay == 0.01
+
+    @pytest.mark.parametrize("key", ["model.vanilla.lambda_dreg", "model.dropout.weight_decay",
+                                     "model.cr.dropout_rate"])
+    def test_knob_outside_model_row_rejected(self, key):
+        with pytest.raises(ConfigError, match=key) as exc:
+            plan_from_config(cfg_of(f"{key} = 0.5"))
+        assert exc.value.key == key
+
+    def test_knob_in_model_row_accepted(self):
+        plan = plan_from_config(cfg_of("model.relu_dreg.lambda_dreg = 0.5", "model.dropout.dropout_rate = 0.3",
+                                       "model.weight_decay.weight_decay = 0.01"))
+        assert plan.specs["relu_dreg"].train.lambda_dreg == 0.5
+        assert plan.specs["cr"].train.lambda_dreg == 0.1
+        assert plan.specs["dropout"].dropout_rate == 0.3
+        assert plan.specs["weight_decay"].train.weight_decay == 0.01
+
+    def test_dropout_rate_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            plan_from_config(cfg_of("model.dropout.dropout_rate = 1.0"))
 
     def test_model_override_beats_shared_train_key(self):
         plan = plan_from_config(cfg_of("train.epochs = 7", "model.cr.epochs = 9"))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
-from polygrad.baselines import dropout_masks
 from polygrad.errors import MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import (
@@ -17,7 +16,7 @@ from polygrad.polynet import (
     poly_eval,
 )
 from polygrad.tape import Tape
-from polygrad.train import record_forward
+from polygrad.train import dropout_masks, record_forward
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):

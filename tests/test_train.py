@@ -48,7 +48,6 @@ class TestTrainConfigValidation:
             {"epochs": 0},
             {"optimizer": "lbfgs"},
             {"weight_decay": -1e-4},
-            {"dropout_rate": 1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -125,7 +124,7 @@ class TestObjective:
         net = Net.build(Rng(derive_seed("dnet")).spawn("n"), 3, [5], 2, activation="relu", dropout_rate=0.4)
         x = Rng(derive_seed("dx")).standard_normal(4, 3)
         y = np.array([0, 1, 1, 0])
-        cfg = TrainConfig(lambda_dreg=0.3, dropout_rate=0.4)
+        cfg = TrainConfig(lambda_dreg=0.3)
 
         def rebuild():
             # Fresh generator per call: identical masks every evaluation.
@@ -142,7 +141,7 @@ class TestObjective:
         net = Net.build(Rng(0), 3, [4], 2, activation="relu", dropout_rate=0.5)
         x, y = batch("drop-norng", 3, 3, 2)
         with pytest.raises(ValueError, match="rng"):
-            build_objective(net, x, y, TrainConfig(dropout_rate=0.5), mode="train")
+            build_objective(net, x, y, TrainConfig(), mode="train")
 
     def test_eval_mode_ignores_dropout(self):
         net = Net.build(Rng(1), 3, [4], 2, activation="relu", dropout_rate=0.5)
@@ -319,7 +318,6 @@ class TestPenaltyLogging:
             net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu", dropout_rate=rate)
         cfg = TrainConfig(
             lambda_dreg=0.0,
-            dropout_rate=net.dropout_rate if model == "dropout" else 0.0,
             weight_decay=1e-4 if model == "weight_decay" else 0.0,
             include_head_in_penalty=include_head,
         )
@@ -351,16 +349,16 @@ class TestTrainingLoop:
         for seed in (0, 1):
             net = Net.build(Rng(derive_seed("seed-var")), ds.d, [6], ds.class_count)
             res = train(net, tx, ty, ex, ey, TrainConfig(epochs=3, seed=seed))
-            finals.append(res.log.final.task_loss)
+            finals.append(res.final.task_loss)
         assert finals[0] != finals[1]
 
     def test_blobs_reach_high_accuracy(self):
         tx, ty, ex, ey, ds = blob_split()
         net = Net.build(Rng(derive_seed("acc-check")), ds.d, [8], ds.class_count)
         res = train(net, tx, ty, ex, ey, TrainConfig(learning_rate=0.01, epochs=25, seed=1))
-        assert res.log.final.eval_accuracy >= 0.95
-        assert len(res.log.epochs) == 25
-        assert evaluate_accuracy(net, ex, ey) == res.log.final.eval_accuracy
+        assert res.final.eval_accuracy >= 0.95
+        assert len(res.epochs) == 25
+        assert evaluate_accuracy(net, ex, ey) == res.final.eval_accuracy
 
     def test_penalty_suppressed_by_large_lambda(self):
         tx, ty, ex, ey, ds = blob_split()
@@ -368,7 +366,7 @@ class TestTrainingLoop:
         for lam in (0.0, 5.0):
             net = Net.build(Rng(derive_seed("suppress")), ds.d, [6], ds.class_count)
             res = train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=lam, epochs=10, seed=3))
-            finals[lam] = res.log.final.penalty
+            finals[lam] = res.final.penalty
         assert finals[5.0] < finals[0.0]
 
     def test_divergence_reports_epoch_and_batch(self):
@@ -384,7 +382,7 @@ class TestTrainingLoop:
         tx, ty, ex, ey, ds = blob_split()
         net = Net.build(Rng(derive_seed("log")), ds.d, [6], ds.class_count)
         res = train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=0.1, epochs=2, seed=0))
-        assert [e.epoch for e in res.log.epochs] == [0, 1]
-        for e in res.log.epochs:
+        assert [e.epoch for e in res.epochs] == [0, 1]
+        for e in res.epochs:
             assert np.isfinite(e.task_loss) and np.isfinite(e.penalty)
             assert 0.0 <= e.eval_accuracy <= 1.0
