@@ -76,8 +76,17 @@ def save_checkpoint(path, net, provenance=None, preprocess=None) -> None:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
+    """Read a checkpoint file; a missing field is a ``ConfigError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    try:
+        return _bundle_from_dict(obj, path)
+    except KeyError as err:
+        key = err.args[0]
+        raise ConfigError(f"{path}: checkpoint has no field {key!r}", key=key) from None
+
+
+def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint format_version {version!r}")

@@ -2,12 +2,12 @@
 
 A sweep runs one cell per (model, fraction, seed) in a fixed canonical
 order (declared models x ascending fractions x declared seeds) and
-appends one JSON line per cell to results.jsonl as soon as it is
-known. Workers may compute cells concurrently, but a single writer
-emits rows in canonical order, so the results file for a given plan is
-deterministic. Resume reuses the stored lines of completed (status ok)
-cells verbatim and recomputes the rest; only wall_time_seconds can
-differ between a straight run and a crash+resume run.
+writes one JSON line per cell to results.jsonl, in canonical order,
+once every pending cell has finished. Workers may compute cells
+concurrently and the file for a given plan is still deterministic, but
+a crash mid-sweep loses every cell of that run. Resume reuses the stored
+lines of completed (status ok) cells verbatim and recomputes the rest;
+only wall_time_seconds can differ between a straight and a resumed run.
 """
 
 from __future__ import annotations
@@ -134,6 +134,16 @@ class SweepPlan:
 _SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate", "optimizer", "include_head_in_penalty")
 
 
+def _widths(cfg: Config, key: str, default: list[int]) -> list[int]:
+    """Hidden widths at ``key``: every width >= 1; empty only where ``default`` is."""
+    widths = cfg.get_int_list(key, default)
+    if (default and not widths) or any(w < 1 for w in widths):
+        raise ConfigError(
+            f"{cfg.source}: key {key!r} needs hidden widths >= 1, got {cfg.get_str(key)!r}", key=key
+        )
+    return widths
+
+
 def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec:
     if model_id not in ROSTER:
         raise ConfigError(f"unknown roster model {model_id!r}", key=f"model.{model_id}")
@@ -153,11 +163,11 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
         include_head_in_penalty=pick(cfg.get_bool, "include_head_in_penalty", False),
     )
     if kind == "poly":
-        widths = cfg.get_int_list(f"model.{model_id}.widths", poly_widths)
+        widths = _widths(cfg, f"model.{model_id}.widths", poly_widths)
     else:
         # Identical-conditions fairness: baseline widths are derived from
         # the polynomial architecture by parameter-count matching.
-        widths = cfg.get_int_list(f"model.{model_id}.widths", []) or None
+        widths = _widths(cfg, f"model.{model_id}.widths", []) or None
     return ModelSpec(model_id, kind, widths, tc, knobs["dropout_rate"])
 
 
@@ -196,7 +206,7 @@ def plan_from_config(cfg: Config) -> SweepPlan:
             raise ConfigError(f"comparison metric {metric!r} unknown", key="plan.comparisons")
         comparisons.append((a, b, metric))
 
-    poly_widths = cfg.get_int_list("train.widths", [16, 16])
+    poly_widths = _widths(cfg, "train.widths", [16, 16])
     specs = {m: _model_spec(cfg, m, poly_widths) for m in models}
 
     plan = SweepPlan(

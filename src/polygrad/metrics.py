@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DegenerateDistributionError, NumericOverflowError
 from .linalg import quantile
-from .polynet import Net, forward_dual
+from .polynet import Net
 from .tape import Tape
-from .train import record_forward, softmax
+from .train import record_forward
 
 __all__ = [
     "TailRatioReport",
@@ -60,26 +60,17 @@ def input_grad_norms(net: Net, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample L2 norm of the gradient of each sample's own
     cross-entropy with respect to its input row.
 
-    The polynomial path composes the analytic head Jacobian with the
-    softmax-layer gradient; the ReLU path reverse-accumulates the summed
-    per-sample cross-entropies through the tape (row b of the input
-    gradient is then exactly the gradient of row b's loss, because no
-    sample's loss touches another row).
+    The summed per-sample cross-entropies are reverse-accumulated
+    through the recorded forward; row b of the input gradient is then
+    exactly the gradient of row b's loss, because no sample's loss
+    touches another row.
     """
-    if net.activation_kind == "relu":
-        t = Tape()
-        xs = t.leaf(net.check_input(x), name="x")
-        params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
-        logits, _, _ = record_forward(t, net, xs, params)
-        t.backward(t.softmax_cross_entropy(logits, labels, reduction="sum"))
-        grads = xs.grad
-    else:
-        logits, blocks = forward_dual(net, x)
-        J = blocks[-1]  # head Jacobian, (batch, classes, d)
-        coeff = softmax(logits)
-        coeff[np.arange(coeff.shape[0]), np.asarray(labels)] -= 1.0
-        grads = np.einsum("bc,bcd->bd", coeff, J)
-    norms = np.sqrt((grads**2).sum(axis=1))
+    t = Tape()
+    xs = t.leaf(net.check_input(x), name="x")
+    params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
+    logits, _, _ = record_forward(t, net, xs, params)
+    t.backward(t.softmax_cross_entropy(logits, labels, reduction="sum"))
+    norms = np.sqrt((xs.grad**2).sum(axis=1))
 
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:

@@ -160,8 +160,8 @@ class Net:
     """Stack of Layers plus a linear classification head.
 
     Every layer is cubic or every layer is ReLU; ``activation_kind``
-    says which. ``dropout_rate`` applies in train mode only. Every
-    trainable array is a view into ``self.arena.flat``.
+    says which. ``dropout_rate`` applies to the training objective only.
+    Every trainable array is a view into ``self.arena.flat``.
     """
 
     layers: list[Layer]

@@ -42,9 +42,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     seed: int = 0
     include_head_in_penalty: bool = False
@@ -133,18 +130,16 @@ def build_objective(
     x: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-    mode: str = "train",
     dropout_rng: Rng | None = None,
 ) -> Objective:
     """Record the full forward pass of the composite loss on a fresh tape.
 
     The Jacobian stream is recorded only when the penalty weight is
     positive. Dropout masks, at the net's own ``dropout_rate``, are drawn
-    only in train mode. A backward pass writes the parameter gradients
-    into ``grad``, a fresh flat vector in the arena's layout.
+    from ``dropout_rng`` whenever that rate is positive. A backward pass
+    writes the parameter gradients into ``grad``, a fresh flat vector in
+    the arena's layout.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     t = Tape()
     xs = t.leaf(np.asarray(x, dtype=np.float64), name="x")
     grad = np.zeros(net.arena.size)
@@ -155,9 +150,9 @@ def build_objective(
     }
 
     need_dual = cfg.lambda_dreg > 0.0
-    use_dropout = mode == "train" and net.dropout_rate > 0.0
+    use_dropout = net.dropout_rate > 0.0
     if use_dropout and dropout_rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     masks = dropout_masks(net, x.shape[0], dropout_rng) if use_dropout else None
     logits, preacts, S_nodes = record_forward(t, net, xs, params, masks, need_dual)
     task = t.softmax_cross_entropy(logits, labels, reduction="mean")
@@ -193,7 +188,6 @@ def loss_and_grads(
     x: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-    mode: str = "train",
     dropout_rng: Rng | None = None,
 ) -> LossBundle:
     """Exact gradients of the composite objective for one batch.
@@ -203,9 +197,9 @@ def loss_and_grads(
     training logs stay comparable across models. It equals
     ``measure_penalty(net, x)``: without dropout it is built from the
     pre-activations the tape already holds; under dropout the tape's
-    stream is masked, so an eval-mode dual pass measures it.
+    stream is masked, so an unmasked dual pass measures it.
     """
-    obj = build_objective(net, x, labels, cfg, mode=mode, dropout_rng=dropout_rng)
+    obj = build_objective(net, x, labels, cfg, dropout_rng=dropout_rng)
     loss = float(obj.loss.value)
     if not np.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
@@ -249,12 +243,6 @@ def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, reduction: str = "mean") -> float | np.ndarray:
     y = np.asarray(labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -290,6 +278,9 @@ def step_sgd(params: np.ndarray, grad: np.ndarray, cfg: TrainConfig, n_decayed: 
         decayed -= cfg.learning_rate * cfg.weight_decay * decayed
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -310,14 +301,14 @@ def step_adam(
 ) -> None:
     """In-place Adam step (bias-corrected) with decoupled weight decay."""
     state.t += 1
-    bc1 = 1.0 - cfg.beta1**state.t
-    bc2 = 1.0 - cfg.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     if cfg.weight_decay > 0.0:
         decayed = params[:n_decayed]
         decayed -= cfg.learning_rate * cfg.weight_decay * decayed
@@ -374,9 +365,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                bundle = loss_and_grads(
-                    net, train_x[idx], train_y[idx], cfg, mode="train", dropout_rng=dropout_rng
-                )
+                bundle = loss_and_grads(net, train_x[idx], train_y[idx], cfg, dropout_rng=dropout_rng)
             except NumericOverflowError as err:
                 raise NumericOverflowError(
                     f"training diverged: {err}", epoch=epoch, batch=start // cfg.batch_size

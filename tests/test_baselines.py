@@ -9,7 +9,7 @@ from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
 from polygrad.polynet import Layer, Net, forward_dual, forward_values, param_count
-from polygrad.train import TrainConfig, build_objective, dropout_masks, softmax
+from polygrad.train import TrainConfig, build_objective, dropout_masks
 
 
 def relu_net(seed="bl", d=4, widths=(6, 5), classes=3, dropout=0.0):
@@ -70,17 +70,15 @@ class TestForward:
     def test_train_mode_dropout_needs_rng(self):
         net = relu_net(dropout=0.3)
         with pytest.raises(ValueError, match="rng"):
-            build_objective(net, np.zeros((2, 4)), np.zeros(2, int), TrainConfig(), mode="train")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            build_objective(relu_net(), np.zeros((2, 4)), np.zeros(2, int), TrainConfig(), mode="predict")
+            build_objective(net, np.zeros((2, 4)), np.zeros(2, int), TrainConfig())
 
     def test_eval_ignores_dropout(self):
+        # The eval forward of a dropout net equals the unmasked tape forward.
         net = relu_net(dropout=0.5)
         x = Rng(0).standard_normal(3, 4)
         a, _ = forward_values(net, x)
-        obj = build_objective(net, x, np.zeros(3, int), TrainConfig(), mode="eval", dropout_rng=Rng(1))
+        net.dropout_rate = 0.0
+        obj = build_objective(net, x, np.zeros(3, int), TrainConfig())
         np.testing.assert_array_equal(a, obj.logits.value)
 
 
@@ -110,7 +108,7 @@ class TestDropout:
         labels = np.zeros(4, int)
         n = 10_000
         for _ in range(n):
-            obj = build_objective(net, x, labels, TrainConfig(), mode="train", dropout_rng=draws)
+            obj = build_objective(net, x, labels, TrainConfig(), dropout_rng=draws)
             acc += obj.logits.value
         scale = float(np.abs(eval_logits).max())
         assert float(np.abs(acc / n - eval_logits).max()) < 0.02 * scale
@@ -154,7 +152,7 @@ class TestDualAndInputGrads:
         x = np.abs(rng.spawn("x").standard_normal(5, 3)) + 0.1
         y = np.array([0, 1, 0, 1, 1])
         logits, _ = forward_values(net, x)
-        coeff = softmax(logits)
+        coeff = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         coeff[np.arange(5), y] -= 1.0
         expected = np.sqrt(((coeff @ net.head_weights @ W1) ** 2).sum(axis=1))
         np.testing.assert_allclose(input_grad_norms(net, x, y), expected, atol=1e-12)

@@ -154,8 +154,32 @@ class TestValidation:
         obj = json.loads(path.read_text())
         obj["widths"] = [6, 4]
         path.write_text(json.dumps(obj))
-        with pytest.raises((ShapeError, KeyError)):
+        with pytest.raises((ShapeError, ConfigError)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", [
+        ("kind",),
+        ("widths",),
+        ("params",),
+        ("input_dim",),
+        ("params", "layer1.W"),
+        ("params", "layer0.c2"),
+        ("params", "head.b"),
+        ("params", "layer0.b", "data"),
+        ("preprocess", "means"),
+    ], ids=".".join)
+    def test_missing_field_is_named(self, tmp_path, field):
+        path = tmp_path / "f.json"
+        save_checkpoint(path, poly_net(), preprocess=preprocess_stats())
+        obj = json.loads(path.read_text())
+        parent = obj
+        for key in field[:-1]:
+            parent = parent[key]
+        del parent[field[-1]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match=f"{path}.*{field[-1]}") as err:
+            load_checkpoint(path)
+        assert err.value.key == field[-1]
 
     def test_tampered_input_dim(self, tmp_path):
         path = tmp_path / "d.json"

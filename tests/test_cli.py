@@ -216,6 +216,15 @@ class TestErrorPaths:
         assert code == 1
         assert "train.epochz" in capsys.readouterr().err
 
+    def test_checkpoint_missing_field(self, trained, tmp_path, capsys):
+        out, _ = trained
+        ck = tmp_path / "bare.json"
+        ck.write_text('{"format_version": 1}')
+        code = main(["eval", "--checkpoint", str(ck), "--data", str(out / "dataset.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'kind'" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")])

@@ -189,6 +189,24 @@ class TestPlanFromConfig:
         assert plan.specs["cr"].widths == [8, 8]
         assert plan.specs["vanilla"].widths is None  # derived by capacity match
 
+    @pytest.mark.parametrize("line, key", [
+        ("train.widths =", "train.widths"),
+        ("train.widths = 4, -2", "train.widths"),
+        ("train.widths = 0", "train.widths"),
+        ("model.cr.widths =", "model.cr.widths"),
+        ("model.cr.widths = 8, 0", "model.cr.widths"),
+        ("model.vanilla.widths = -3", "model.vanilla.widths"),
+    ])
+    def test_bad_widths_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=key) as exc:
+            plan_from_config(cfg_of(line))
+        assert exc.value.key == key
+
+    def test_empty_baseline_widths_mean_capacity_match(self):
+        plan = plan_from_config(cfg_of("model.vanilla.widths =", "model.dropout.widths = 12, 12"))
+        assert plan.specs["vanilla"].widths is None
+        assert plan.specs["dropout"].widths == [12, 12]
+
     def test_unknown_roster_model_rejected(self):
         with pytest.raises(ConfigError, match="resnet"):
             plan_from_config(cfg_of("plan.models = cr, resnet"))

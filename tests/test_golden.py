@@ -9,6 +9,10 @@ here, however small.
 Regenerate the files only when a change to the results is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before overwriting a file it prints, for each (model, field) that
+changed, how many rows changed and the largest absolute and relative
+difference from the committed value.
 """
 
 import json
@@ -64,6 +68,29 @@ def test_results_match_golden(golden, tmp_path):
     assert result_lines(PLANS[golden](), tmp_path) == expected
 
 
+def diff_report(old_lines: list[str], new_lines: list[str]) -> list[str]:
+    """One line per (model, field) whose value changed between the row lists."""
+    if len(old_lines) != len(new_lines):
+        return [f"row count {len(old_lines)} -> {len(new_lines)}"]
+    changes: dict[tuple[str, str], list[tuple[float, float] | None]] = {}
+    for old_line, new_line in zip(old_lines, new_lines):
+        old, new = json.loads(old_line), json.loads(new_line)
+        for field in sorted(old.keys() | new.keys()):
+            a, b = old.get(field), new.get(field)
+            if a == b:
+                continue
+            numeric = isinstance(a, float) and isinstance(b, float)
+            diff = (abs(a - b), abs(a - b) / abs(a) if a else float("inf")) if numeric else None
+            changes.setdefault((old.get("model_id"), field), []).append(diff)
+    report = []
+    for (model, field), diffs in sorted(changes.items()):
+        line = f"{model} {field}: {len(diffs)} rows changed"
+        if None not in diffs:
+            line += f", max abs {max(d[0] for d in diffs):.3g}, max rel {max(d[1] for d in diffs):.3g}"
+        report.append(line)
+    return report
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -71,5 +98,10 @@ if __name__ == "__main__":
     for name, make_config in PLANS.items():
         with tempfile.TemporaryDirectory() as tmp:
             lines = result_lines(make_config(), tmp)
-        (GOLDEN / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        print(f"wrote {GOLDEN / name}: {len(lines)} rows", file=sys.stderr)
+        path = GOLDEN / name
+        if path.exists():
+            report = diff_report(path.read_text(encoding="utf-8").splitlines(), lines)
+            for entry in report or ["no changes"]:
+                print(f"{name}: {entry}", file=sys.stderr)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        print(f"wrote {path}: {len(lines)} rows", file=sys.stderr)

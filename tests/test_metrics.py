@@ -101,35 +101,59 @@ class TestInputGradNorms:
             assert abs(norms[b] - float(np.linalg.norm(g))) < 1e-6
 
     def test_relu_loss_grads_match_direct_computation(self):
+        # ReLU and cubic nets alike: reverse accumulation over the summed
+        # per-sample losses, layer by layer, on a hand-built tape.
         rng = Rng(derive_seed("metrics-relu"))
-        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu")
         x = rng.spawn("x").standard_normal(6, 4)
         y = np.array([0, 1, 2, 0, 1, 2])
-        # Reverse accumulation over the summed per-sample losses, layer by layer.
-        t = Tape()
-        xs = h = t.leaf(x, name="x")
-        for layer in net.layers:
-            h = t.relu(t.linear(h, t.leaf(layer.weights), t.leaf(layer.bias)))
-        logits = t.linear(h, t.leaf(net.head_weights), t.leaf(net.head_bias))
-        t.backward(t.softmax_cross_entropy(logits, y, reduction="sum"))
-        np.testing.assert_allclose(
-            input_grad_norms(net, x, labels=y),
-            np.sqrt(np.sum(xs.grad * xs.grad, axis=1)), atol=1e-12)
+        for activation in ("relu", "poly"):
+            net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation)
+            t = Tape()
+            xs = h = t.leaf(x, name="x")
+            for layer in net.layers:
+                z = t.linear(h, t.leaf(layer.weights), t.leaf(layer.bias))
+                if layer.coeffs is None:
+                    h = t.relu(z)
+                else:
+                    c = layer.coeffs
+                    h = t.poly_val(z, t.leaf(c.c0), t.leaf(c.c1), t.leaf(c.c2), t.leaf(c.c3))
+            logits = t.linear(h, t.leaf(net.head_weights), t.leaf(net.head_bias))
+            t.backward(t.softmax_cross_entropy(logits, y, reduction="sum"))
+            np.testing.assert_allclose(
+                input_grad_norms(net, x, labels=y),
+                np.sqrt(np.sum(xs.grad * xs.grad, axis=1)), atol=1e-12, err_msg=activation)
+
+    def test_cubic_batch_beyond_dual_stream_cap(self):
+        # 8,100 rows at d = 64, widths [64, 64] would need 539 MB of
+        # Jacobian blocks, over forward_dual's 512 MiB cap; the norms
+        # need none of them.
+        rng = Rng(derive_seed("metrics-big"))
+        net = Net.build(rng.spawn("net"), 64, [64, 64], 2)
+        x = rng.spawn("x").standard_normal(8100, 64)
+        y = np.arange(8100) % 2
+        norms = input_grad_norms(net, x, labels=y)
+        assert norms.shape == (8100,)
+        assert np.all(np.isfinite(norms)) and np.all(norms > 0)
 
     def test_overflow_names_offending_sample(self):
+        # Sample 0 is confidently right (zero gradient); sample 1's
+        # gradient is head * c1 * W = 1e320, past the float64 range,
+        # while every forward value stays finite.
         net = Net.build(Rng(0), 1, [1], 2)
         params = net.parameters()
-        params["layer0.W"][:] = 1e150
+        params["layer0.W"][:] = 1e200
+        params["layer0.b"][:] = 0.0
         params["layer0.c1"][:] = 1e200
         params["layer0.c0"][:] = 0.0
         params["layer0.c2"][:] = 0.0
         params["layer0.c3"][:] = 0.0
-        params["head.W"][0, 0] = 1e-200
-        params["head.W"][1, 0] = -1e-200
-        x = np.array([[1e-153]])
+        params["head.W"][0, 0] = 1e-80
+        params["head.W"][1, 0] = -1e-80
+        params["head.b"][:] = 0.0
+        x = np.array([[1e-300], [1e-300]])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericOverflowError, match="sample 0"):
-                input_grad_norms(net, x, labels=np.array([0]))
+            with pytest.raises(NumericOverflowError, match="sample 1"):
+                input_grad_norms(net, x, labels=np.array([0, 1]))
 
 
 class TestPairedT:

@@ -20,7 +20,6 @@ from polygrad.train import (
     loss_and_grads,
     measure_penalty,
     objective_value,
-    softmax,
     step_adam,
     step_sgd,
     train,
@@ -128,7 +127,7 @@ class TestObjective:
 
         def rebuild():
             # Fresh generator per call: identical masks every evaluation.
-            return build_objective(net, x, y, cfg, mode="train", dropout_rng=Rng(99).spawn("d"))
+            return build_objective(net, x, y, cfg, dropout_rng=Rng(99).spawn("d"))
 
         obj = rebuild()
         obj.tape.backward(obj.loss)
@@ -141,14 +140,7 @@ class TestObjective:
         net = Net.build(Rng(0), 3, [4], 2, activation="relu", dropout_rate=0.5)
         x, y = batch("drop-norng", 3, 3, 2)
         with pytest.raises(ValueError, match="rng"):
-            build_objective(net, x, y, TrainConfig(), mode="train")
-
-    def test_eval_mode_ignores_dropout(self):
-        net = Net.build(Rng(1), 3, [4], 2, activation="relu", dropout_rate=0.5)
-        x, y = batch("drop-eval", 3, 3, 2)
-        a = loss_and_grads(net, x, y, TrainConfig(), mode="eval")
-        b = loss_and_grads(net, x, y, TrainConfig(), mode="eval")
-        assert a.loss == b.loss
+            build_objective(net, x, y, TrainConfig())
 
     def test_non_finite_loss_raises(self):
         net = poly_net()
@@ -160,15 +152,11 @@ class TestObjective:
 
 
 class TestInferenceHelpers:
-    def test_softmax_rows_are_distributions(self):
-        p = softmax(Rng(2).standard_normal(6, 4))
-        assert np.all(p > 0)
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(6), atol=1e-12)
-
     def test_cross_entropy_matches_log_softmax(self):
         logits = Rng(3).standard_normal(5, 3)
         y = np.array([0, 1, 2, 1, 0])
-        manual = -np.log(softmax(logits)[np.arange(5), y])
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        manual = -np.log(p[np.arange(5), y])
         assert abs(cross_entropy(logits, y) - manual.mean()) < 1e-12
         assert abs(cross_entropy(logits, y, reduction="sum") - manual.sum()) < 1e-12
         np.testing.assert_allclose(cross_entropy(logits, y, reduction="none"), manual, atol=1e-12)
@@ -209,7 +197,7 @@ class TestOptimizers:
         params = np.array([0.0])
         state = AdamState.for_params(params)
         step_adam(params, np.array([g]), state, cfg, n_decayed=1)
-        expected = -cfg.learning_rate * g / (abs(g) + cfg.eps)
+        expected = -cfg.learning_rate * g / (abs(g) + 1e-8)
         np.testing.assert_allclose(params, [expected], atol=1e-12)
         assert state.t == 1
 
@@ -322,7 +310,7 @@ class TestPenaltyLogging:
             include_head_in_penalty=include_head,
         )
         expected = measure_penalty(net, x, include_head)
-        bundle = loss_and_grads(net, x, y, cfg, mode="train", dropout_rng=rng.spawn("drop"))
+        bundle = loss_and_grads(net, x, y, cfg, dropout_rng=rng.spawn("drop"))
         assert bundle.penalty == expected
 
 
