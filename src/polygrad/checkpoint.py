@@ -28,9 +28,39 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [_f(v) for v in np.asarray(arr).ravel()]}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    arr = np.asarray([float(s) for s in obj["data"]], dtype=np.float64)
-    return arr.reshape(obj["shape"])
+def _typed(obj: dict, key: str, kind: type, path):
+    """``obj[key]`` if it is a ``kind`` (dict or list); a missing key raises KeyError."""
+    value = obj[key]
+    if not isinstance(value, kind):
+        expected = "object" if kind is dict else "array"
+        raise ConfigError(
+            f"{path}: checkpoint field {key!r} must be a JSON {expected}, got {type(value).__name__}",
+            key=key,
+        )
+    return value
+
+
+def _float(value, key: str, path) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: checkpoint field {key!r} holds a non-number {value!r}", key=key) from None
+
+
+def _decode_array(obj: dict, key: str, path) -> np.ndarray:
+    """The array stored as ``{"shape": [...], "data": [...]}`` under ``obj[key]``."""
+    spec = _typed(obj, key, dict, path)
+    data, shape = _typed(spec, "data", list, path), _typed(spec, "shape", list, path)
+    try:
+        arr = np.asarray([float(s) for s in data], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: array {key!r} holds a non-number in field 'data'", key="data") from None
+    try:
+        return arr.reshape(shape)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{path}: array {key!r} of {arr.size} values does not fit field 'shape' {shape}", key="shape"
+        ) from None
 
 
 class CheckpointBundle:
@@ -76,9 +106,11 @@ def save_checkpoint(path, net, provenance=None, preprocess=None) -> None:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    """Read a checkpoint file; a missing field is a ``ConfigError`` naming it."""
+    """Read a checkpoint file; a missing or mistyped field is a ``ConfigError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: checkpoint is not a JSON object")
     try:
         return _bundle_from_dict(obj, path)
     except KeyError as err:
@@ -93,8 +125,9 @@ def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
     kind = obj["kind"]
     if kind not in ("poly", "relu"):
         raise ConfigError(f"{path}: unknown model kind {kind!r}")
-    params = {name: _decode_array(spec) for name, spec in obj["params"].items()}
-    widths = obj["widths"]
+    stored = _typed(obj, "params", dict, path)
+    params = {name: _decode_array(stored, name, path) for name in stored}
+    widths = _typed(obj, "widths", list, path)
 
     def coeffs(i: int) -> ActivationCoeffs | None:
         if f"layer{i}.c0" not in params:
@@ -104,7 +137,8 @@ def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
     layers = [
         Layer(params[f"layer{i}.W"], params[f"layer{i}.b"], coeffs(i)) for i in range(len(widths))
     ]
-    net = Net(layers, params["head.W"], params["head.b"], float(obj.get("dropout_rate", 0.0)))
+    dropout_rate = _float(obj.get("dropout_rate", 0.0), "dropout_rate", path)
+    net = Net(layers, params["head.W"], params["head.b"], dropout_rate)
     if net.activation_kind != kind:
         raise ShapeError(f"{path}: parameters describe a {net.activation_kind} net, kind is {kind!r}")
     if net.input_dim != obj["input_dim"] or net.widths != widths:
@@ -112,11 +146,12 @@ def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
 
     preprocess = None
     if "preprocess" in obj:
-        pp = obj["preprocess"]
+        pp = _typed(obj, "preprocess", dict, path)
         preprocess = PreprocessStats(
-            feature_names=list(pp["feature_names"]),
-            impute_values={k: float(v) for k, v in pp["impute_values"].items()},
-            means=_decode_array(pp["means"]),
-            stds=_decode_array(pp["stds"]),
+            feature_names=list(_typed(pp, "feature_names", list, path)),
+            impute_values={k: _float(v, k, path) for k, v in _typed(pp, "impute_values", dict, path).items()},
+            means=_decode_array(pp, "means", path),
+            stds=_decode_array(pp, "stds", path),
         )
-    return CheckpointBundle(net, obj.get("provenance", {}), preprocess)
+    provenance = _typed(obj, "provenance", dict, path) if "provenance" in obj else {}
+    return CheckpointBundle(net, provenance, preprocess)

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a (model x fraction x seed) sweep plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=">= 1; capped at the pending cells and CPUs")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

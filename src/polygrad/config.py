@@ -14,6 +14,7 @@ of line (stripped). Blank lines are ignored. Every file must declare
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 from .errors import ConfigError
@@ -51,9 +52,12 @@ class Config:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects a number, got {raw!r}", key=key) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.source}: key {key!r} expects a finite number, got {raw!r}", key=key)
+        return value
 
     def get_bool(self, key: str, default: bool | None = None):
         raw = self.values.get(key)
@@ -76,9 +80,13 @@ class Config:
         if key not in self.values:
             return default if default is not None else []
         try:
-            return [float(p) for p in self.get_list(key)]
+            values = [float(p) for p in self.get_list(key)]
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects numbers", key=key) from None
+        if not all(math.isfinite(v) for v in values):
+            raw = self.get_str(key)
+            raise ConfigError(f"{self.source}: key {key!r} expects finite numbers, got {raw!r}", key=key)
+        return values
 
     def get_int_list(self, key: str, default: list[int] | None = None):
         if key not in self.values:

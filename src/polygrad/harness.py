@@ -230,6 +230,10 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         raise ConfigError(f"unknown data.source {plan.data_source!r}", key="data.source")
     if plan.data_source == "csv" and not plan.data_path:
         raise ConfigError("data.source = csv requires data.path", key="data.path")
+    if not 0.0 < plan.eval_fraction < 1.0:
+        raise ConfigError(
+            f"{cfg.source}: data.eval_fraction {plan.eval_fraction} outside (0, 1)", key="data.eval_fraction"
+        )
     _validate_keys(cfg)
     return plan
 
@@ -475,7 +479,13 @@ def sweep(
     workers: int = 1,
     resume: bool = False,
 ) -> list[dict]:
-    """Run all plan cells, emitting results.jsonl, results.csv, stats report."""
+    """Run all plan cells, emitting results.jsonl, results.csv, stats report.
+
+    The pool has ``min(workers, pending cells, CPUs)`` processes; with one,
+    cells run in this process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.jsonl")
 
@@ -491,8 +501,9 @@ def sweep(
     cells = plan.cells
     pending = [c for c in cells if c not in done]
     computed: dict[tuple, dict] = {}
-    if pending and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(pending), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = {c: pool.submit(run_cell, ds, plan, *c) for c in pending}
             for c in pending:
                 computed[c] = futures[c].result()

@@ -19,7 +19,6 @@ from .errors import DegenerateDistributionError, NumericOverflowError
 from .linalg import quantile
 from .polynet import Net
 from .tape import Tape
-from .train import record_forward
 
 __all__ = [
     "TailRatioReport",
@@ -65,12 +64,8 @@ def input_grad_norms(net: Net, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     exactly the gradient of row b's loss, because no sample's loss
     touches another row.
     """
-    t = Tape()
-    xs = t.leaf(net.check_input(x), name="x")
-    params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
-    logits, _, _ = record_forward(t, net, xs, params)
-    t.backward(t.softmax_cross_entropy(logits, labels, reduction="sum"))
-    norms = np.sqrt((xs.grad**2).sum(axis=1))
+    dx = Tape(net, net.check_input(x), labels, reduction="sum").backward()
+    norms = np.sqrt((dx**2).sum(axis=1))
 
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:

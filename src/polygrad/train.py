@@ -2,9 +2,12 @@
 
 The objective is mean softmax cross-entropy plus lambda times the
 layer-mean squared Frobenius norm of the per-sample input-Jacobian
-blocks. Gradients come from the recorded tape, so every parameter class
-(weights, biases, activation coefficients) is differentiated through
-the Jacobian stream itself, second activation derivatives included.
+blocks. ``loss_and_grads`` records each batch once on a ``tape.Tape``
+(the value stream, the dropout masks and, when lambda > 0, the Jacobian
+stream) and runs its hand-written adjoint once, so every parameter
+class (weights, biases, activation coefficients) is differentiated
+through the Jacobian stream itself, second activation derivatives
+included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import NumericOverflowError
 from .linalg import Rng
 from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
-from .tape import Node, Tape
+from .tape import Tape
 
 __all__ = [
     "TrainConfig",
@@ -59,61 +62,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-@dataclass
-class Objective:
-    tape: Tape
-    loss: Node
-    task: Node
-    penalty: Node | None
-    logits: Node
-    preacts: list[Node]  # per-layer z = h @ W.T + b
-    masked: bool  # dropout masks scaled the value stream
-    grad: np.ndarray  # flat gradient, laid out like net.arena.flat
-    grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
-
-
-def record_forward(
-    t: Tape,
-    net: Net,
-    xs: Node,
-    params: dict[str, Node],
-    masks: list[np.ndarray] | None = None,
-    need_dual: bool = False,
-) -> tuple[Node, list[Node], list[Node]]:
-    """Record the network's forward pass from input node ``xs`` on ``t``.
-
-    ``params`` maps ``net.parameters()`` names to the tape's leaves.
-    Returns the logits, the per-layer pre-activations and, when
-    ``need_dual``, the per-layer Jacobian blocks; with dropout ``masks``
-    the blocks are row-masked in step, so they stay the exact Jacobian
-    of the masked value stream.
-    """
-    h = xs
-    S = None
-    S_nodes: list[Node] = []
-    preacts: list[Node] = []
-    for i, layer in enumerate(net.layers):
-        W = params[f"layer{i}.W"]
-        z = t.linear(h, W, params[f"layer{i}.b"])
-        preacts.append(z)
-        if layer.coeffs is None:
-            h = t.relu(z)
-            slope = t.relu_slope(z) if need_dual else None
-        else:
-            c0, c1, c2, c3 = (params[f"layer{i}.c{k}"] for k in range(4))
-            h = t.poly_val(z, c0, c1, c2, c3)
-            slope = t.poly_slope(z, c1, c2, c3) if need_dual else None
-        if masks is not None:
-            h = t.mask(h, masks[i])
-        if need_dual:
-            S = t.jac_seed(slope, W) if S is None else t.jac_chain(slope, W, S)
-            if masks is not None:
-                S = t.jac_mask(S, masks[i])
-            S_nodes.append(S)
-    logits = t.linear(h, params["head.W"], params["head.b"])
-    return logits, preacts, S_nodes
-
-
 def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
     """Inverted-dropout masks, one per hidden layer, pre-scaled by 1/(1-rate)."""
     rate = net.dropout_rate
@@ -123,49 +71,6 @@ def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
         u = rng.uniform(batch, layer.out_width)
         masks.append((u >= rate).astype(np.float64) / keep)
     return masks
-
-
-def build_objective(
-    net: Net,
-    x: np.ndarray,
-    labels: np.ndarray,
-    cfg: TrainConfig,
-    dropout_rng: Rng | None = None,
-) -> Objective:
-    """Record the full forward pass of the composite loss on a fresh tape.
-
-    The Jacobian stream is recorded only when the penalty weight is
-    positive. Dropout masks, at the net's own ``dropout_rate``, are drawn
-    from ``dropout_rng`` whenever that rate is positive. A backward pass
-    writes the parameter gradients into ``grad``, a fresh flat vector in
-    the arena's layout.
-    """
-    t = Tape()
-    xs = t.leaf(np.asarray(x, dtype=np.float64), name="x")
-    grad = np.zeros(net.arena.size)
-    grads = net.arena.views(grad)
-    params = {
-        name: t.leaf(arr, name=name, param=True, grad_out=grads[name])
-        for name, arr in net.parameters().items()
-    }
-
-    need_dual = cfg.lambda_dreg > 0.0
-    use_dropout = net.dropout_rate > 0.0
-    if use_dropout and dropout_rng is None:
-        raise ValueError("dropout needs an rng")
-    masks = dropout_masks(net, x.shape[0], dropout_rng) if use_dropout else None
-    logits, preacts, S_nodes = record_forward(t, net, xs, params, masks, need_dual)
-    task = t.softmax_cross_entropy(logits, labels, reduction="mean")
-
-    penalty = None
-    loss = task
-    if need_dual:
-        blocks = list(S_nodes)
-        if cfg.include_head_in_penalty:
-            blocks.append(t.jac_head(params["head.W"], S_nodes[-1]))
-        penalty = t.mean_scalars([t.frob_mean(S) for S in blocks])
-        loss = t.add_scaled(task, penalty, cfg.lambda_dreg)
-    return Objective(t, loss, task, penalty, logits, preacts, masks is not None, grad, grads)
 
 
 @dataclass
@@ -199,22 +104,29 @@ def loss_and_grads(
     pre-activations the tape already holds; under dropout the tape's
     stream is masked, so an unmasked dual pass measures it.
     """
-    obj = build_objective(net, x, labels, cfg, dropout_rng=dropout_rng)
-    loss = float(obj.loss.value)
+    masks = None
+    if net.dropout_rate > 0.0:
+        if dropout_rng is None:
+            raise ValueError("dropout needs an rng")
+        masks = dropout_masks(net, x.shape[0], dropout_rng)
+    include_head = cfg.include_head_in_penalty
+    tape = Tape(net, x, labels, masks, need_dual=cfg.lambda_dreg > 0.0, include_head=include_head)
+    loss = float(tape.loss(cfg.lambda_dreg))
     if not np.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
-    obj.tape.backward(obj.loss)
-    include_head = cfg.include_head_in_penalty
-    if obj.penalty is not None:
-        penalty = float(obj.penalty.value)
-    elif obj.masked:
+    grad = np.zeros(net.arena.size)
+    grads = net.arena.views(grad)
+    tape.backward(cfg.lambda_dreg, grads)
+    if tape.penalty is not None:
+        penalty = float(tape.penalty)
+    elif masks is not None:
         penalty = measure_penalty(net, x, include_head)
     else:
-        blocks = jacobian_stream(net, [z.value for z in obj.preacts])
+        blocks = jacobian_stream(net, tape.preacts)
         if include_head:
             blocks.append(net.head_weights @ blocks[-1])
         penalty = dreg_penalty(blocks)
-    return LossBundle(loss, float(obj.task.value), penalty, obj.grads, obj.grad)
+    return LossBundle(loss, float(tape.task), penalty, grads, grad)
 
 
 def objective_value(

@@ -9,7 +9,8 @@ from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
 from polygrad.polynet import Layer, Net, forward_dual, forward_values, param_count
-from polygrad.train import TrainConfig, build_objective, dropout_masks
+from polygrad.tape import Tape
+from polygrad.train import TrainConfig, dropout_masks, loss_and_grads
 
 
 def relu_net(seed="bl", d=4, widths=(6, 5), classes=3, dropout=0.0):
@@ -70,7 +71,7 @@ class TestForward:
     def test_train_mode_dropout_needs_rng(self):
         net = relu_net(dropout=0.3)
         with pytest.raises(ValueError, match="rng"):
-            build_objective(net, np.zeros((2, 4)), np.zeros(2, int), TrainConfig())
+            loss_and_grads(net, np.zeros((2, 4)), np.zeros(2, int), TrainConfig())
 
     def test_eval_ignores_dropout(self):
         # The eval forward of a dropout net equals the unmasked tape forward.
@@ -78,8 +79,8 @@ class TestForward:
         x = Rng(0).standard_normal(3, 4)
         a, _ = forward_values(net, x)
         net.dropout_rate = 0.0
-        obj = build_objective(net, x, np.zeros(3, int), TrainConfig())
-        np.testing.assert_array_equal(a, obj.logits.value)
+        tape = Tape(net, x, np.zeros(3, int))
+        np.testing.assert_array_equal(a, tape.logits)
 
 
 class TestDropout:
@@ -108,8 +109,7 @@ class TestDropout:
         labels = np.zeros(4, int)
         n = 10_000
         for _ in range(n):
-            obj = build_objective(net, x, labels, TrainConfig(), dropout_rng=draws)
-            acc += obj.logits.value
+            acc += Tape(net, x, labels, dropout_masks(net, 4, draws)).logits
         scale = float(np.abs(eval_logits).max())
         assert float(np.abs(acc / n - eval_logits).max()) < 0.02 * scale
 

@@ -120,6 +120,15 @@ class TestFileFormat:
         assert path.read_bytes() == checkpoint_bytes(net)
 
 
+MISSING = object()
+
+
+def _case(*field, value=MISSING):
+    """A checkpoint field to delete or, with ``value``, to overwrite with a wrong type."""
+    name = ".".join(field)
+    return pytest.param(field, value, id=name if value is MISSING else f"{name}={json.dumps(value)}")
+
+
 class TestValidation:
     def test_wrong_format_version(self, tmp_path):
         path = tmp_path / "v.json"
@@ -157,25 +166,37 @@ class TestValidation:
         with pytest.raises((ShapeError, ConfigError)):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field", [
-        ("kind",),
-        ("widths",),
-        ("params",),
-        ("input_dim",),
-        ("params", "layer1.W"),
-        ("params", "layer0.c2"),
-        ("params", "head.b"),
-        ("params", "layer0.b", "data"),
-        ("preprocess", "means"),
-    ], ids=".".join)
-    def test_missing_field_is_named(self, tmp_path, field):
+    @pytest.mark.parametrize("field, value", [
+        _case("kind"),
+        _case("widths"),
+        _case("params"),
+        _case("input_dim"),
+        _case("params", "layer1.W"),
+        _case("params", "layer0.c2"),
+        _case("params", "head.b"),
+        _case("params", "layer0.b", "data"),
+        _case("preprocess", "means"),
+        _case("widths", value=5),
+        _case("params", value=[]),
+        _case("params", "layer0.W", value=5),
+        _case("params", "head.b", "data", value="1.0"),
+        _case("params", "head.b", "data", value=["x"]),
+        _case("params", "head.b", "shape", value=[2, 2]),
+        _case("dropout_rate", value="abc"),
+        _case("provenance", value=[]),
+        _case("preprocess", "impute_values", value=[]),
+    ])
+    def test_missing_field_is_named(self, tmp_path, field, value):
         path = tmp_path / "f.json"
         save_checkpoint(path, poly_net(), preprocess=preprocess_stats())
         obj = json.loads(path.read_text())
         parent = obj
         for key in field[:-1]:
             parent = parent[key]
-        del parent[field[-1]]
+        if value is MISSING:
+            del parent[field[-1]]
+        else:
+            parent[field[-1]] = value
         path.write_text(json.dumps(obj))
         with pytest.raises(ConfigError, match=f"{path}.*{field[-1]}") as err:
             load_checkpoint(path)

@@ -225,6 +225,38 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'kind'" in err
 
+    def test_checkpoint_wrong_field_type(self, trained, tmp_path, capsys):
+        out, _ = trained
+        obj = json.loads((out / "checkpoint.json").read_text())
+        obj["widths"] = 5
+        ck = tmp_path / "typed.json"
+        ck.write_text(json.dumps(obj))
+        code = main(["eval", "--checkpoint", str(ck), "--data", str(out / "dataset.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'widths'" in err
+
+    @pytest.mark.parametrize("line, key", [
+        ("train.learning_rate = nan", "train.learning_rate"),
+        ("data.eval_fraction = 1.5", "data.eval_fraction"),
+    ])
+    def test_bad_plan_value_fails_before_any_cell(self, tmp_path, capsys, line, key):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN.read_text() + line + "\n")
+        out = tmp_path / "o"
+        code = main(["sweep", "--plan", str(plan), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (out / "results.jsonl").exists()
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["sweep", "--plan", str(PLAN), "--out", str(out), "--workers", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+        assert not (out / "results.jsonl").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")])

@@ -86,6 +86,16 @@ class TestTypedGetters:
         with pytest.raises(ConfigError, match="'xs'"):
             cfg.get_int_list("xs")
 
+    def test_non_finite_floats_name_the_key(self):
+        cfg = cfg_of("a = nan", "b = inf", "c = -Infinity", "fs = 0.5, nan")
+        for key in ("a", "b", "c"):
+            with pytest.raises(ConfigError, match=f"'{key}'.*finite") as exc:
+                cfg.get_float(key)
+            assert exc.value.key == key
+        with pytest.raises(ConfigError, match="'fs'.*finite") as exc:
+            cfg.get_float_list("fs")
+        assert exc.value.key == "fs"
+
     def test_required_missing_names_the_key(self):
         with pytest.raises(ConfigError, match="missing required key 'format_version'") as exc:
             parse_config("a = 1\n")
@@ -127,6 +137,12 @@ class TestPlanFromConfig:
         assert ("cr", "vanilla", "tau") in plan.comparisons
         assert ("cr", "relu_dreg", "accuracy") in plan.comparisons
         assert len(plan.cells) == 5 * 5 * 6
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2"])
+    def test_eval_fraction_out_of_range_rejected(self, value):
+        with pytest.raises(ConfigError, match="data.eval_fraction") as exc:
+            plan_from_config(cfg_of(f"data.eval_fraction = {value}"))
+        assert exc.value.key == "data.eval_fraction"
 
     def test_regularizer_defaults_per_model(self):
         plan = plan_from_config(cfg_of())

@@ -1,10 +1,13 @@
 import json
 import math
+import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polygrad import harness
 from polygrad.config import load_config, parse_config
 from polygrad.harness import (
     RESULT_FIELDS,
@@ -203,6 +206,44 @@ class TestSweep:
         serial = sweep(plan, ds, str(s_dir), workers=1)
         parallel = sweep(plan, ds, str(p_dir), workers=2)
         assert rows_without_walltime(serial) == rows_without_walltime(parallel)
+
+    @pytest.mark.parametrize("workers, cpus, pending, size", [
+        (8, 4, 8, 4),  # capped by the CPUs
+        (8, 16, 3, 3),  # capped by the pending cells
+        (2, 16, 8, 2),  # as asked
+        (4, None, 8, None),  # CPU count unknown: one, so no pool
+        (4, 16, 1, None),  # one pending cell: no pool
+    ])
+    def test_pool_size_capped(self, tmp_path, monkeypatch, workers, cpus, pending, size):
+        sizes = []
+
+        class RecordingPool:
+            """Runs each submitted cell at once, in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        plan = smoke_plan()
+        ds = resolve_dataset(plan, str(tmp_path))
+        cells = plan.cells
+        done = [json.dumps(run_cell(ds, plan, *c), sort_keys=True) for c in cells[pending:]]
+        (tmp_path / "results.jsonl").write_text("".join(line + "\n" for line in done))
+        rows = sweep(plan, ds, str(tmp_path), workers=workers, resume=True)
+        assert sizes == ([] if size is None else [size])
+        assert [(r["model_id"], r["fraction"], r["seed"]) for r in rows] == cells
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergent_cells_reported_not_fatal(self, tmp_path):

@@ -16,7 +16,7 @@ from polygrad.polynet import (
     poly_eval,
 )
 from polygrad.tape import Tape
-from polygrad.train import dropout_masks, record_forward
+from polygrad.train import dropout_masks
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
@@ -25,11 +25,16 @@ def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
 
 
 def slope_backward(coeffs, z):
-    """phi''(z): the tape's poly_slope backward under a unit cotangent."""
-    t = Tape()
-    zs = t.leaf(z)
-    t.backward(t.poly_slope(zs, *(t.leaf(v) for v in (coeffs.c1, coeffs.c2, coeffs.c3))))
-    return zs.grad
+    """phi''(z), read off the tape's slope adjoint.
+
+    One cubic layer with identity weights and a zero head: the
+    pre-activation is z, and lambda = batch / 2 makes the loss
+    sum_b ||diag(phi'(z_b))||_F^2, whose input gradient is phi'(z) phi''(z).
+    """
+    batch, width = z.shape
+    net = Net([Layer(np.eye(width), np.zeros(width), coeffs)], np.zeros((2, width)), np.zeros(2))
+    dx = Tape(net, z, np.zeros(batch, int), need_dual=True).backward(batch / 2)
+    return dx / poly_deriv(coeffs, z)
 
 
 class TestActivationCoeffs:
@@ -293,10 +298,8 @@ class TestDregPenalty:
 
 
 def record(net, x, masks=None):
-    t = Tape()
-    xs = t.leaf(x, name="x")
-    params = {name: t.leaf(arr, name=name, param=True) for name, arr in net.parameters().items()}
-    return record_forward(t, net, xs, params, masks, need_dual=True)
+    tape = Tape(net, x, np.zeros(x.shape[0], int), masks, need_dual=True)
+    return tape.logits, tape.preacts, tape.blocks
 
 
 class TestOneForwardPath:
@@ -317,11 +320,11 @@ class TestOneForwardPath:
         values, value_preacts = forward_values(net, x)
         dual_logits, dual_blocks = forward_dual(net, x)
         blocks = jacobian_stream(net, value_preacts)
-        assert values.tobytes() == dual_logits.tobytes() == logits.value.tobytes()
+        assert values.tobytes() == dual_logits.tobytes() == logits.tobytes()
         assert len(preacts) == len(S_nodes) == len(net.layers)
         for i in range(len(net.layers)):
-            assert value_preacts[i].tobytes() == preacts[i].value.tobytes()
-            assert blocks[i].tobytes() == dual_blocks[i].tobytes() == S_nodes[i].value.tobytes()
+            assert value_preacts[i].tobytes() == preacts[i].tobytes()
+            assert blocks[i].tobytes() == dual_blocks[i].tobytes() == S_nodes[i].tobytes()
 
     def test_masked_record_matches_masked_layer_recomputation(self):
         rng = Rng(derive_seed("one-forward-masked"))
@@ -332,10 +335,10 @@ class TestOneForwardPath:
         h, S = x, None
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
-            assert z.tobytes() == preacts[i].value.tobytes()
+            assert z.tobytes() == preacts[i].tobytes()
             h = layer.activate(z) * masks[i]
             slope = layer.slope(z)[:, :, None]
             S = slope * layer.weights[None, :, :] if S is None else slope * (layer.weights @ S)
             S = S * masks[i][:, :, None]
-            assert S.tobytes() == S_nodes[i].value.tobytes()
-        assert (h @ net.head_weights.T + net.head_bias).tobytes() == logits.value.tobytes()
+            assert S.tobytes() == S_nodes[i].tobytes()
+        assert (h @ net.head_weights.T + net.head_bias).tobytes() == logits.tobytes()

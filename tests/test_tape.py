@@ -1,190 +1,199 @@
+"""``Tape.backward`` against central differences.
+
+``test_gradients_match_finite_differences`` covers every parameter class
+and the input gradient for cubic and ReLU nets, with and without the
+penalty, dropout masks and the head block. The oracle is the tape-free
+``objective_value`` without masks, and ``Tape.loss`` under fixed masks
+(the masks make the objective a different function of the parameters).
+The tests in ``TestPrimitiveVjps`` each pin one piece of the adjoint in
+the configuration that exercises it.
+"""
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
 from polygrad.linalg import Rng, derive_seed
+from polygrad.polynet import Net, forward_values
 from polygrad.tape import Tape
+from polygrad.train import (
+    TrainConfig,
+    cross_entropy,
+    dropout_masks,
+    loss_and_grads,
+    measure_penalty,
+    objective_value,
+    predict_logits,
+)
 
 TOL = 1e-6
+STEP = 1e-6  # the cubic's third-order terms put a 1e-5 step's truncation error near TOL
 
 
-def vjp_case(build, arrays, skip=(), step=1e-5, tol=TOL):
-    """Backward gradients of sum(out) vs central differences, per leaf.
-
-    ``build(tape, leaves)`` records the op under test and returns its
-    output node; ``arrays`` maps leaf names to the numpy arrays the
-    leaves wrap (mutated in place by the probe).
-    """
-
-    def run():
-        t = Tape()
-        leaves = {name: t.leaf(arr, name=name) for name, arr in arrays.items()}
-        return t, leaves, build(t, leaves)
-
-    tape, leaves, out = run()
-    tape.backward(out)
-    scalar = lambda: float(np.sum(run()[2].value))
-    for name, arr in arrays.items():
-        numeric = fd_gradient(scalar, arr, step)
-        if name in skip:
-            assert leaves[name].grad is None, f"{name} should get no gradient"
-            assert float(np.abs(numeric).max()) < 1e-8
-            continue
-        analytic = leaves[name].grad
-        assert analytic is not None, f"no gradient reached {name}"
-        assert rel_err(analytic, numeric) < tol, f"VJP mismatch for {name}"
+def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe"):
+    """A small net, a batch, labels and (when ``masked``) fixed dropout masks."""
+    rng = Rng(derive_seed("tape", activation, seed))
+    net = Net.build(rng.spawn("net"), 4, list(widths), 3, activation=activation,
+                    dropout_rate=0.3 if masked else 0.0, coeff_noise=0.05)
+    for i, layer in enumerate(net.layers):  # nonzero biases keep ReLU rows off the kink
+        layer.bias[:] = 0.1 * rng.spawn("b", i).standard_normal(layer.out_width)
+    x = rng.spawn("x").standard_normal(batch, 4)
+    y = np.arange(batch) % 3
+    masks = dropout_masks(net, batch, rng.spawn("masks")) if masked else None
+    if activation == "relu":
+        margin = min(float(np.abs(z).min()) for z in forward_values(net, x)[1])
+        assert margin > 1e-3, "probe batch sits too close to a ReLU kink"
+    return net, x, y, masks
 
 
-def rand(label, *shape):
-    return Rng(derive_seed("tape", label)).standard_normal(*shape)
+def tape_grads(net, x, y, masks=None, lam=0.0, head=False, reduction="mean"):
+    """Parameter gradients (views into one flat vector) and the input gradient."""
+    grads = net.arena.views(np.zeros(net.arena.size))
+    tape = Tape(net, x, y, masks, need_dual=lam > 0, include_head=head, reduction=reduction)
+    return grads, tape.backward(lam, grads)
+
+
+def fd_check(net, x, y, masks=None, lam=0.0, head=False, names=None, reduction="mean", check_x=True):
+    """Tape gradients of ``names`` (default: every parameter) and, with
+    ``check_x``, of the input, against central differences."""
+    cfg = TrainConfig(lambda_dreg=lam, include_head_in_penalty=head)
+    if reduction == "sum":
+        oracle = lambda: cross_entropy(predict_logits(net, x), y, reduction="sum")
+    elif masks is None:
+        oracle = lambda: objective_value(net, x, y, cfg)
+    else:
+        oracle = lambda: float(Tape(net, x, y, masks, need_dual=lam > 0, include_head=head).loss(lam))
+    grads, dx = tape_grads(net, x, y, masks, lam, head, reduction)
+    params = net.parameters()
+    for name in names if names is not None else params:
+        assert rel_err(grads[name], fd_gradient(oracle, params[name], STEP)) < TOL, name
+    if check_x:
+        assert rel_err(dx, fd_gradient(oracle, x, STEP)) < TOL, "input"
+
+
+@pytest.mark.parametrize("head", [False, True], ids=["nohead", "head"])
+@pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+@pytest.mark.parametrize("lam", [0.0, 0.5], ids=["lam0", "lam0.5"])
+@pytest.mark.parametrize("activation", ["poly", "relu"])
+def test_gradients_match_finite_differences(activation, lam, masked, head):
+    net, x, y, masks = probe(activation, masked)
+    fd_check(net, x, y, masks, lam, head)
 
 
 class TestPrimitiveVjps:
     def test_linear(self):
-        arrays = {"h": rand("lin-h", 3, 4), "W": rand("lin-W", 5, 4), "b": rand("lin-b", 5)}
-        vjp_case(lambda t, l: t.linear(l["h"], l["W"], l["b"]), arrays)
+        net, x, y, _ = probe()
+        fd_check(net, x, y, names=["layer0.W", "layer0.b", "layer1.W", "layer1.b", "head.W", "head.b"])
 
     def test_poly_val(self):
-        arrays = {"z": rand("pv-z", 3, 4)}
-        arrays.update({f"c{k}": rand(f"pv-c{k}", 4) for k in range(4)})
-        vjp_case(
-            lambda t, l: t.poly_val(l["z"], l["c0"], l["c1"], l["c2"], l["c3"]), arrays
-        )
+        net, x, y, _ = probe()
+        fd_check(net, x, y, names=[f"layer{i}.c{k}" for i in range(2) for k in range(4)], check_x=False)
 
     def test_poly_slope_carries_second_derivative(self):
-        arrays = {"z": rand("ps-z", 3, 4)}
-        arrays.update({f"c{k}": rand(f"ps-c{k}", 4) for k in (1, 2, 3)})
-        vjp_case(lambda t, l: t.poly_slope(l["z"], l["c1"], l["c2"], l["c3"]), arrays)
+        # The penalty reaches biases and inputs only through phi''(z).
+        net, x, y, _ = probe()
+        fd_check(net, x, y, lam=0.5, names=["layer0.b", "layer1.b", "layer0.c1", "layer1.c3"])
 
     def test_relu(self):
-        z = rand("relu-z", 4, 5)
-        z += 0.2 * np.sign(z)  # keep probes away from the kink
-        vjp_case(lambda t, l: t.relu(l["z"]), {"z": z})
+        net, x, y, _ = probe("relu")
+        fd_check(net, x, y)
 
     def test_relu_slope_blocks_gradient_to_preactivation(self):
-        z = rand("rs-z", 3, 5)
-        z += 0.2 * np.sign(z)
-        arrays = {"z": z, "W": rand("rs-W", 5, 4)}
-        vjp_case(lambda t, l: t.jac_seed(t.relu_slope(l["z"]), l["W"]), arrays, skip=("z",))
+        # 1[z > 0] is piecewise constant: the penalty moves the weights
+        # but no bias and no input gradient, bit for bit.
+        net, x, y, _ = probe("relu")
+        plain, plain_dx = tape_grads(net, x, y)
+        pen, pen_dx = tape_grads(net, x, y, lam=0.5)
+        for name in ("layer0.b", "layer1.b", "head.W", "head.b"):
+            np.testing.assert_array_equal(pen[name], plain[name])
+        np.testing.assert_array_equal(pen_dx, plain_dx)
+        assert float(np.abs(pen["layer0.W"] - plain["layer0.W"]).max()) > 0
 
     def test_mask(self):
-        m = (Rng(derive_seed("mask-m")).uniform(3, 4) > 0.4) / 0.6
-        vjp_case(lambda t, l: t.mask(l["h"], m), {"h": rand("mask-h", 3, 4)})
+        net, x, y, masks = probe("relu", masked=True)
+        fd_check(net, x, y, masks)
 
     def test_jac_seed(self):
-        arrays = {"slope": rand("js-s", 3, 5), "W": rand("js-W", 5, 4)}
-        vjp_case(lambda t, l: t.jac_seed(l["slope"], l["W"]), arrays)
+        net, x, y, _ = probe(widths=(6,))
+        fd_check(net, x, y, lam=0.5)
 
     def test_jac_chain(self):
-        arrays = {
-            "slope": rand("jc-s", 3, 5),
-            "W": rand("jc-W", 5, 6),
-            "S": rand("jc-S", 3, 6, 4),
-        }
-        vjp_case(lambda t, l: t.jac_chain(l["slope"], l["W"], l["S"]), arrays)
+        net, x, y, _ = probe(widths=(5, 6, 4))
+        fd_check(net, x, y, lam=0.5, names=["layer0.W", "layer1.W", "layer2.W", "layer1.c2"])
 
     def test_jac_head(self):
-        arrays = {"W": rand("jh-W", 2, 5), "S": rand("jh-S", 3, 5, 4)}
-        vjp_case(lambda t, l: t.jac_head(l["W"], l["S"]), arrays)
+        net, x, y, _ = probe()
+        fd_check(net, x, y, lam=0.5, head=True, names=["head.W", "layer1.W", "layer1.b", "layer0.c3"])
 
     def test_jac_mask(self):
-        m = (Rng(derive_seed("jm-m")).uniform(3, 5) > 0.3) / 0.7
-        vjp_case(lambda t, l: t.jac_mask(l["S"], m), {"S": rand("jm-S", 3, 5, 4)})
+        net, x, y, masks = probe(masked=True)
+        fd_check(net, x, y, masks, lam=0.5)
 
     def test_frob_mean(self):
-        vjp_case(lambda t, l: t.frob_mean(l["S"]), {"S": rand("fm-S", 3, 5, 4)})
+        # The penalty alone: its value and its gradient, the difference
+        # of the lambda = 1 and lambda = 0 gradients.
+        net, x, y, _ = probe()
+        for head in (False, True):
+            tape = Tape(net, x, y, need_dual=True, include_head=head)
+            assert abs(float(tape.penalty) - measure_penalty(net, x, head)) < 1e-12
+            with_pen, with_dx = tape_grads(net, x, y, lam=1.0, head=head)
+            plain, plain_dx = tape_grads(net, x, y)
+            penalty = lambda: measure_penalty(net, x, head)
+            for name in ("layer0.W", "layer1.b", "layer1.c2"):
+                numeric = fd_gradient(penalty, net.parameters()[name], STEP)
+                assert rel_err(with_pen[name] - plain[name], numeric) < TOL, name
+            assert rel_err(with_dx - plain_dx, fd_gradient(penalty, x, STEP)) < TOL
 
     def test_softmax_cross_entropy_mean(self):
-        labels = np.array([0, 2, 1, 1])
-        vjp_case(
-            lambda t, l: t.softmax_cross_entropy(l["logits"], labels, reduction="mean"),
-            {"logits": rand("ce-l", 4, 3)},
-        )
+        net, x, y, _ = probe()
+        fd_check(net, x, y, names=["head.W", "head.b"])
 
     def test_softmax_cross_entropy_sum(self):
-        labels = np.array([0, 2, 1, 1])
-        vjp_case(
-            lambda t, l: t.softmax_cross_entropy(l["logits"], labels, reduction="sum"),
-            {"logits": rand("ces-l", 4, 3)},
-        )
+        net, x, y, _ = probe("relu")
+        fd_check(net, x, y, reduction="sum")
 
     def test_mean_scalars_and_add_scaled(self):
-        arrays = {"A": rand("ms-A", 2, 3, 4), "B": rand("ms-B", 2, 5, 4)}
-
-        def build(t, l):
-            mean = t.mean_scalars([t.frob_mean(l["A"]), t.frob_mean(l["B"])])
-            return t.add_scaled(t.frob_mean(l["A"]), mean, 0.7)
-
-        vjp_case(build, arrays)
+        # loss = task + lambda * mean over the L + 1 blocks.
+        net, x, y, _ = probe()
+        cfg = TrainConfig(lambda_dreg=0.7, include_head_in_penalty=True)
+        tape = Tape(net, x, y, need_dual=True, include_head=True)
+        assert len(tape.blocks) == len(net.layers) + 1
+        assert abs(float(tape.loss(0.7)) - objective_value(net, x, y, cfg)) < 1e-12
+        fd_check(net, x, y, lam=0.7, head=True, names=["layer0.W", "layer0.c2", "head.W"])
 
     def test_gradient_accumulation_over_shared_leaf(self):
-        m1 = (Rng(derive_seed("acc-1")).uniform(3, 5) > 0.5) * 2.0
-        m2 = (Rng(derive_seed("acc-2")).uniform(3, 5) > 0.5) * 2.0
-
-        def build(t, l):
-            s1 = t.frob_mean(t.jac_mask(l["S"], m1))
-            s2 = t.frob_mean(t.jac_mask(l["S"], m2))
-            return t.add_scaled(s1, s2, 2.0)
-
-        vjp_case(build, {"S": rand("acc-S", 3, 5, 4)})
+        # Weights, pre-activations, cubic coefficients and blocks each get
+        # two contributions when the penalty is on.
+        net, x, y, _ = probe(widths=(4, 4))
+        names = [f"layer{i}.{p}" for i in range(2) for p in ("W", "b", "c1", "c2", "c3")]
+        fd_check(net, x, y, lam=0.5, names=names)
 
 
 class TestTapeMechanics:
     def test_softmax_ce_value_matches_plain_cross_entropy(self):
-        from polygrad.train import cross_entropy
-
-        t = Tape()
-        logits = rand("ce-val", 5, 3)
-        labels = np.array([0, 1, 2, 1, 0])
-        node = t.softmax_cross_entropy(t.leaf(logits), labels)
-        assert abs(float(node.value) - cross_entropy(logits, labels)) < 1e-12
+        net, x, y, _ = probe()
+        tape = Tape(net, x, y)
+        assert abs(float(tape.task) - cross_entropy(predict_logits(net, x), y)) < 1e-12
+        np.testing.assert_array_equal(tape.logits, predict_logits(net, x))
 
     def test_unknown_reduction_rejected(self):
-        t = Tape()
+        net, x, y, _ = probe()
         with pytest.raises(ValueError, match="reduction"):
-            t.softmax_cross_entropy(t.leaf(np.zeros((2, 2))), np.array([0, 1]), reduction="max")
-
-    def test_duplicate_param_name_rejected(self):
-        t = Tape()
-        t.leaf(np.zeros(2), name="w", param=True)
-        with pytest.raises(ValueError, match="duplicate"):
-            t.leaf(np.zeros(2), name="w", param=True)
-
-    def test_unnamed_param_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-            Tape().leaf(np.zeros(2), param=True)
-
-    def test_grads_returns_zeros_for_unreached_params(self):
-        t = Tape()
-        used = t.leaf(rand("gr-used", 2, 3), name="used", param=True)
-        idle = t.leaf(np.ones((4, 4)), name="idle", param=True, grad_out=np.full((4, 4), 7.0))
-        out = t.frob_mean(t.jac_seed(t.leaf(rand("gr-s", 2, 2)), used))
-        t.backward(out)
-        assert used.grad.shape == (2, 3) and float(np.abs(used.grad).sum()) > 0
-        np.testing.assert_array_equal(idle.grad, np.zeros((4, 4)))
+            Tape(net, x, y, reduction="max")
 
     def test_grad_out_receives_gradients_in_place(self):
-        W, S = rand("go-W", 2, 3), rand("go-S", 4, 3)
-        plain = Tape()
-        plain_W = plain.leaf(W, name="W", param=True)
-        out = plain.frob_mean(plain.jac_seed(plain.leaf(S[:, :2]), plain_W))
-        plain.backward(out)
-        flat = np.full(2 * 3 + 5, 7.0)  # stale contents must not leak into the result
-        t = Tape()
-        leaf = t.leaf(W, name="W", param=True, grad_out=flat[:6].reshape(2, 3))
-        t.leaf(np.ones(5), name="idle", param=True, grad_out=flat[6:])
-        out = t.frob_mean(t.jac_seed(t.leaf(S[:, :2]), leaf))
-        for _ in range(2):  # a second sweep overwrites, never accumulates
-            t.backward(out)
-            np.testing.assert_array_equal(flat[:6].reshape(2, 3), plain_W.grad)
-            np.testing.assert_array_equal(flat[6:], np.zeros(5))
-        assert all(node.grad.base is flat for node in t.params.values())
+        net, x, y, _ = probe()
+        cfg = TrainConfig(lambda_dreg=0.5, include_head_in_penalty=True)
+        flat = np.full(net.arena.size, 7.0)  # stale contents must not leak into the result
+        Tape(net, x, y, need_dual=True, include_head=True).backward(0.5, net.arena.views(flat))
+        np.testing.assert_array_equal(flat, loss_and_grads(net, x, y, cfg).grad)
 
     def test_backward_clears_stale_gradients(self):
-        t = Tape()
-        S = t.leaf(rand("clr-S", 2, 3, 4), name="S", param=True)
-        out = t.frob_mean(S)
-        t.backward(out)
-        first = S.grad.copy()
-        t.backward(out)
-        np.testing.assert_array_equal(S.grad, first)
+        net, x, y, masks = probe(masked=True)
+        tape = Tape(net, x, y, masks, need_dual=True)
+        flat = np.zeros(net.arena.size)
+        first_dx = tape.backward(0.5, net.arena.views(flat))
+        first = flat.copy()
+        second_dx = tape.backward(0.5, net.arena.views(flat))  # overwrites, never accumulates
+        np.testing.assert_array_equal(flat, first)
+        np.testing.assert_array_equal(second_dx, first_dx)

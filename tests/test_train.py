@@ -10,12 +10,13 @@ from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import ActivationCoeffs, Layer, Net, forward_values
+from polygrad.tape import Tape
 from polygrad.train import (
     AdamState,
     TrainConfig,
     accuracy,
-    build_objective,
     cross_entropy,
+    dropout_masks,
     evaluate_accuracy,
     loss_and_grads,
     measure_penalty,
@@ -125,22 +126,22 @@ class TestObjective:
         y = np.array([0, 1, 1, 0])
         cfg = TrainConfig(lambda_dreg=0.3)
 
-        def rebuild():
-            # Fresh generator per call: identical masks every evaluation.
-            return build_objective(net, x, y, cfg, dropout_rng=Rng(99).spawn("d"))
+        # The generator loss_and_grads draws from gives these same masks.
+        masks = dropout_masks(net, 4, Rng(99).spawn("d"))
 
-        obj = rebuild()
-        obj.tape.backward(obj.loss)
-        grads = obj.grads
+        def rebuild():
+            return Tape(net, x, y, masks, need_dual=True)
+
+        grads = loss_and_grads(net, x, y, cfg, dropout_rng=Rng(99).spawn("d")).grads
         for name, arr in net.parameters().items():
-            numeric = fd_gradient(lambda: float(rebuild().loss.value), arr)
+            numeric = fd_gradient(lambda: float(rebuild().loss(cfg.lambda_dreg)), arr)
             assert rel_err(grads[name], numeric) < 1e-6, name
 
     def test_dropout_without_rng_rejected(self):
         net = Net.build(Rng(0), 3, [4], 2, activation="relu", dropout_rate=0.5)
         x, y = batch("drop-norng", 3, 3, 2)
         with pytest.raises(ValueError, match="rng"):
-            build_objective(net, x, y, TrainConfig())
+            loss_and_grads(net, x, y, TrainConfig())
 
     def test_non_finite_loss_raises(self):
         net = poly_net()
