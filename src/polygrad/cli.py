@@ -73,6 +73,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:  # before --out is touched; sweep() checks again for library callers
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     cfg = load_config(args.plan)
     plan = plan_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)

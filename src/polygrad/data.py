@@ -361,8 +361,8 @@ def make_blobs(
     seed: int = 0,
 ) -> Dataset:
     """Well-separated Gaussian clusters on a circle; a sanity-check task."""
-    if dim < 2 or n_classes < 2:
-        raise ValueError("need dim >= 2 and n_classes >= 2")
+    if dim < 2 or n_classes < 2 or n_samples < n_classes:
+        raise ValueError("need dim >= 2, n_classes >= 2 and n_samples >= n_classes")
     rng = Rng(seed).spawn("blobs")
     centers = np.zeros((n_classes, dim))
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes

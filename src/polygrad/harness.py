@@ -104,7 +104,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}", key="dropout_rate")
 
 
 @dataclass
@@ -153,7 +153,13 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
         return getter(f"model.{model_id}.{key}", getter(f"train.{key}", default))
 
     knobs = {k: pick(cfg.get_float, k, defaults[k]) if k in defaults else 0.0 for k in _KNOBS}
-    tc = TrainConfig(
+    if kind == "poly":
+        widths = _widths(cfg, f"model.{model_id}.widths", poly_widths)
+    else:
+        # Identical-conditions fairness: baseline widths are derived from
+        # the polynomial architecture by parameter-count matching.
+        widths = _widths(cfg, f"model.{model_id}.widths", []) or None
+    loop = dict(
         lambda_dreg=knobs["lambda_dreg"],
         learning_rate=pick(cfg.get_float, "learning_rate", 1e-3),
         batch_size=pick(cfg.get_int, "batch_size", 32),
@@ -162,13 +168,14 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
         weight_decay=knobs["weight_decay"],
         include_head_in_penalty=pick(cfg.get_bool, "include_head_in_penalty", False),
     )
-    if kind == "poly":
-        widths = _widths(cfg, f"model.{model_id}.widths", poly_widths)
-    else:
-        # Identical-conditions fairness: baseline widths are derived from
-        # the polynomial architecture by parameter-count matching.
-        widths = _widths(cfg, f"model.{model_id}.widths", []) or None
-    return ModelSpec(model_id, kind, widths, tc, knobs["dropout_rate"])
+    try:
+        return ModelSpec(model_id, kind, widths, TrainConfig(**loop), knobs["dropout_rate"])
+    except ConfigError as err:
+        # Out-of-range values come back under their field name; report the key pick() read.
+        key = f"model.{model_id}.{err.key}"
+        if key not in cfg.values:
+            key = f"train.{err.key}"
+        raise ConfigError(f"{cfg.source}: key {key!r}: {err}", key=key) from None
 
 
 def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
@@ -230,6 +237,14 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         raise ConfigError(f"unknown data.source {plan.data_source!r}", key="data.source")
     if plan.data_source == "csv" and not plan.data_path:
         raise ConfigError("data.source = csv requires data.path", key="data.path")
+    if plan.data_source == "blobs":  # make_blobs' limits, checked before any file is written
+        for key, value, least in (
+            ("data.classes", plan.blob_classes, 2),
+            ("data.dim", plan.blob_dim, 2),
+            ("data.n_samples", plan.blob_samples, plan.blob_classes),
+        ):
+            if value < least:
+                raise ConfigError(f"{cfg.source}: key {key!r} must be >= {least} for blobs, got {value}", key=key)
     if not 0.0 < plan.eval_fraction < 1.0:
         raise ConfigError(
             f"{cfg.source}: data.eval_fraction {plan.eval_fraction} outside (0, 1)", key="data.eval_fraction"
@@ -405,13 +420,16 @@ class CellOutput:
         }
 
 
-def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> CellOutput:
+def train_cell(
+    ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int, trajectory: bool = True
+) -> CellOutput:
     """Full pipeline for one (model, fraction, seed) cell.
 
     Pure function of its arguments: the split, subsample, preprocessing
     fit, initialization, and training stream are all derived from the
     cell coordinates, so any worker (or a later resume) reproduces the
-    identical numbers.
+    identical numbers. ``trajectory`` is ``train``'s: without it the log
+    holds only the last epoch, with the same metrics.
     """
     spec = plan.specs[model_id]
     train_idx, eval_idx = stratified_split(ds.labels, plan.eval_fraction, seed)
@@ -425,7 +443,7 @@ def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, see
     net = build_model(spec, ds.d, ds.class_count, init_seed, poly_widths)
     cfg = replace(spec.train, seed=derive_seed("train", model_id, f"{fraction!r}", str(seed)))
 
-    train_log = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg)
+    train_log = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg, trajectory)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
     report = tail_ratio(norms)
     acc = train_log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
@@ -433,7 +451,13 @@ def train_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, see
 
 
 def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> dict:
-    """train_cell wrapped into a ResultRow dict; failures become rows too."""
+    """train_cell wrapped into a ResultRow dict; failures become rows too.
+
+    A row reads only the last epoch, so no other epoch is evaluated or
+    logged. A cell that overflows mid-run therefore fails at the next
+    training batch ("training diverged"), where ``polygrad train`` fails
+    at the end of the epoch that overflowed ("evaluation diverged").
+    """
     t0 = time.perf_counter()
     row = {
         "format_version": FORMAT_VERSION,
@@ -443,7 +467,7 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
         "seed": seed,
     }
     try:
-        out = train_cell(ds, plan, model_id, fraction, seed)
+        out = train_cell(ds, plan, model_id, fraction, seed, trajectory=False)
         row.update(out.metrics(), wall_time_seconds=time.perf_counter() - t0)
     except (NumericOverflowError, DegenerateDistributionError, ValueError) as err:
         log.warning("cell %s failed: %s", _cell_tag(model_id, fraction, seed), err)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import ConfigError, NumericOverflowError
 from .linalg import Rng
 from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
 from .tape import Tape
@@ -50,16 +50,16 @@ class TrainConfig:
     include_head_in_penalty: bool = False
 
     def __post_init__(self):
-        if self.lambda_dreg < 0:
-            raise ValueError("lambda_dreg must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        for name, ok, rule in (
+            ("lambda_dreg", self.lambda_dreg >= 0, ">= 0"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("optimizer", self.optimizer in ("sgd", "adam"), "'sgd' or 'adam'"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}", key=name)
 
 
 def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
@@ -77,7 +77,7 @@ def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
 class LossBundle:
     loss: float
     task_loss: float
-    penalty: float
+    penalty: float | None  # None: a lambda = 0 step asked not to log it
     grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
     grad: np.ndarray  # flat gradient, laid out like net.arena.flat
 
@@ -94,15 +94,17 @@ def loss_and_grads(
     labels: np.ndarray,
     cfg: TrainConfig,
     dropout_rng: Rng | None = None,
+    log_penalty: bool = True,
 ) -> LossBundle:
     """Exact gradients of the composite objective for one batch.
 
     When the penalty weight is zero the objective is exactly the task
-    loss; the penalty value is still measured (outside the tape) so
-    training logs stay comparable across models. It equals
-    ``measure_penalty(net, x)``: without dropout it is built from the
-    pre-activations the tape already holds; under dropout the tape's
-    stream is masked, so an unmasked dual pass measures it.
+    loss; with ``log_penalty`` the penalty value is still measured
+    (outside the tape) so training logs stay comparable across models.
+    It equals ``measure_penalty(net, x)``: without dropout it is built
+    from the pre-activations the tape already holds; under dropout the
+    tape's stream is masked, so an unmasked dual pass measures it.
+    Without ``log_penalty`` a lambda = 0 bundle's penalty is None.
     """
     masks = None
     if net.dropout_rate > 0.0:
@@ -119,6 +121,8 @@ def loss_and_grads(
     tape.backward(cfg.lambda_dreg, grads)
     if tape.penalty is not None:
         penalty = float(tape.penalty)
+    elif not log_penalty:
+        penalty = None
     elif masks is not None:
         penalty = measure_penalty(net, x, include_head)
     else:
@@ -253,12 +257,20 @@ def train(
     eval_x: np.ndarray,
     eval_y: np.ndarray,
     cfg: TrainConfig,
+    trajectory: bool = True,
 ) -> TrainLog:
     """Deterministic minibatch training of ``net`` in place; returns the per-epoch log.
 
     All randomness (shuffling, dropout masks) comes from generators
     derived from ``cfg.seed``, so identical inputs give bitwise
     identical parameters. Divergence aborts with epoch/batch context.
+
+    With ``trajectory`` every epoch is logged. Without it only the last
+    epoch is: the other epochs skip the eval forward and, for lambda = 0,
+    the penalty log. Neither draws randomness or touches the parameters,
+    so the parameters and the last epoch's stats are bitwise the same
+    either way. The skipped eval forward is a divergence check, so a
+    net that overflows mid-run fails at the next training batch instead.
     """
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn("shuffle")
@@ -271,13 +283,16 @@ def train(
     n = train_x.shape[0]
     log_out = TrainLog()
     for epoch in range(cfg.epochs):
+        logged = trajectory or epoch == cfg.epochs - 1
         order = shuffle_rng.permutation(n)
         task_losses = []
         penalties = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                bundle = loss_and_grads(net, train_x[idx], train_y[idx], cfg, dropout_rng=dropout_rng)
+                bundle = loss_and_grads(
+                    net, train_x[idx], train_y[idx], cfg, dropout_rng=dropout_rng, log_penalty=logged
+                )
             except NumericOverflowError as err:
                 raise NumericOverflowError(
                     f"training diverged: {err}", epoch=epoch, batch=start // cfg.batch_size
@@ -288,6 +303,8 @@ def train(
                 step_adam(params, bundle.grad, adam, cfg, arena.n_decayed)
             task_losses.append(bundle.task_loss)
             penalties.append(bundle.penalty)
+        if not logged:
+            continue
         try:
             eval_acc = evaluate_accuracy(net, eval_x, eval_y)
         except NumericOverflowError as err:

@@ -255,7 +255,35 @@ class TestErrorPaths:
         code = main(["sweep", "--plan", str(PLAN), "--out", str(out), "--workers", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: workers must be >= 1")
-        assert not (out / "results.jsonl").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("model.cr.learning_rate = 0", "model.cr.learning_rate"),
+        ("train.learning_rate = -0.1", "train.learning_rate"),
+        ("train.batch_size = 0", "train.batch_size"),
+        ("model.vanilla.epochs = 0", "model.vanilla.epochs"),
+        ("model.cr.optimizer = rmsprop", "model.cr.optimizer"),
+        ("model.weight_decay.weight_decay = -1", "model.weight_decay.weight_decay"),
+        ("train.lambda_dreg = -0.5", "train.lambda_dreg"),
+        ("model.dropout.dropout_rate = 1.0", "model.dropout.dropout_rate"),
+        ("data.n_samples = 2", "data.n_samples"),
+        ("data.classes = 1", "data.classes"),
+        ("data.dim = 1", "data.dim"),
+        ("model.cr.batch_size = many", "model.cr.batch_size"),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, line, key):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(
+            "format_version = 1\ndata.source = blobs\n"
+            "plan.models = cr, vanilla, dropout, weight_decay, relu_dreg\n"
+            "plan.fractions = 1.0\nplan.seeds = 0\n" + line + "\n"
+        )
+        out = tmp_path / "o"
+        code = main(["sweep", "--plan", str(plan), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan}: key {key!r}")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.txt"),

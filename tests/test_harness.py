@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from polygrad import harness
+from polygrad import train as train_mod
 from polygrad.config import load_config, parse_config
 from polygrad.harness import (
     RESULT_FIELDS,
@@ -22,6 +24,7 @@ from polygrad.harness import (
     sweep,
     train_cell,
 )
+from polygrad.errors import NumericOverflowError
 from polygrad.linalg import derive_seed
 from polygrad.metrics import paired_t_one_sided, wilcoxon_signed_rank
 from polygrad.polynet import Net
@@ -132,6 +135,61 @@ class TestTrainCell:
         assert not set(out.active_idx) & set(out.eval_idx)
 
 
+ROSTER_PLAN = (
+    "format_version = 1\ndata.source = pima_like\ndata.seed = 7\n"
+    "plan.models = cr, vanilla, dropout, weight_decay, relu_dreg\n"
+    "plan.fractions = 0.05, 1.0\nplan.seeds = 0\n"
+    "train.widths = 8, 8\ntrain.epochs = 3\ntrain.learning_rate = 0.002\ntrain.lambda_dreg = 0.5\n"
+)
+
+
+def float_bytes(stats):
+    return [np.float64(v).tobytes() for v in dataclasses.astuple(stats)]
+
+
+class TestTrajectorySwitch:
+    """Logging only the last epoch changes no bit of what it logs."""
+
+    @pytest.fixture(scope="class")
+    def roster(self):
+        plan = plan_from_config(parse_config(ROSTER_PLAN))
+        return plan, resolve_dataset(plan)
+
+    @pytest.mark.parametrize("fraction", [0.05, 1.0])
+    @pytest.mark.parametrize("model_id", list(harness.ROSTER))
+    def test_last_epoch_matches_full_trajectory(self, roster, model_id, fraction):
+        plan, ds = roster
+        full = train_cell(ds, plan, model_id, fraction, 0, trajectory=True)
+        last = train_cell(ds, plan, model_id, fraction, 0, trajectory=False)
+        assert last.net.arena.flat.tobytes() == full.net.arena.flat.tobytes()
+        assert len(full.log.epochs) == 3
+        assert len(last.log.epochs) == 1
+        assert float_bytes(last.log.final) == float_bytes(full.log.final)
+        assert last.metrics() == full.metrics()
+
+    def test_run_cell_evaluates_and_logs_only_the_last_epoch(self, roster, monkeypatch):
+        plan, ds = roster
+        calls = {"eval": 0, "penalty": 0, "steps": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train_mod, "evaluate_accuracy", counted("eval", train_mod.evaluate_accuracy))
+        monkeypatch.setattr(train_mod, "measure_penalty", counted("penalty", train_mod.measure_penalty))
+        monkeypatch.setattr(train_mod, "loss_and_grads", counted("steps", train_mod.loss_and_grads))
+        full = train_cell(ds, plan, "dropout", 1.0, 0, trajectory=True)
+        batches = math.ceil(full.active_idx.size / 32)
+        assert calls == {"eval": 3, "penalty": 3 * batches, "steps": 3 * batches}
+
+        calls.update(eval=0, penalty=0, steps=0)
+        row = run_cell(ds, plan, "dropout", 1.0, 0)
+        assert row["status"] == "ok"
+        assert calls == {"eval": 1, "penalty": batches, "steps": 3 * batches}
+
+
 class TestRunCell:
     def test_ok_row_has_all_fields(self, tmp_path):
         plan = smoke_plan()
@@ -155,6 +213,31 @@ class TestRunCell:
         row = run_cell(ds, plan, "cr", 1.0, 0)
         assert row["status"] == "failed"
         assert "error" in row and "wall_time_seconds" in row
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_mid_run_overflow_fails_at_next_batch(self):
+        # SGD at lr 1e9 overflows the parameters on epoch 1's only batch.
+        # A row skips epoch 1's eval forward, so the overflow surfaces as
+        # epoch 2's training loss; the full trajectory catches it in eval.
+        text = (
+            "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
+            "data.n_samples = 400\nplan.models = cr\nplan.fractions = 0.05\n"
+            "plan.seeds = 0\ntrain.widths = 4\ntrain.epochs = 20\n"
+            "model.cr.optimizer = sgd\nmodel.cr.learning_rate = 1e9\n"
+        )
+        plan = plan_from_config(parse_config(text))
+        ds = resolve_dataset(plan)
+        row = run_cell(ds, plan, "cr", 0.05, 0)
+        assert row["status"] == "failed"
+        assert row["error"] == "NumericOverflowError: training diverged: non-finite training loss"
+        with pytest.raises(NumericOverflowError) as exc:
+            train_cell(ds, plan, "cr", 0.05, 0, trajectory=False)
+        assert (exc.value.epoch, exc.value.batch) == (2, 0)
+        with pytest.raises(NumericOverflowError) as exc:
+            train_cell(ds, plan, "cr", 0.05, 0, trajectory=True)
+        assert str(exc.value) == "evaluation diverged: non-finite values in head"
+        assert (exc.value.epoch, exc.value.batch) == (1, None)
 
 
 class TestSweep:
