@@ -244,7 +244,7 @@ def fit_preprocess(
                 log.warning("column %s is all zeros in the fitted subset; filling with 0", name)
                 stats.impute_values[name] = 0.0
             else:
-                stats.impute_values[name] = float(np.median(nonzero))
+                stats.impute_values[name] = _median(nonzero)
     work = np.array(sub, copy=True)
     for name, fill in stats.impute_values.items():
         j = feature_names.index(name)
@@ -258,6 +258,32 @@ def fit_preprocess(
 
 
 # -- splitting and subsampling ---------------------------------------------
+
+
+# Sort-based stand-ins for np.unique and np.median, which import numpy.ma
+# (about 12 ms per process) to check for masked input.
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values``, as ``np.unique`` gives them for labels."""
+    v = np.sort(values, axis=None)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a nonempty 1-D float array, bit for bit.
+
+    NaN input gives NaN; the middle values are summed and divided as
+    ``np.mean`` does, so a -0.0 median comes out +0.0 as numpy's does.
+    """
+    v = np.sort(values)
+    if np.isnan(v[-1]):
+        return float("nan")
+    mid = v[(v.size - 1) // 2 : v.size // 2 + 1]
+    return float(mid.sum() / mid.size)
 
 
 def _round_half_up(x: float) -> int:
@@ -281,7 +307,7 @@ def stratified_split(
         raise ValueError("eval_fraction must be in (0, 1)")
     rng = Rng(seed).spawn("split")
     train_parts, eval_parts = [], []
-    for c in np.unique(labels):
+    for c in _distinct(labels):
         idx = np.flatnonzero(labels == c)
         if idx.size < 2:
             raise ValueError(f"class {int(c)} has {idx.size} samples; need at least 2")
@@ -331,7 +357,7 @@ def subsample_fraction(
         return np.sort(train_indices)
     labels = np.asarray(labels)
     sub_labels = labels[train_indices]
-    classes = np.unique(sub_labels)
+    classes = _distinct(sub_labels)
     class_sizes = np.asarray([(sub_labels == c).sum() for c in classes])
     n = train_indices.size
     total = math.ceil(f * n) if rounding == "ceil" else _round_half_up(f * n)

@@ -8,6 +8,8 @@ concurrently and the file for a given plan is still deterministic, but
 a crash mid-sweep loses every cell of that run. Resume reuses the stored
 lines of completed (status ok) cells verbatim and recomputes the rest;
 only wall_time_seconds can differ between a straight and a resumed run.
+manifest.json records the plan's hash, and resume refuses results that
+a different plan wrote.
 """
 
 from __future__ import annotations
@@ -457,6 +459,8 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
     logged. A cell that overflows mid-run therefore fails at the next
     training batch ("training diverged"), where ``polygrad train`` fails
     at the end of the epoch that overflowed ("evaluation diverged").
+    A failed row carries the divergence ``epoch`` and ``batch`` when the
+    error knows them.
     """
     t0 = time.perf_counter()
     row = {
@@ -476,6 +480,9 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
             error=f"{type(err).__name__}: {err}",
             wall_time_seconds=time.perf_counter() - t0,
         )
+        for key in ("epoch", "batch"):  # where training diverged, when known
+            if getattr(err, key, None) is not None:
+                row[key] = getattr(err, key)
     return row
 
 
@@ -496,6 +503,15 @@ def read_results(path) -> list[dict]:
     return rows
 
 
+def _read_plan_hash(path) -> str | None:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: unreadable manifest: {err}") from err
+    return manifest.get("plan_hash") if isinstance(manifest, dict) else None
+
+
 def sweep(
     plan: SweepPlan,
     ds: Dataset,
@@ -506,12 +522,25 @@ def sweep(
     """Run all plan cells, emitting results.jsonl, results.csv, stats report.
 
     The pool has ``min(workers, pending cells, CPUs)`` processes; with one,
-    cells run in this process.
+    cells run in this process. ``manifest.json`` pins the plan's hash
+    before any cell runs; a resume against a different plan's manifest
+    is a ConfigError, and a directory without one resumes unchecked.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.jsonl")
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if resume and os.path.exists(manifest_path):
+        found = _read_plan_hash(manifest_path)
+        if found != plan.plan_hash:
+            raise ConfigError(
+                f"{manifest_path}: results were written by plan {found}, "
+                f"not by this plan {plan.plan_hash}; refusing to resume"
+            )
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": FORMAT_VERSION, "plan_hash": plan.plan_hash}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
     done: dict[tuple, str] = {}
     if resume:

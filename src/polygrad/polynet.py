@@ -327,22 +327,21 @@ def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]
             f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
         )
     logits, preacts = forward_values(net, x)
-    blocks = jacobian_stream(net, preacts)
+    blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)])
     blocks.append(net.head_weights @ blocks[-1])
     return logits, blocks
 
 
-def jacobian_stream(net: Net, preacts: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-sample cumulative input-Jacobians from a forward pass's
-    pre-activations.
+def jacobian_stream(net: Net, slopes: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-sample cumulative input-Jacobians from each layer's slope
+    phi'(z), (batch, width).
 
     Returns one (batch, width_l, d) block per layer:
     S1 = diag(phi'(z1)) @ W1 and Sl = diag(phi'(zl)) @ Wl @ S(l-1).
     """
     blocks = []
     S = None  # layer-0 value is the implicit identity
-    for layer, z in zip(net.layers, preacts):
-        slope = layer.slope(z)
+    for layer, slope in zip(net.layers, slopes):
         if S is None:
             S = slope[:, :, None] * layer.weights[None, :, :]
         else:

@@ -6,12 +6,15 @@ the per-sample Jacobian stream the DREG penalty is built from:
     S1 = diag(phi'(z1)) @ W1,    Sl = diag(phi'(zl)) @ Wl @ S(l-1)
 
 with optional dropout masks scaling each layer's output rows (and, in
-step, its Jacobian rows). It keeps one record ``(h_in, z, slope, S_in, S)``
-per layer in ``nodes``. ``backward`` is the adjoint of exactly that
+step, its Jacobian rows). It keeps one record ``(h_in, z, slope, S_in, S,
+W @ S_in)`` per layer in ``nodes``, plus the softmax's ``exp(logits -
+max)`` and row sums. ``backward`` is the adjoint of exactly that
 recurrence plus the softmax cross-entropy and the penalty's Frobenius
 terms, applied in reverse layer order: the penalty reaches every
 parameter class through the Jacobian stream, second activation
-derivatives included.
+derivatives included. It reuses what the forward recorded instead of
+forming it again, and writes parameter gradients straight into the
+caller's views.
 
 Every array receives at most two gradient contributions (a weight from
 its linear map and its Jacobian block; a pre-activation and the cubic
@@ -45,7 +48,7 @@ class Tape:
         self.reduction = reduction
         self.nodes: list[tuple] = []
         h = np.asarray(x, dtype=np.float64)
-        S = None
+        S = WS = None
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
             slope = layer.slope(z)
@@ -53,23 +56,29 @@ class Tape:
             S_in = S
             if need_dual:
                 W = layer.weights
-                S = slope[:, :, None] * (W[None, :, :] if S_in is None else W @ S_in)
+                WS = W[None, :, :] if S_in is None else W @ S_in
+                S = slope[:, :, None] * WS
             if masks is not None:
-                out = out * masks[i]
+                out *= masks[i]
                 if need_dual:
-                    S = S * masks[i][:, :, None]
-            self.nodes.append((h, z, slope, S_in, S))
+                    S *= masks[i][:, :, None]
+            self.nodes.append((h, z, slope, S_in, S, WS))
             h = out
         self.h_out = h
         self.logits = h @ net.head_weights.T + net.head_bias
-        self.preacts = [node[1] for node in self.nodes]
 
         lv = self.logits
+        batch = lv.shape[0]
         self.labels = np.asarray(labels)
-        self.shifted = lv - lv.max(axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(self.shifted), axis=1)) + lv.max(axis=1)
-        losses = lse - lv[np.arange(lv.shape[0]), self.labels]
-        self.task = np.float64(losses.mean() if reduction == "mean" else losses.sum())
+        self.rows = np.arange(batch)
+        top = lv.max(axis=1, keepdims=True)
+        # exp(lv - max) and its row sums serve the loss here and the softmax in backward.
+        self.exp = np.exp(lv - top)
+        self.exp_sum = self.exp.sum(axis=1, keepdims=True)
+        lse = np.log(self.exp_sum[:, 0]) + top[:, 0]
+        losses = lse - lv[self.rows, self.labels]
+        # losses.sum() / batch is exactly what losses.mean() computes.
+        self.task = np.float64(losses.sum() / batch if reduction == "mean" else losses.sum())
 
         self.blocks = None
         self.penalty = None
@@ -77,9 +86,13 @@ class Tape:
             self.blocks = [node[4] for node in self.nodes]
             if include_head:
                 self.blocks.append(net.head_weights @ S)
-            batch = lv.shape[0]
             frobs = [np.float64(np.sum(B * B) / batch) for B in self.blocks]
             self.penalty = np.float64(sum(frobs) / len(frobs))
+
+    @property
+    def preacts(self) -> list[np.ndarray]:
+        """Each layer's pre-activation z, (batch, width)."""
+        return [node[1] for node in self.nodes]
 
     def loss(self, lam: float = 0.0) -> np.float64:
         """Task loss plus ``lam`` times the penalty (recorded with ``need_dual``)."""
@@ -95,15 +108,14 @@ class Tape:
         without, no parameter gradient is formed.
         """
         net = self.net
-        e = np.exp(self.shifted)
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(p.shape[0]), self.labels] -= 1.0
+        p = self.exp / self.exp_sum
+        p[self.rows, self.labels] -= 1.0
         scale = 1.0 / p.shape[0] if self.reduction == "mean" else 1.0
         g = scale * p
         dh = g @ net.head_weights
         if grads is not None:
-            grads["head.W"][...] = g.T @ self.h_out
-            grads["head.b"][...] = g.sum(axis=0)
+            np.matmul(g.T, self.h_out, out=grads["head.W"])
+            g.sum(axis=0, out=grads["head.b"])
 
         dS = None
         if self.blocks is not None:
@@ -119,7 +131,7 @@ class Tape:
         for i in reversed(range(len(self.nodes))):
             layer = net.layers[i]
             W, c = layer.weights, layer.coeffs
-            h_in, z, slope, S_in, _ = self.nodes[i]
+            h_in, z, slope, S_in, _, WS = self.nodes[i]
             name = f"layer{i}."
             if self.masks is not None:
                 dh = dh * self.masks[i]
@@ -135,7 +147,7 @@ class Tape:
                     dW_jac = np.einsum("bw,bwd->wd", slope, dS)
             elif dS is not None:
                 if c is not None:
-                    dslope = (dS * (W @ S_in)).sum(axis=2)
+                    dslope = (dS * WS).sum(axis=2)
                 dt = slope[:, :, None] * dS
                 if grads is not None:
                     dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)
@@ -143,19 +155,24 @@ class Tape:
 
             dz = dh * slope
             if dslope is not None:
-                dz = dz + dslope * (2.0 * c.c2 + 6.0 * c.c3 * z)
+                dz += dslope * (2.0 * c.c2 + 6.0 * c.c3 * z)
             if grads is not None:
                 if c is not None:
-                    dc = [dh.sum(axis=0), (dh * z).sum(axis=0), (dh * z * z).sum(axis=0)]
-                    dc.append((dh * z * z * z).sum(axis=0))
+                    # dh * z**k and dslope * z**k as left-to-right products.
+                    dhz = dh * z
+                    dhz2 = dhz * z
+                    dh.sum(axis=0, out=grads[name + "c0"])
+                    dhz.sum(axis=0, out=grads[name + "c1"])
+                    dhz2.sum(axis=0, out=grads[name + "c2"])
+                    (dhz2 * z).sum(axis=0, out=grads[name + "c3"])
                     if dslope is not None:
-                        dc[1] += dslope.sum(axis=0)
-                        dc[2] += 2.0 * (dslope * z).sum(axis=0)
-                        dc[3] += 3.0 * (dslope * z * z).sum(axis=0)
-                    for k in range(4):
-                        grads[f"{name}c{k}"][...] = dc[k]
-                dW = dz.T @ h_in
-                grads[name + "W"][...] = dW if dW_jac is None else dW + dW_jac
-                grads[name + "b"][...] = dz.sum(axis=0)
+                        dsz = dslope * z
+                        grads[name + "c1"] += dslope.sum(axis=0)
+                        grads[name + "c2"] += 2.0 * dsz.sum(axis=0)
+                        grads[name + "c3"] += 3.0 * (dsz * z).sum(axis=0)
+                np.matmul(dz.T, h_in, out=grads[name + "W"])
+                if dW_jac is not None:
+                    grads[name + "W"] += dW_jac
+                dz.sum(axis=0, out=grads[name + "b"])
             dh = dz @ W
         return dh

@@ -12,6 +12,7 @@ included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +64,19 @@ class TrainConfig:
 
 
 def dropout_masks(net: Net, batch: int, rng: Rng) -> list[np.ndarray]:
-    """Inverted-dropout masks, one per hidden layer, pre-scaled by 1/(1-rate)."""
+    """Inverted-dropout masks, one per hidden layer, pre-scaled by 1/(1-rate).
+
+    One draw covers every layer: the generator yields the same doubles
+    in the same order as one ``(batch, width)`` draw per layer.
+    """
     rate = net.dropout_rate
-    keep = 1.0 - rate
+    widths = net.widths
+    scaled = (rng.uniform(batch * sum(widths)) >= rate).astype(np.float64) / (1.0 - rate)
     masks = []
-    for layer in net.layers:
-        u = rng.uniform(batch, layer.out_width)
-        masks.append((u >= rate).astype(np.float64) / keep)
+    start = 0
+    for w in widths:
+        masks.append(scaled[start : start + batch * w].reshape(batch, w))
+        start += batch * w
     return masks
 
 
@@ -95,6 +102,7 @@ def loss_and_grads(
     cfg: TrainConfig,
     dropout_rng: Rng | None = None,
     log_penalty: bool = True,
+    out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
 ) -> LossBundle:
     """Exact gradients of the composite objective for one batch.
 
@@ -102,9 +110,13 @@ def loss_and_grads(
     loss; with ``log_penalty`` the penalty value is still measured
     (outside the tape) so training logs stay comparable across models.
     It equals ``measure_penalty(net, x)``: without dropout it is built
-    from the pre-activations the tape already holds; under dropout the
-    tape's stream is masked, so an unmasked dual pass measures it.
-    Without ``log_penalty`` a lambda = 0 bundle's penalty is None.
+    from the slopes the tape already holds; under dropout the tape's
+    stream is masked, so an unmasked dual pass measures it. Without
+    ``log_penalty`` a lambda = 0 bundle's penalty is None.
+
+    ``out`` is a flat gradient vector and its ``net.arena.views``, which
+    ``train`` reuses across steps; every slot is overwritten. Without it
+    the bundle gets a fresh vector.
     """
     masks = None
     if net.dropout_rate > 0.0:
@@ -114,10 +126,12 @@ def loss_and_grads(
     include_head = cfg.include_head_in_penalty
     tape = Tape(net, x, labels, masks, need_dual=cfg.lambda_dreg > 0.0, include_head=include_head)
     loss = float(tape.loss(cfg.lambda_dreg))
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
-    grad = np.zeros(net.arena.size)
-    grads = net.arena.views(grad)
+    if out is None:
+        grad = np.empty(net.arena.size)
+        out = grad, net.arena.views(grad)
+    grad, grads = out
     tape.backward(cfg.lambda_dreg, grads)
     if tape.penalty is not None:
         penalty = float(tape.penalty)
@@ -126,7 +140,7 @@ def loss_and_grads(
     elif masks is not None:
         penalty = measure_penalty(net, x, include_head)
     else:
-        blocks = jacobian_stream(net, tape.preacts)
+        blocks = jacobian_stream(net, [node[2] for node in tape.nodes])
         if include_head:
             blocks.append(net.head_weights @ blocks[-1])
         penalty = dreg_penalty(blocks)
@@ -279,6 +293,8 @@ def train(
     arena.check_bound(net.parameters())
     params = arena.flat
     adam = AdamState.for_params(params) if cfg.optimizer == "adam" else None
+    grad = np.empty(arena.size)
+    grad_out = grad, arena.views(grad)
 
     n = train_x.shape[0]
     log_out = TrainLog()
@@ -291,16 +307,16 @@ def train(
             idx = order[start : start + cfg.batch_size]
             try:
                 bundle = loss_and_grads(
-                    net, train_x[idx], train_y[idx], cfg, dropout_rng=dropout_rng, log_penalty=logged
+                    net, train_x[idx], train_y[idx], cfg, dropout_rng, logged, grad_out
                 )
             except NumericOverflowError as err:
                 raise NumericOverflowError(
                     f"training diverged: {err}", epoch=epoch, batch=start // cfg.batch_size
                 ) from err
             if cfg.optimizer == "sgd":
-                step_sgd(params, bundle.grad, cfg, arena.n_decayed)
+                step_sgd(params, grad, cfg, arena.n_decayed)
             else:
-                step_adam(params, bundle.grad, adam, cfg, arena.n_decayed)
+                step_adam(params, grad, adam, cfg, arena.n_decayed)
             task_losses.append(bundle.task_loss)
             penalties.append(bundle.penalty)
         if not logged:

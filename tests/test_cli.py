@@ -9,7 +9,8 @@ import pytest
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.cli import _eval_view, main
 from polygrad.data import fit_preprocess, make_pima_like, stratified_split
-from polygrad.harness import read_results
+from polygrad.config import load_config
+from polygrad.harness import plan_from_config, read_results
 from polygrad.linalg import Rng
 from polygrad.polynet import Net
 
@@ -206,6 +207,68 @@ class TestSweepCommand:
         code = main(["sweep", "--plan", str(PLAN), "--out", str(out), "--resume"])
         assert code == 0
         assert (out / "results.jsonl").read_bytes() == before
+
+
+class TestResumeManifest:
+    """``manifest.json`` pins the plan hash a sweep directory was written by."""
+
+    @staticmethod
+    def copy_run(out, dest, names=("dataset.csv", "manifest.json", "results.jsonl")):
+        dest.mkdir()
+        for name in names:
+            (dest / name).write_bytes((out / name).read_bytes())
+        return dest
+
+    def test_sweep_writes_plan_hash(self, smoke_run):
+        out, _ = smoke_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["plan_hash"] == plan_from_config(load_config(PLAN)).plan_hash
+
+    def test_matching_hash_resumes(self, smoke_run, tmp_path):
+        out, _ = smoke_run
+        dest = self.copy_run(out, tmp_path / "o")
+        rows = (out / "results.jsonl").read_text().splitlines()
+        (dest / "results.jsonl").write_text("\n".join(rows[:3]) + "\n")
+        code = main(["sweep", "--plan", str(PLAN), "--out", str(dest), "--resume"])
+        assert code == 0
+        resumed = (dest / "results.jsonl").read_text().splitlines()
+        assert resumed[:3] == rows[:3] and len(resumed) == len(rows)
+
+    def test_different_hash_refused(self, smoke_run, tmp_path, capsys):
+        out, _ = smoke_run
+        dest = self.copy_run(out, tmp_path / "o")
+        old_hash = json.loads((out / "manifest.json").read_text())["plan_hash"]
+        edited = tmp_path / "edited.txt"
+        edited.write_text(PLAN.read_text().replace("train.epochs = 15", "train.epochs = 16"))
+        before = (dest / "results.jsonl").read_bytes()
+        code = main(["sweep", "--plan", str(edited), "--out", str(dest), "--resume"])
+        assert code == 1
+        err = capsys.readouterr().err
+        new_hash = plan_from_config(load_config(edited)).plan_hash
+        assert new_hash != old_hash
+        assert err.startswith("error:") and old_hash in err and new_hash in err
+        assert (dest / "results.jsonl").read_bytes() == before
+        assert json.loads((dest / "manifest.json").read_text())["plan_hash"] == old_hash
+
+    @pytest.mark.parametrize("text", ["{", "[]"])
+    def test_unreadable_manifest_refused(self, smoke_run, tmp_path, capsys, text):
+        out, _ = smoke_run
+        dest = self.copy_run(out, tmp_path / "o", ("dataset.csv", "results.jsonl"))
+        (dest / "manifest.json").write_text(text)
+        before = (dest / "results.jsonl").read_bytes()
+        code = main(["sweep", "--plan", str(PLAN), "--out", str(dest), "--resume"])
+        assert code == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert (dest / "results.jsonl").read_bytes() == before
+
+    def test_missing_manifest_resumes_as_before(self, smoke_run, tmp_path):
+        out, _ = smoke_run
+        dest = self.copy_run(out, tmp_path / "o", ("dataset.csv", "results.jsonl"))
+        before = (dest / "results.jsonl").read_bytes()
+        code = main(["sweep", "--plan", str(PLAN), "--out", str(dest), "--resume"])
+        assert code == 0
+        assert (dest / "results.jsonl").read_bytes() == before
+        assert (dest / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
 
 
 class TestErrorPaths:

@@ -1,5 +1,9 @@
 import csv
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from polygrad.data import (
     PIMA_FEATURES,
     PIMA_ZERO_MISSING,
     Dataset,
+    _distinct,
+    _median,
     fit_preprocess,
     load_csv,
     make_blobs,
@@ -430,6 +436,61 @@ class TestSubsampleFraction:
             subsample_fraction(self.train, self.ds.labels, 1.5)
         with pytest.raises(ValueError, match="rounding"):
             subsample_fraction(self.train, self.ds.labels, 0.5, rounding="floor")
+
+
+class TestSortHelpers:
+    """The sort-based stand-ins equal numpy's np.unique and np.median bit for bit."""
+
+    def test_distinct_matches_np_unique(self):
+        rng = np.random.default_rng(11)
+        for trial in range(500):
+            labels = rng.integers(-3, 6, int(rng.integers(0, 50)))
+            expect = np.unique(labels)
+            got = _distinct(labels)
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_median_matches_np_median(self):
+        rng = np.random.default_rng(12)
+        specials = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+        for trial in range(3000):
+            n = int(rng.integers(1, 30))
+            kind = trial % 3
+            if kind == 0:
+                v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+            elif kind == 1:
+                v = rng.integers(-2, 3, n).astype(np.float64)  # many ties
+            else:
+                v = rng.choice(specials, n)
+            expect = np.float64(np.median(v))
+            assert np.float64(_median(v)).tobytes() == expect.tobytes(), v
+
+    def test_median_edge_cases(self):
+        assert np.isnan(_median(np.array([1.0, np.nan, 3.0])))
+        assert np.float64(_median(np.array([-0.0]))).tobytes() == np.float64(0.0).tobytes()
+        assert _median(np.array([3.0, 1.0])) == 2.0
+
+    def test_sweep_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique(x) and np.median import numpy.ma (about 12 ms) to test
+        # for masked input; a pima sweep runs the split, the subsample and
+        # the median imputation, then trains, scores and writes reports.
+        plan = tmp_path / "plan.txt"
+        plan.write_text(
+            "format_version = 1\ndata.source = pima_like\nplan.models = cr, vanilla\n"
+            "plan.fractions = 0.05, 1.0\nplan.seeds = 0, 1\ntrain.widths = 4\ntrain.epochs = 1\n"
+        )
+        code = (
+            "import sys\n"
+            "from polygrad.cli import main\n"
+            f"assert main(['sweep', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestBlobs:

@@ -231,6 +231,7 @@ class TestRunCell:
         row = run_cell(ds, plan, "cr", 0.05, 0)
         assert row["status"] == "failed"
         assert row["error"] == "NumericOverflowError: training diverged: non-finite training loss"
+        assert (row["epoch"], row["batch"]) == (2, 0)
         with pytest.raises(NumericOverflowError) as exc:
             train_cell(ds, plan, "cr", 0.05, 0, trajectory=False)
         assert (exc.value.epoch, exc.value.batch) == (2, 0)

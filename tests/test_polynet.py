@@ -319,7 +319,7 @@ class TestOneForwardPath:
         logits, preacts, S_nodes = record(net, x, masks)
         values, value_preacts = forward_values(net, x)
         dual_logits, dual_blocks = forward_dual(net, x)
-        blocks = jacobian_stream(net, value_preacts)
+        blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, value_preacts)])
         assert values.tobytes() == dual_logits.tobytes() == logits.tobytes()
         assert len(preacts) == len(S_nodes) == len(net.layers)
         for i in range(len(net.layers)):

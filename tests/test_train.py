@@ -152,6 +152,62 @@ class TestObjective:
                 loss_and_grads(net, x, y, TrainConfig())
 
 
+class TestLeanStep:
+    """What ``train`` reuses across steps changes no bit of a step."""
+
+    @pytest.mark.parametrize("activation, lam, rate, head", [
+        ("poly", 0.5, 0.0, False),
+        ("poly", 0.5, 0.0, True),
+        ("poly", 0.0, 0.0, False),
+        ("relu", 0.5, 0.0, False),
+        ("relu", 0.0, 0.3, False),
+        ("relu", 0.5, 0.3, True),
+    ])
+    def test_garbage_buffer_matches_fresh_over_steps(self, activation, lam, rate, head):
+        rng = Rng(derive_seed("lean", activation, lam, rate, head))
+        reused = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation,
+                           dropout_rate=rate, coeff_noise=0.05)
+        fresh = copy.deepcopy(reused)
+        cfg = TrainConfig(lambda_dreg=lam, include_head_in_penalty=head)
+        rng_a, rng_b = rng.spawn("drop"), rng.spawn("drop")
+        buf = np.empty(reused.arena.size)
+        out = buf, reused.arena.views(buf)
+        adam_a = AdamState.for_params(reused.arena.flat)
+        adam_b = AdamState.for_params(fresh.arena.flat)
+        for step in range(4):
+            x = rng.spawn("x", step).standard_normal(7, 4)
+            y = np.arange(7) % 3
+            buf[:] = np.nan if step % 2 else 1e300  # any slot left unwritten shows
+            a = loss_and_grads(reused, x, y, cfg, rng_a, out=out)
+            b = loss_and_grads(fresh, x, y, cfg, rng_b)
+            assert a.grad is buf
+            assert buf.tobytes() == b.grad.tobytes(), step
+            assert (a.loss, a.task_loss, a.penalty) == (b.loss, b.task_loss, b.penalty)
+            step_adam(reused.arena.flat, buf, adam_a, cfg, reused.arena.n_decayed)
+            step_adam(fresh.arena.flat, b.grad, adam_b, cfg, fresh.arena.n_decayed)
+        assert reused.arena.flat.tobytes() == fresh.arena.flat.tobytes()
+
+    @pytest.mark.parametrize("rate, widths", [(0.3, [6, 5]), (0.5, [4]), (0.2, [3, 7, 2])])
+    def test_dropout_masks_equal_per_layer_draws(self, rate, widths):
+        net = Net.build(Rng(0), 4, widths, 3, activation="relu", dropout_rate=rate)
+        ours, ref = Rng(derive_seed("masks", rate)), Rng(derive_seed("masks", rate))
+        for batch in (5, 1, 32):  # consecutive calls keep the stream aligned
+            masks = dropout_masks(net, batch, ours)
+            expect = [(ref.uniform(batch, w) >= rate).astype(np.float64) / (1.0 - rate) for w in widths]
+            assert [m.shape for m in masks] == [e.shape for e in expect]
+            for m, e in zip(masks, expect):
+                assert m.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    @pytest.mark.parametrize("head", [False, True])
+    def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation, head):
+        rng = Rng(derive_seed("lam0-log", activation, head))
+        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, coeff_noise=0.05)
+        x = rng.spawn("x").standard_normal(9, 4)
+        bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig(include_head_in_penalty=head))
+        assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x, head)).tobytes()
+
+
 class TestInferenceHelpers:
     def test_cross_entropy_matches_log_softmax(self):
         logits = Rng(3).standard_normal(5, 3)

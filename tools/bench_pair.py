@@ -3,10 +3,11 @@
 Usage, from anywhere:
 
     python3 tools/bench_pair.py --parent DIR --change DIR --workload sweep_small \
-        [--workload train_full ...] --seeds 0-9 --out BENCH_<n>.json
+        [--workload train_full:0-4 ...] --seeds 0-9 --out BENCH_<n>.json
 
 For each workload and seed, ``perfbench/run.py --workload W --seed S``
-runs once in each checkout (end-to-end mode), the two sides taking turns
+runs once in each checkout (end-to-end mode; ``--workload W:A-B`` gives
+W its own seeds instead of ``--seeds``), the two sides taking turns
 at going first, so a drift in the host's speed falls on both sides
 alike. Each run's last output line is its result. The output file holds
 every run, and per workload and end-to-end metric the per-side median
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--workload", action="append", required=True, help="W or W:A-B; repeat for several")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive (or one seed)")
     parser.add_argument("--seconds", type=int, default=None, help="passed to run.py; its default otherwise")
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -109,10 +110,13 @@ def main(argv=None) -> int:
         metrics = json.load(fh)["end_to_end"]
 
     record = {"seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workload:
-        pairs = run_pairs(dirs, workload, args.seeds, args.seconds, metrics)
+    for arg in args.workload:
+        workload, _, seed_text = arg.partition(":")
+        seeds = parse_seeds(seed_text) if seed_text else args.seeds
+        pairs = run_pairs(dirs, workload, seeds, args.seconds, metrics)
         summary = summarize(pairs, metrics)
         record["workloads"][workload] = {
+            "seeds": seeds,
             "all_correct": all(p[s]["correct"] and p[s]["failed"] == 0 for p in pairs for s in SIDES),
             "metrics": summary,
             "pairs": pairs,
