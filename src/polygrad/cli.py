@@ -19,24 +19,18 @@ from .harness import (
     default_comparisons,
     plan_from_config,
     read_results,
-    render_stats_text,
     resolve_dataset,
     sweep,
-    stats_report,
     train_cell,
     train_config_from_file,
+    write_json,
+    write_stats_report,
 )
 from .metrics import input_grad_norms, tail_ratio
 from .train import accuracy, cross_entropy, predict_logits
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test reads cli.evaluate_accuracy)
 
 log = logging.getLogger(__name__)
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def cmd_train(args) -> int:
@@ -67,7 +61,7 @@ def cmd_train(args) -> int:
         for e in out.log.epochs:
             fh.write(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n")
     summary = {"format_version": 1, "model_id": model_id, "fraction": fraction, "seed": seed, **out.metrics()}
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -137,7 +131,7 @@ def cmd_tailratio(args) -> int:
         "histogram": {"log_bin_edges": edges, "counts": counts},
     }
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "tailratio.json"), out)
+    write_json(os.path.join(args.out, "tailratio.json"), out)
     print(f"tau = {report.tau:.6f} (mean {report.mean:.6g}, p99 {report.p99:.6g}, n={report.n})")
     return 0
 
@@ -147,17 +141,11 @@ def cmd_stats(args) -> int:
     if not rows:
         raise ValueError(f"{args.results}: no result rows")
     if args.plan:
-        plan = plan_from_config(load_config(args.plan))
-        comparisons = plan.comparisons
+        comparisons = plan_from_config(load_config(args.plan)).comparisons
     else:
-        models = sorted({r["model_id"] for r in rows if r.get("status") == "ok"})
-        comparisons = default_comparisons(models)
-    report = stats_report(rows, comparisons)
+        comparisons = default_comparisons(sorted({r["model_id"] for r in rows if r.get("status") == "ok"}))
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "stats_report.json"), report)
-    text = render_stats_text(report)
-    with open(os.path.join(args.out, "stats_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    report, text = write_stats_report(args.out, rows, comparisons)
     print(text, end="")
     for entry in report["comparisons"]:
         if "error" in entry:

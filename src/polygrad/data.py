@@ -222,7 +222,6 @@ def fit_preprocess(
     feature_names: list[str],
     fit_idx: np.ndarray | None = None,
     impute: bool = True,
-    zero_missing=PIMA_ZERO_MISSING,
 ) -> PreprocessStats:
     """Fit imputation medians and standardization moments on fit_idx rows.
 
@@ -235,7 +234,7 @@ def fit_preprocess(
     sub = X if fit_idx is None else X[np.asarray(fit_idx)]
     stats = PreprocessStats(feature_names=list(feature_names))
     if impute:
-        for name in zero_missing:
+        for name in PIMA_ZERO_MISSING:
             if name not in feature_names:
                 continue
             col = sub[:, feature_names.index(name)]

@@ -1,15 +1,15 @@
 """Experiment harness: plans, single cells, resumable sweeps, reports.
 
 A sweep runs one cell per (model, fraction, seed) in a fixed canonical
-order (declared models x ascending fractions x declared seeds) and
-writes one JSON line per cell to results.jsonl, in canonical order,
-once every pending cell has finished. Workers may compute cells
-concurrently and the file for a given plan is still deterministic, but
-a crash mid-sweep loses every cell of that run. Resume reuses the stored
-lines of completed (status ok) cells verbatim and recomputes the rest;
-only wall_time_seconds can differ between a straight and a resumed run.
-manifest.json records the plan's hash, and resume refuses results that
-a different plan wrote.
+order (declared models x ascending fractions x declared seeds). Workers
+may compute cells concurrently, but each row is appended and flushed to
+results.jsonl.partial, in canonical order, as soon as it and every cell
+before it are done; the finished file is renamed onto results.jsonl. So
+the file is deterministic, and a crash loses only unfinished cells.
+Resume reuses the stored ok lines verbatim, from results.jsonl and then
+the .partial file, and recomputes the rest; only wall_time_seconds can
+differ between a straight and a resumed run. manifest.json records the
+plan's hash, and resume refuses results that a different plan wrote.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import starmap
 
 import numpy as np
 
@@ -63,9 +65,11 @@ __all__ = [
     "run_cell",
     "sweep",
     "read_results",
+    "write_json",
     "write_results_csv",
     "stats_report",
     "render_stats_text",
+    "write_stats_report",
 ]
 
 log = logging.getLogger(__name__)
@@ -116,16 +120,16 @@ class SweepPlan:
     seeds: list[int]
     comparisons: list[tuple[str, str, str]]  # (model_a, model_b, metric)
     specs: dict[str, ModelSpec]
-    data_source: str = "pima_like"  # pima_like | blobs | csv
-    data_path: str | None = None
-    label_column: str = "outcome"
-    data_seed: int = 7
-    blob_samples: int = 200
-    blob_classes: int = 3
-    blob_dim: int = 2
-    impute: bool = True
-    eval_fraction: float = 0.2
-    plan_hash: str = ""
+    data_source: str  # pima_like | blobs | csv
+    data_path: str | None
+    label_column: str
+    data_seed: int
+    blob_samples: int
+    blob_classes: int
+    blob_dim: int
+    impute: bool
+    eval_fraction: float
+    plan_hash: str
 
     @property
     def cells(self) -> list[tuple[str, float, int]]:
@@ -317,7 +321,9 @@ def resolve_dataset(plan: SweepPlan, out_dir: str | None = None) -> Dataset:
 
     Synthetic sources are written to <out_dir>/dataset.csv once and
     loaded back, so every run exercises the same ingestion path as a
-    user-supplied file.
+    user-supplied file. A dataset.csv already there must hold exactly the
+    data the plan generates; any other is a ConfigError naming the file,
+    and nothing is written.
     """
     if plan.data_source == "csv":
         return load_csv(plan.data_path, plan.label_column)
@@ -335,7 +341,11 @@ def resolve_dataset(plan: SweepPlan, out_dir: str | None = None) -> Dataset:
     path = os.path.join(out_dir, "dataset.csv")
     if not os.path.exists(path):
         save_csv(path, ds, label_column=plan.label_column)
-    return load_csv(path, plan.label_column)
+    stored = load_csv(path, plan.label_column)
+    same = stored.feature_names == ds.feature_names and np.array_equal(stored.labels, ds.labels)
+    if not (same and np.array_equal(stored.features, ds.features)):
+        raise ConfigError(f"{path} holds other data than this plan generates; remove it or use another --out")
+    return stored
 
 
 @dataclass
@@ -503,6 +513,12 @@ def read_results(path) -> list[dict]:
     return rows
 
 
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _read_plan_hash(path) -> str | None:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -522,14 +538,18 @@ def sweep(
     """Run all plan cells, emitting results.jsonl, results.csv, stats report.
 
     The pool has ``min(workers, pending cells, CPUs)`` processes; with one,
-    cells run in this process. ``manifest.json`` pins the plan's hash
-    before any cell runs; a resume against a different plan's manifest
-    is a ConfigError, and a directory without one resumes unchecked.
+    cells run in this process. Rows land in canonical order either way,
+    each flushed to ``results.jsonl.partial`` as the module docstring says.
+    ``manifest.json`` pins the plan's hash before any cell runs; a resume
+    against a different plan's manifest is a ConfigError, and a directory
+    without one resumes unchecked. Without ``resume``, an earlier
+    ``results.jsonl`` is removed first.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.jsonl")
+    partial_path = results_path + ".partial"
     manifest_path = os.path.join(out_dir, "manifest.json")
     if resume and os.path.exists(manifest_path):
         found = _read_plan_hash(manifest_path)
@@ -538,47 +558,34 @@ def sweep(
                 f"{manifest_path}: results were written by plan {found}, "
                 f"not by this plan {plan.plan_hash}; refusing to resume"
             )
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"format_version": FORMAT_VERSION, "plan_hash": plan.plan_hash}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest_path, {"format_version": FORMAT_VERSION, "plan_hash": plan.plan_hash})
 
-    done: dict[tuple, str] = {}
+    done = {}
     if resume:
-        for row in read_results(results_path):
-            if row.get("status") == "ok":
-                key = (row["model_id"], row["fraction"], row["seed"])
-                done[key] = json.dumps(row, sort_keys=True)
-        if done:
-            log.info("resume: reusing %d completed cells", len(done))
+        stored = read_results(results_path) + read_results(partial_path)
+        ok = [r for r in stored if r.get("status") == "ok"]
+        done = {(r["model_id"], r["fraction"], r["seed"]): json.dumps(r, sort_keys=True) for r in ok}
+        log.info("resume: reusing %d completed cells", len(done))
+    elif os.path.exists(results_path):  # rows of whatever plan the manifest named before
+        os.remove(results_path)
 
-    cells = plan.cells
-    pending = [c for c in cells if c not in done]
-    computed: dict[tuple, dict] = {}
-    pool_size = min(workers, len(pending), os.cpu_count() or 1)
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {c: pool.submit(run_cell, ds, plan, *c) for c in pending}
-            for c in pending:
-                computed[c] = futures[c].result()
-    else:
-        for c in pending:
-            computed[c] = run_cell(ds, plan, *c)
-
+    args = [(ds, plan, *c) for c in plan.cells if c not in done]
+    pool_size = min(workers, len(args), os.cpu_count() or 1)
     rows = []
-    with open(results_path, "w", encoding="utf-8") as fh:
-        for c in cells:
-            line = done.get(c) or json.dumps(computed[c], sort_keys=True)
+    with (
+        open(partial_path, "w", encoding="utf-8") as fh,
+        ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool,
+    ):
+        fresh = pool.map(run_cell, *zip(*args)) if pool else starmap(run_cell, args)
+        for c in plan.cells:
+            line = done.get(c) or json.dumps(next(fresh), sort_keys=True)
             fh.write(line + "\n")
             fh.flush()
             rows.append(json.loads(line))
+    os.replace(partial_path, results_path)
 
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
-    report = stats_report(rows, plan.comparisons)
-    with open(os.path.join(out_dir, "stats_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "stats_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render_stats_text(report))
+    write_stats_report(out_dir, rows, plan.comparisons)
     return rows
 
 
@@ -739,3 +746,13 @@ def render_stats_text(report: dict) -> str:
         p_txt = f" t p={t['p_value']:.4g}" if "p_value" in t else ""
         lines.append(f"{head}: gap {e['mean_gap']:+.4f} over {e['n_pairs']} pairs{p_txt}")
     return "\n".join(lines) + "\n"
+
+
+def write_stats_report(out_dir: str, rows: list[dict], comparisons: list[tuple[str, str, str]]) -> tuple[dict, str]:
+    """``stats_report`` over ``rows`` and its text, written to <out_dir>/stats_report.json and .txt."""
+    report = stats_report(rows, comparisons)
+    text = render_stats_text(report)
+    write_json(os.path.join(out_dir, "stats_report.json"), report)
+    with open(os.path.join(out_dir, "stats_report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return report, text

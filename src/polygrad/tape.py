@@ -89,11 +89,6 @@ class Tape:
             frobs = [np.float64(np.sum(B * B) / batch) for B in self.blocks]
             self.penalty = np.float64(sum(frobs) / len(frobs))
 
-    @property
-    def preacts(self) -> list[np.ndarray]:
-        """Each layer's pre-activation z, (batch, width)."""
-        return [node[1] for node in self.nodes]
-
     def loss(self, lam: float = 0.0) -> np.float64:
         """Task loss plus ``lam`` times the penalty (recorded with ``need_dual``)."""
         if self.penalty is None:

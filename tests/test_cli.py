@@ -1,6 +1,9 @@
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ from polygrad.harness import plan_from_config, read_results
 from polygrad.linalg import Rng
 from polygrad.polynet import Net
 
-PLAN = Path(__file__).resolve().parent.parent / "plans" / "blobs_smoke.txt"
+ROOT = Path(__file__).resolve().parent.parent
+PLAN = ROOT / "plans" / "blobs_smoke.txt"
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +273,52 @@ class TestResumeManifest:
         assert code == 0
         assert (dest / "results.jsonl").read_bytes() == before
         assert (dest / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+
+
+class TestStaleData:
+    @pytest.mark.parametrize("flags", [[], ["--resume"]])
+    def test_dataset_of_another_data_seed_refused(self, smoke_run, tmp_path, capsys, flags):
+        out, _ = smoke_run
+        dest = TestResumeManifest.copy_run(out, tmp_path / "o")
+        before = {p.name: p.read_bytes() for p in dest.iterdir()}
+        plan = tmp_path / "seed5.txt"
+        plan.write_text(PLAN.read_text().replace("data.seed = 0", "data.seed = 5"))
+        code = main(["sweep", "--plan", str(plan), "--out", str(dest)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(dest / "dataset.csv") in err
+        assert {p.name: p.read_bytes() for p in dest.iterdir()} == before
+
+
+class TestInterruptedSweep:
+    def test_sigkill_then_resume_matches_straight_run(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN.read_text().replace("train.epochs = 15", "train.epochs = 600"))
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        assert main(["sweep", "--plan", str(plan), "--out", str(straight)]) == 0
+        full = (straight / "results.jsonl").read_text().splitlines(keepends=True)
+
+        partial = killed / "results.jsonl.partial"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "polygrad.cli", "sweep", "--plan", str(plan), "--out", str(killed)]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and proc.poll() is None and len(read_results(partial)) < 3:
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL, "the sweep ended before it was killed"
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        kept = [line for line in partial.read_text().splitlines(keepends=True) if line.endswith("\n")]
+        assert 3 <= len(kept) < len(full)
+        assert not (killed / "results.jsonl").exists()
+
+        assert main(["sweep", "--plan", str(plan), "--out", str(killed), "--resume"]) == 0
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time_seconds"} for r in rows]
+        assert strip(read_results(killed / "results.jsonl")) == strip(read_results(straight / "results.jsonl"))
+        assert (killed / "results.jsonl").read_text().splitlines(keepends=True)[: len(kept)] == kept
 
 
 class TestErrorPaths:

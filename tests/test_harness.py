@@ -2,7 +2,8 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import Future
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,19 @@ class TestRunCell:
         assert (exc.value.epoch, exc.value.batch) == (1, None)
 
 
+def exit_at_third_cell(ds, plan, model_id, fraction, seed):
+    """A ``run_cell`` whose worker process dies at the third cell, once
+    the two rows before it are in $PARTIAL_UNDER_TEST (30 s at most)."""
+    index = plan.cells.index((model_id, fraction, seed))
+    if index == 2:
+        partial = Path(os.environ["PARTIAL_UNDER_TEST"])
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and len(read_results(partial)) < 2:
+            time.sleep(0.01)
+        os._exit(1)
+    return {"status": "ok", "model_id": model_id, "fraction": fraction, "seed": seed, "index": index}
+
+
 class TestSweep:
     def test_smoke_sweep_outputs(self, tmp_path):
         plan = smoke_plan()
@@ -281,6 +295,59 @@ class TestSweep:
         resumed_lines = (b_dir / "results.jsonl").read_text().splitlines(keepends=True)
         assert resumed_lines[:3] == full_lines[:3]  # reused verbatim
 
+    def test_leftover_partial_and_older_results_resume_to_straight_run(self, tmp_path):
+        plan = smoke_plan()
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        a_dir.mkdir()
+        b_dir.mkdir()
+        ds = resolve_dataset(plan, str(a_dir))
+        straight = sweep(plan, ds, str(a_dir))
+        full_lines = (a_dir / "results.jsonl").read_text().splitlines(keepends=True)
+        # an older finished file holding cells 0 and 6, and a run that died after cell 3
+        (b_dir / "results.jsonl").write_text(full_lines[0] + full_lines[6])
+        (b_dir / "results.jsonl.partial").write_text("".join(full_lines[:4]) + '{"model_id": "va')
+        resumed = sweep(plan, ds, str(b_dir), resume=True)
+        assert rows_without_walltime(resumed) == rows_without_walltime(straight)
+        resumed_lines = (b_dir / "results.jsonl").read_text().splitlines(keepends=True)
+        assert [resumed_lines[i] for i in (0, 1, 2, 3, 6)] == [full_lines[i] for i in (0, 1, 2, 3, 6)]
+        assert not (b_dir / "results.jsonl.partial").exists()
+
+    def test_without_resume_leaves_no_earlier_rows(self, tmp_path, monkeypatch):
+        old_plan = smoke_plan()
+        ds = resolve_dataset(old_plan, str(tmp_path))
+        sweep(old_plan, ds, str(tmp_path))
+        new_plan = plan_from_config(parse_config(
+            (PLANS / "blobs_smoke.txt").read_text().replace("train.epochs = 15", "train.epochs = 16")))
+        real_run_cell = harness.run_cell
+
+        def crash_at_third_cell(ds, plan, *cell):
+            if plan.cells.index(cell) == 2:
+                raise KeyboardInterrupt
+            return real_run_cell(ds, plan, *cell)
+
+        monkeypatch.setattr(harness, "run_cell", crash_at_third_cell)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(new_plan, ds, str(tmp_path))
+        assert not (tmp_path / "results.jsonl").exists()
+        monkeypatch.undo()
+        straight = sweep(new_plan, ds, str(tmp_path / "straight"))
+        kept = read_results(tmp_path / "results.jsonl.partial")
+        assert rows_without_walltime(kept) == rows_without_walltime(straight[:2])
+        resumed = sweep(new_plan, ds, str(tmp_path), resume=True)
+        assert rows_without_walltime(resumed) == rows_without_walltime(straight)
+
+    def test_dead_worker_keeps_every_earlier_row(self, tmp_path, monkeypatch):
+        plan = smoke_plan()
+        ds = resolve_dataset(plan, str(tmp_path))
+        partial = tmp_path / "results.jsonl.partial"
+        monkeypatch.setenv("PARTIAL_UNDER_TEST", str(partial))
+        monkeypatch.setattr(harness, "run_cell", exit_at_third_cell)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool, so the exit ends a worker and not this process
+        with pytest.raises(BrokenProcessPool):
+            sweep(plan, ds, str(tmp_path), workers=2)
+        assert [r["index"] for r in read_results(partial)] == [0, 1]
+        assert not (tmp_path / "results.jsonl").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         plan = smoke_plan()
         s_dir, p_dir = tmp_path / "s", tmp_path / "p"
@@ -302,7 +369,7 @@ class TestSweep:
         sizes = []
 
         class RecordingPool:
-            """Runs each submitted cell at once, in this process."""
+            """Maps the cells in this process, in order."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -313,10 +380,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

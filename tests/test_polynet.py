@@ -299,7 +299,7 @@ class TestDregPenalty:
 
 def record(net, x, masks=None):
     tape = Tape(net, x, np.zeros(x.shape[0], int), masks, need_dual=True)
-    return tape.logits, tape.preacts, tape.blocks
+    return tape.logits, [node[1] for node in tape.nodes], tape.blocks
 
 
 class TestOneForwardPath:
