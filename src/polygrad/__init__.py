@@ -37,7 +37,6 @@ from .metrics import (
     wilcoxon_signed_rank,
 )
 from .polynet import (
-    ActivationCoeffs,
     Layer,
     Net,
     PolyNetwork,
@@ -52,7 +51,6 @@ from .train import TrainConfig, loss_and_grads
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationCoeffs",
     "ConfigError",
     "CsvParseError",
     "Dataset",

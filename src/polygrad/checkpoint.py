@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import PreprocessStats
 from .errors import ConfigError, ShapeError
-from .polynet import ActivationCoeffs, Layer, Net
+from .polynet import Net, param_shapes
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes", "CheckpointBundle"]
 
@@ -118,6 +118,13 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise ConfigError(f"{path}: checkpoint has no field {key!r}", key=key) from None
 
 
+def _dim(value, key: str, path) -> int:
+    """``value`` if it is a positive integer, else a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{path}: checkpoint field {key!r} must hold positive integers, got {value!r}", key=key)
+    return value
+
+
 def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
@@ -126,23 +133,34 @@ def _bundle_from_dict(obj: dict, path) -> CheckpointBundle:
     if kind not in ("poly", "relu"):
         raise ConfigError(f"{path}: unknown model kind {kind!r}")
     stored = _typed(obj, "params", dict, path)
-    params = {name: _decode_array(stored, name, path) for name in stored}
-    widths = _typed(obj, "widths", list, path)
-
-    def coeffs(i: int) -> ActivationCoeffs | None:
-        if f"layer{i}.c0" not in params:
-            return None
-        return ActivationCoeffs(*(params[f"layer{i}.c{k}"] for k in range(4)))
-
-    layers = [
-        Layer(params[f"layer{i}.W"], params[f"layer{i}.b"], coeffs(i)) for i in range(len(widths))
-    ]
+    widths = [_dim(w, "widths", path) for w in _typed(obj, "widths", list, path)]
+    if not widths:
+        raise ConfigError(f"{path}: checkpoint field 'widths' is empty", key="widths")
+    input_dim = _dim(obj["input_dim"], "input_dim", path)
+    num_classes = _dim(obj["num_classes"], "num_classes", path)
     dropout_rate = _float(obj.get("dropout_rate", 0.0), "dropout_rate", path)
-    net = Net(layers, params["head.W"], params["head.b"], dropout_rate)
-    if net.activation_kind != kind:
-        raise ShapeError(f"{path}: parameters describe a {net.activation_kind} net, kind is {kind!r}")
-    if net.input_dim != obj["input_dim"] or net.widths != widths:
-        raise ShapeError(f"{path}: stored shapes disagree with parameter arrays")
+    other = "relu" if kind == "poly" else "poly"
+    if stored.keys() == param_shapes(other, input_dim, widths, num_classes).keys():
+        raise ShapeError(f"{path}: parameters describe a {other} net, kind is {kind!r}")
+
+    # The net the shape fields describe; every stored array must fill one of its views.
+    net = Net(kind, input_dim, widths, num_classes, dropout_rate)
+    params = net.parameters()
+    unknown = sorted(stored.keys() - params.keys())
+    if unknown:
+        raise ConfigError(
+            f"{path}: checkpoint field 'params' holds {unknown[0]!r}, which a {kind} net "
+            f"of widths {widths} does not have",
+            key=unknown[0],
+        )
+    for name, view in params.items():
+        arr = _decode_array(stored, name, path)  # a missing name is a KeyError
+        if arr.shape != view.shape:
+            raise ShapeError(
+                f"{path}: parameter {name!r} of shape {arr.shape} disagrees with the shape "
+                f"{view.shape} that input_dim, widths and num_classes give"
+            )
+        view[...] = arr
 
     preprocess = None
     if "preprocess" in obj:

@@ -6,14 +6,19 @@ may compute cells concurrently, but each row is appended and flushed to
 results.jsonl.partial, in canonical order, as soon as it and every cell
 before it are done; the finished file is renamed onto results.jsonl. So
 the file is deterministic, and a crash loses only unfinished cells.
-Resume reuses the stored ok lines verbatim, from results.jsonl and then
-the .partial file, and recomputes the rest; only wall_time_seconds can
-differ between a straight and a resumed run. manifest.json records the
-plan's hash, and resume refuses results that a different plan wrote.
+Resume reuses the stored ok lines verbatim, from results.jsonl and the
+.partial files, and recomputes the rest; only wall_time_seconds can
+differ between a straight and a resumed run. It first moves an earlier
+.partial aside as results.jsonl.partial.<n>, which later resumes read
+too, and deletes the moved files only once results.jsonl is in place, so
+a crash during a resume loses no stored row. manifest.json records the
+plan's hash, and resume refuses results that a different plan wrote. A
+sweep without resume first removes every output an earlier run left.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import os
@@ -416,8 +421,6 @@ class CellOutput:
     log: object
     tail: object
     eval_accuracy: float
-    active_idx: np.ndarray
-    eval_idx: np.ndarray
 
     def metrics(self) -> dict:
         """The six metrics a cell reports, as results rows and ``polygrad train``'s summary hold them."""
@@ -459,7 +462,7 @@ def train_cell(
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
     report = tail_ratio(norms)
     acc = train_log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
-    return CellOutput(net, stats, train_log, report, acc, active, eval_idx)
+    return CellOutput(net, stats, train_log, report, acc)
 
 
 def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> dict:
@@ -542,8 +545,9 @@ def sweep(
     each flushed to ``results.jsonl.partial`` as the module docstring says.
     ``manifest.json`` pins the plan's hash before any cell runs; a resume
     against a different plan's manifest is a ConfigError, and a directory
-    without one resumes unchecked. Without ``resume``, an earlier
-    ``results.jsonl`` is removed first.
+    without one resumes unchecked. Without ``resume``, the results, the
+    moved-aside partials and the derived files of an earlier run are
+    removed first.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -560,14 +564,26 @@ def sweep(
             )
     write_json(manifest_path, {"format_version": FORMAT_VERSION, "plan_hash": plan.plan_hash})
 
+    # Earlier partials, moved aside by resumes that have not finished yet.
+    aside = glob.glob(glob.escape(partial_path) + ".[0-9]*")
     done = {}
     if resume:
-        stored = read_results(results_path) + read_results(partial_path)
+        stored = [row for path in [results_path, partial_path, *aside] for row in read_results(path)]
         ok = [r for r in stored if r.get("status") == "ok"]
         done = {(r["model_id"], r["fraction"], r["seed"]): json.dumps(r, sort_keys=True) for r in ok}
         log.info("resume: reusing %d completed cells", len(done))
-    elif os.path.exists(results_path):  # rows of whatever plan the manifest named before
-        os.remove(results_path)
+        if os.path.exists(partial_path):  # kept until results.jsonl lands
+            n = len(aside) + 1
+            while os.path.exists(f"{partial_path}.{n}"):
+                n += 1
+            aside.append(f"{partial_path}.{n}")
+            os.replace(partial_path, aside[-1])
+    else:  # outputs of whatever plan the manifest named before, rows and derived files
+        derived = [os.path.join(out_dir, name) for name in ("results.csv", "stats_report.json", "stats_report.txt")]
+        for path in [results_path, *aside, *derived]:
+            if os.path.exists(path):
+                os.remove(path)
+        aside = []
 
     args = [(ds, plan, *c) for c in plan.cells if c not in done]
     pool_size = min(workers, len(args), os.cpu_count() or 1)
@@ -583,6 +599,8 @@ def sweep(
             fh.flush()
             rows.append(json.loads(line))
     os.replace(partial_path, results_path)
+    for path in aside:
+        os.remove(path)
 
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
     write_stats_report(out_dir, rows, plan.comparisons)

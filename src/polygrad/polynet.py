@@ -1,9 +1,11 @@
-"""Cubic-activation and ReLU networks and the dual-stream forward pass.
+"""One network type, cubic or ReLU, and its tape-free forward passes.
 
 A network is a stack of fully connected layers followed by a linear
 head. Every layer's per-neuron activation is either a learnable cubic
 phi(z) = c0 + c1 z + c2 z^2 + c3 z^3 or the fixed ReLU max(0, z), whose
-slope phi' is the subgradient 1[z > 0]. ``forward_values`` runs the
+slope phi' is the subgradient 1[z > 0]. A ``Net`` is built from its
+shapes: ``param_shapes`` names every trainable array once, and each is a
+view into one flat vector (``Net.arena``). ``forward_values`` runs the
 ordinary value stream; ``forward_dual`` additionally propagates, per
 sample, the cumulative Jacobian of each layer's output with respect to
 the network input, updated analytically layer by layer:
@@ -18,7 +20,8 @@ is one (width x width) @ (width x d) product per layer per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +30,10 @@ from .errors import MemoryBudgetError, NumericOverflowError, ShapeError
 from .linalg import Rng, gauss_init
 
 __all__ = [
-    "ActivationCoeffs",
     "Layer",
     "Net",
     "PolyNetwork",
+    "param_shapes",
     "param_count",
     "poly_eval",
     "poly_deriv",
@@ -45,102 +48,40 @@ __all__ = [
 MAX_DUAL_BYTES = 1 << 29  # 512 MiB
 
 
-@dataclass
-class ActivationCoeffs:
-    """Per-neuron cubic coefficients; each vector has length = layer width."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-
-    def __post_init__(self):
-        self.c0 = np.asarray(self.c0, dtype=np.float64)
-        self.c1 = np.asarray(self.c1, dtype=np.float64)
-        self.c2 = np.asarray(self.c2, dtype=np.float64)
-        self.c3 = np.asarray(self.c3, dtype=np.float64)
-        widths = {v.shape for v in (self.c0, self.c1, self.c2, self.c3)}
-        if len(widths) != 1 or self.c0.ndim != 1:
-            raise ShapeError(f"coefficient vectors must share one 1-D shape, got {widths}")
-
-    @property
-    def width(self) -> int:
-        return self.c0.size
-
-    @classmethod
-    def identity(cls, width: int) -> "ActivationCoeffs":
-        """phi(z) = z exactly. Kept for the acceptance and unit-test fixtures."""
-        z = np.zeros(width)
-        return cls(z.copy(), np.ones(width), z.copy(), z.copy())
-
-    @classmethod
-    def near_identity(cls, rng: Rng, width: int, noise_std: float = 0.01) -> "ActivationCoeffs":
-        """Identity start plus small noise on the curvature terms.
-
-        A cubic explodes quickly for |z| > 1, so training starts from
-        phi ~= z and lets the optimizer grow the higher-order terms.
-        """
-        return cls(
-            np.zeros(width),
-            np.ones(width),
-            noise_std * rng.standard_normal(width),
-            noise_std * rng.standard_normal(width),
-        )
-
-
-def _check_width(coeffs: ActivationCoeffs, z: np.ndarray) -> np.ndarray:
+def _check_width(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != coeffs.width:
+    if z.ndim != 2 or z.shape[1] != coeffs.shape[1]:
         raise ShapeError(
-            f"pre-activation shape {z.shape} does not match coefficient width {coeffs.width}"
+            f"pre-activation shape {z.shape} does not match coefficient width {coeffs.shape[1]}"
         )
     return z
 
 
-def poly_eval(coeffs: ActivationCoeffs, z: np.ndarray) -> np.ndarray:
-    """Elementwise phi(z), coefficients broadcast per column."""
+def poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Elementwise phi(z); ``coeffs`` is a (4, width) block, rows c0..c3 broadcast per column."""
     z = _check_width(coeffs, z)
-    return coeffs.c0 + z * (coeffs.c1 + z * (coeffs.c2 + z * coeffs.c3))
+    c0, c1, c2, c3 = coeffs
+    return c0 + z * (c1 + z * (c2 + z * c3))
 
 
-def poly_deriv(coeffs: ActivationCoeffs, z: np.ndarray) -> np.ndarray:
-    """Elementwise analytic phi'(z), coefficients broadcast per column."""
+def poly_deriv(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Elementwise analytic phi'(z); ``coeffs`` as in ``poly_eval``."""
     z = _check_width(coeffs, z)
-    return coeffs.c1 + z * (2.0 * coeffs.c2 + 3.0 * coeffs.c3 * z)
+    _, c1, c2, c3 = coeffs
+    return c1 + z * (2.0 * c2 + 3.0 * c3 * z)
 
 
-@dataclass
-class Layer:
-    """Fully connected layer: cubic activation with ``coeffs``, ReLU without.
+class Layer(NamedTuple):
+    """One fully connected layer's parameters: views into its net's vector.
 
-    The ReLU slope is the subgradient 1[z > 0], taken as exactly 0 at
-    the kink.
+    ``coeffs`` is the (4, width) block of cubic coefficients, rows c0..c3;
+    a ReLU layer has none. The ReLU slope is the subgradient 1[z > 0],
+    taken as exactly 0 at the kink.
     """
 
     weights: np.ndarray  # (out_width, in_width)
     bias: np.ndarray  # (out_width,)
-    coeffs: ActivationCoeffs | None = None  # width out_width
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeError("layer weights must be 2-D")
-        out_w = self.weights.shape[0]
-        coeff_width = out_w if self.coeffs is None else self.coeffs.width
-        if self.bias.shape != (out_w,) or coeff_width != out_w:
-            raise ShapeError(
-                f"layer fields disagree on width: weights {self.weights.shape}, "
-                f"bias {self.bias.shape}, coeffs {coeff_width}"
-            )
-
-    @property
-    def out_width(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_width(self) -> int:
-        return self.weights.shape[1]
+    coeffs: np.ndarray | None  # (4, out_width), or None for ReLU
 
     def activate(self, z: np.ndarray) -> np.ndarray:
         """phi(z) for a cubic layer, max(0, z) for a ReLU layer."""
@@ -155,57 +96,78 @@ class Layer:
         return poly_deriv(self.coeffs, z)
 
 
-@dataclass
-class Net:
-    """Stack of Layers plus a linear classification head.
+def param_shapes(
+    activation: str, input_dim: int, widths: list[int], num_classes: int
+) -> dict[str, tuple[tuple[int, ...], bool]]:
+    """Every trainable array of a net as ``name -> (shape, decayed)``, in
+    ``parameters()`` order: each layer's W, b and, when cubic, c0..c3, then
+    the head's W and b.
 
-    Every layer is cubic or every layer is ReLU; ``activation_kind``
-    says which. ``dropout_rate`` applies to the training objective only.
-    Every trainable array is a view into ``self.arena.flat``.
+    Decoupled weight decay shrinks the affine parameters only; pulling the
+    activation coefficients toward zero would fight the near-identity start.
+    """
+    shapes = {}
+    fan_in = input_dim
+    for i, w in enumerate(widths):
+        shapes[f"layer{i}.W"] = ((w, fan_in), True)
+        shapes[f"layer{i}.b"] = ((w,), True)
+        if activation == "poly":
+            shapes.update({f"layer{i}.c{k}": ((w,), False) for k in range(4)})
+        fan_in = w
+    shapes["head.W"] = ((num_classes, fan_in), True)
+    shapes["head.b"] = ((num_classes,), True)
+    return shapes
+
+
+class Net:
+    """Stack of layers plus a linear classification head, built from its shapes.
+
+    Every layer is cubic (``activation="poly"``) or every layer is ReLU
+    (``"relu"``). The parameters start at zero; ``build`` draws a fresh
+    initialization and ``checkpoint.load_checkpoint`` copies stored arrays
+    into them. ``dropout_rate`` applies to the training objective only.
+    Every trainable array is a view into ``self.arena.flat``: mutate it in
+    place, never rebind it.
     """
 
-    layers: list[Layer]
-    head_weights: np.ndarray  # (num_classes, last_width)
-    head_bias: np.ndarray  # (num_classes,)
-    dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(
+        self,
+        activation: str,
+        input_dim: int,
+        widths: list[int],
+        num_classes: int,
+        dropout_rate: float = 0.0,
+    ):
+        if activation not in ("poly", "relu"):
+            raise ValueError(f"activation must be 'poly' or 'relu', got {activation!r}")
+        if not widths:
             raise ShapeError("network needs at least one layer")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if len({layer.coeffs is None for layer in self.layers}) != 1:
-            raise ShapeError("layers mix cubic and ReLU activations")
-        self.head_weights = np.asarray(self.head_weights, dtype=np.float64)
-        self.head_bias = np.asarray(self.head_bias, dtype=np.float64)
-        prev = self.layers[0].in_width
-        for i, layer in enumerate(self.layers):
-            if layer.in_width != prev:
-                raise ShapeError(f"layer {i} expects input width {layer.in_width}, got {prev}")
-            prev = layer.out_width
-        if self.head_weights.ndim != 2 or self.head_weights.shape[1] != prev:
-            raise ShapeError(
-                f"head weights {self.head_weights.shape} do not conform to last width {prev}"
-            )
-        if self.head_bias.shape != (self.head_weights.shape[0],):
-            raise ShapeError("head bias does not conform to head weights")
-        self._bind_arena()
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+        self.activation_kind = activation
+        self.input_dim = int(input_dim)
+        self.widths = [int(w) for w in widths]
+        self.num_classes = int(num_classes)
+        self.dropout_rate = dropout_rate
+        self.arena = ParamArena(param_shapes(activation, self.input_dim, self.widths, self.num_classes))
+        self._bind()
 
-    @property
-    def activation_kind(self) -> str:
-        return "relu" if self.layers[0].coeffs is None else "poly"
+    def _bind(self) -> None:
+        self.layers, self.head_weights, self.head_bias = self.layer_views(self.arena.flat)
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_width
-
-    @property
-    def num_classes(self) -> int:
-        return self.head_weights.shape[0]
-
-    @property
-    def widths(self) -> list[int]:
-        return [layer.out_width for layer in self.layers]
+    def layer_views(self, vec: np.ndarray) -> tuple[list[Layer], np.ndarray, np.ndarray]:
+        """The layers and the head's weights and bias as views into ``vec``,
+        a vector laid out like ``arena.flat`` (the parameters, or a gradient)."""
+        named = self.arena.views(vec)
+        layers = []
+        for i, w in enumerate(self.widths):
+            coeffs = None
+            if self.activation_kind == "poly":
+                # c0..c3 are stored back to back: one (4, width) block.
+                start = self.arena.starts[f"layer{i}.c0"]
+                coeffs = vec[start : start + 4 * w].reshape(4, w)
+            layers.append(Layer(named[f"layer{i}.W"], named[f"layer{i}.b"], coeffs))
+        return layers, named["head.W"], named["head.b"]
 
     @classmethod
     def build(
@@ -220,51 +182,45 @@ class Net:
     ) -> "Net":
         """Fresh network: W ~ N(0, 1/fan_in), zero bias, and near-identity
         cubics (``activation="poly"``) or ReLU (``activation="relu"``).
-        ``coeff_noise`` stays for the finite-difference gates, which raise it
-        to 0.05 so the curvature terms are exercised."""
-        if activation not in ("poly", "relu"):
-            raise ValueError(f"activation must be 'poly' or 'relu', got {activation!r}")
-        layers = []
-        fan_in = input_dim
-        for i, w in enumerate(widths):
-            coeffs = None
-            if activation == "poly":
-                coeffs = ActivationCoeffs.near_identity(rng.spawn("coeffs", i), w, coeff_noise)
-            W = gauss_init(rng.spawn("W", i), w, fan_in, 1.0 / np.sqrt(fan_in))
-            layers.append(Layer(W, np.zeros(w), coeffs))
-            fan_in = w
-        head_w = gauss_init(rng.spawn("head"), num_classes, fan_in, 1.0 / np.sqrt(fan_in))
-        return cls(layers, head_w, np.zeros(num_classes), dropout_rate)
 
-    def _slots(self) -> list[tuple[str, object, str]]:
-        """Every trainable array as ``(name, owner, attribute)``, in registry order."""
-        slots = []
-        for i, layer in enumerate(self.layers):
-            slots += [(f"layer{i}.W", layer, "weights"), (f"layer{i}.b", layer, "bias")]
-            if layer.coeffs is not None:
-                slots += [(f"layer{i}.c{k}", layer.coeffs, f"c{k}") for k in range(4)]
-        return slots + [("head.W", self, "head_weights"), ("head.b", self, "head_bias")]
-
-    def _bind_arena(self) -> None:
-        """Copy every slot's array into a new arena and rebind the slot to its view."""
-        slots = self._slots()
-        self.arena = ParamArena({name: getattr(owner, attr) for name, owner, attr in slots})
-        views = self.arena.views(self.arena.flat)
-        for name, owner, attr in slots:
-            setattr(owner, attr, views[name])
+        A cubic explodes quickly for |z| > 1, so training starts from
+        phi(z) = z plus ``coeff_noise`` on the curvature terms and lets the
+        optimizer grow them. ``coeff_noise`` stays for the finite-difference
+        gates, which raise it to 0.05 so the curvature terms are exercised.
+        """
+        net = cls(activation, input_dim, widths, num_classes, dropout_rate)
+        for i, (W, _, coeffs) in enumerate(net.layers):
+            w, fan_in = W.shape
+            if coeffs is not None:
+                draw = rng.spawn("coeffs", i)
+                coeffs[1] = 1.0
+                coeffs[2] = coeff_noise * draw.standard_normal(w)
+                coeffs[3] = coeff_noise * draw.standard_normal(w)
+            W[...] = gauss_init(rng.spawn("W", i), w, fan_in, 1.0 / np.sqrt(fan_in))
+        classes, fan_in = net.head_weights.shape
+        net.head_weights[...] = gauss_init(rng.spawn("head"), classes, fan_in, 1.0 / np.sqrt(fan_in))
+        return net
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Ordered registry of every trainable array, one slot each.
+        """Every trainable array by its ``param_shapes`` name, each a view
+        into ``self.arena.flat`` unless an attribute was rebound."""
+        named = {}
+        for i, layer in enumerate(self.layers):
+            named[f"layer{i}.W"], named[f"layer{i}.b"] = layer.weights, layer.bias
+            if layer.coeffs is not None:
+                named.update({f"layer{i}.c{k}": row for k, row in enumerate(layer.coeffs)})
+        named["head.W"], named["head.b"] = self.head_weights, self.head_bias
+        return named
 
-        Each array is a view into ``self.arena.flat``.
-        """
-        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
+    def __getstate__(self) -> dict:
+        # The views are rebuilt from the one vector the arena pickles.
+        state = dict(self.__dict__)
+        del state["layers"], state["head_weights"], state["head_bias"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        # Pickling and deepcopy copy each view on its own; rebuild the arena
-        # so the copy's parameters share one vector again.
         self.__dict__.update(state)
-        self._bind_arena()
+        self._bind()
 
     def check_input(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a float64 (batch, input_dim) array, or ShapeError."""
@@ -275,15 +231,8 @@ class Net:
 
 
 def param_count(input_dim: int, widths: list[int], num_classes: int, activation: str) -> int:
-    """Parameter count of ``Net.build(..., activation=activation)``: each hidden
-    neuron has its weights and a bias, plus four coefficients when cubic."""
-    per_neuron = 5 if activation == "poly" else 1
-    total = 0
-    fan_in = input_dim
-    for w in widths:
-        total += w * fan_in + per_neuron * w
-        fan_in = w
-    return total + num_classes * fan_in + num_classes
+    """Parameter count of ``Net(activation, input_dim, widths, num_classes)``."""
+    return sum(math.prod(shape) for shape, _ in param_shapes(activation, input_dim, widths, num_classes).values())
 
 
 PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test net with this name

@@ -95,12 +95,12 @@ class Tape:
             return self.task
         return np.float64(self.task + lam * self.penalty)
 
-    def backward(self, lam: float = 0.0, grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    def backward(self, lam: float = 0.0, grads: tuple | None = None) -> np.ndarray:
         """Gradient of ``loss(lam)``; returns the input gradient.
 
-        With ``grads`` (views named like ``net.parameters()``, e.g. into
-        one flat vector), every parameter's gradient is written there;
-        without, no parameter gradient is formed.
+        With ``grads``, a ``net.layer_views(vec)`` of a gradient vector,
+        every parameter's gradient is written into it; without, no
+        parameter gradient is formed.
         """
         net = self.net
         p = self.exp / self.exp_sum
@@ -109,8 +109,9 @@ class Tape:
         g = scale * p
         dh = g @ net.head_weights
         if grads is not None:
-            np.matmul(g.T, self.h_out, out=grads["head.W"])
-            g.sum(axis=0, out=grads["head.b"])
+            grad_layers, grad_head_w, grad_head_b = grads
+            np.matmul(g.T, self.h_out, out=grad_head_w)
+            g.sum(axis=0, out=grad_head_b)
 
         dS = None
         if self.blocks is not None:
@@ -120,14 +121,13 @@ class Tape:
             if len(self.blocks) > len(self.nodes):  # the head block
                 gh = coef * self.blocks[-1]
                 if grads is not None:
-                    grads["head.W"] += np.einsum("bcd,bkd->ck", gh, S_last)
+                    grad_head_w += np.einsum("bcd,bkd->ck", gh, S_last)
                 dS = dS + np.einsum("ck,bcd->bkd", net.head_weights, gh)
 
         for i in reversed(range(len(self.nodes))):
             layer = net.layers[i]
             W, c = layer.weights, layer.coeffs
             h_in, z, slope, S_in, _, WS = self.nodes[i]
-            name = f"layer{i}."
             if self.masks is not None:
                 dh = dh * self.masks[i]
                 if dS is not None:
@@ -150,24 +150,25 @@ class Tape:
 
             dz = dh * slope
             if dslope is not None:
-                dz += dslope * (2.0 * c.c2 + 6.0 * c.c3 * z)
+                dz += dslope * (2.0 * c[2] + 6.0 * c[3] * z)
             if grads is not None:
+                gW, gb, gc = grad_layers[i]
                 if c is not None:
                     # dh * z**k and dslope * z**k as left-to-right products.
                     dhz = dh * z
                     dhz2 = dhz * z
-                    dh.sum(axis=0, out=grads[name + "c0"])
-                    dhz.sum(axis=0, out=grads[name + "c1"])
-                    dhz2.sum(axis=0, out=grads[name + "c2"])
-                    (dhz2 * z).sum(axis=0, out=grads[name + "c3"])
+                    dh.sum(axis=0, out=gc[0])
+                    dhz.sum(axis=0, out=gc[1])
+                    dhz2.sum(axis=0, out=gc[2])
+                    (dhz2 * z).sum(axis=0, out=gc[3])
                     if dslope is not None:
                         dsz = dslope * z
-                        grads[name + "c1"] += dslope.sum(axis=0)
-                        grads[name + "c2"] += 2.0 * dsz.sum(axis=0)
-                        grads[name + "c3"] += 3.0 * (dsz * z).sum(axis=0)
-                np.matmul(dz.T, h_in, out=grads[name + "W"])
+                        gc[1] += dslope.sum(axis=0)
+                        gc[2] += 2.0 * dsz.sum(axis=0)
+                        gc[3] += 3.0 * (dsz * z).sum(axis=0)
+                np.matmul(dz.T, h_in, out=gW)
                 if dW_jac is not None:
-                    grads[name + "W"] += dW_jac
-                dz.sum(axis=0, out=grads[name + "b"])
+                    gW += dW_jac
+                dz.sum(axis=0, out=gb)
             dh = dz @ W
         return dh

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arena import ParamArena
 from .errors import ConfigError, NumericOverflowError
 from .linalg import Rng
 from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
@@ -85,8 +86,13 @@ class LossBundle:
     loss: float
     task_loss: float
     penalty: float | None  # None: a lambda = 0 step asked not to log it
-    grads: dict[str, np.ndarray]  # per-parameter views into ``grad``
     grad: np.ndarray  # flat gradient, laid out like net.arena.flat
+    arena: ParamArena  # the net's layout, which names the entries of ``grad``
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """Per-parameter views into ``grad``, named as in ``net.parameters()``."""
+        return self.arena.views(self.grad)
 
 
 def measure_penalty(net: Net, x: np.ndarray, include_head: bool = False) -> float:
@@ -102,7 +108,7 @@ def loss_and_grads(
     cfg: TrainConfig,
     dropout_rng: Rng | None = None,
     log_penalty: bool = True,
-    out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
+    out: tuple[np.ndarray, tuple] | None = None,
 ) -> LossBundle:
     """Exact gradients of the composite objective for one batch.
 
@@ -114,8 +120,8 @@ def loss_and_grads(
     stream is masked, so an unmasked dual pass measures it. Without
     ``log_penalty`` a lambda = 0 bundle's penalty is None.
 
-    ``out`` is a flat gradient vector and its ``net.arena.views``, which
-    ``train`` reuses across steps; every slot is overwritten. Without it
+    ``out`` is a flat gradient vector and its ``net.layer_views``, which
+    ``train`` reuses across steps; every entry is overwritten. Without it
     the bundle gets a fresh vector.
     """
     masks = None
@@ -130,9 +136,9 @@ def loss_and_grads(
         raise NumericOverflowError("non-finite training loss")
     if out is None:
         grad = np.empty(net.arena.size)
-        out = grad, net.arena.views(grad)
-    grad, grads = out
-    tape.backward(cfg.lambda_dreg, grads)
+        out = grad, net.layer_views(grad)
+    grad, grad_views = out
+    tape.backward(cfg.lambda_dreg, grad_views)
     if tape.penalty is not None:
         penalty = float(tape.penalty)
     elif not log_penalty:
@@ -144,7 +150,7 @@ def loss_and_grads(
         if include_head:
             blocks.append(net.head_weights @ blocks[-1])
         penalty = dreg_penalty(blocks)
-    return LossBundle(loss, float(tape.task), penalty, grads, grad)
+    return LossBundle(loss, float(tape.task), penalty, grad, net.arena)
 
 
 def objective_value(
@@ -294,7 +300,7 @@ def train(
     params = arena.flat
     adam = AdamState.for_params(params) if cfg.optimizer == "adam" else None
     grad = np.empty(arena.size)
-    grad_out = grad, arena.views(grad)
+    grad_out = grad, net.layer_views(grad)
 
     n = train_x.shape[0]
     log_out = TrainLog()

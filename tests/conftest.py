@@ -34,3 +34,26 @@ def fd_gradient(scalar_fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * step)
     return grad
+
+
+def make_net(layers, head_weights, head_bias, dropout_rate=0.0):
+    """A Net holding the given arrays. ``layers`` lists ``(W, b, coeffs)``
+    per layer, ``coeffs`` a (4, width) block of rows c0..c3 or None for ReLU."""
+    from polygrad.polynet import Net
+
+    activation = "relu" if layers[0][2] is None else "poly"
+    widths = [np.shape(W)[0] for W, _, _ in layers]
+    net = Net(activation, np.shape(layers[0][0])[1], widths, np.shape(head_weights)[0], dropout_rate)
+    for layer, (W, b, coeffs) in zip(net.layers, layers):
+        layer.weights[...] = W
+        layer.bias[...] = b
+        if coeffs is not None:
+            layer.coeffs[...] = coeffs
+    net.head_weights[...] = head_weights
+    net.head_bias[...] = head_bias
+    return net
+
+
+def identity_coeffs(width: int) -> np.ndarray:
+    """The (4, width) coefficient block of phi(z) = z."""
+    return np.repeat([[0.0], [1.0], [0.0], [0.0]], width, axis=1)

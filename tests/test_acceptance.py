@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
+from test_golden import FULL_SWEEP, FULL_SWEEP_STATS, GOLDEN, diff_report, golden_lines, stats_digest
 from polygrad.cli import main
 from polygrad.config import load_config
 from polygrad.harness import plan_from_config, read_results, resolve_dataset, sweep
@@ -215,6 +216,16 @@ def test_08_regularized_relu_substrate_runs_and_reports(pima_results, capsys):
             f"relu+penalty model: {len(dreg_rows)}/{len(plan.fractions) * len(plan.seeds)} "
             f"cells ok (mean acc {acc:.4f}, mean tau {tau:.4f}); stats command emits "
             f"both cubic-vs-relu_dreg comparisons")
+
+
+def test_full_sweep_matches_golden(pima_results):
+    # The north star's byte identity for the full plan, pinned on the sweep
+    # the tests above already ran; regenerate with `python tests/test_golden.py`.
+    _, _, out, _ = pima_results
+    expected = (GOLDEN / FULL_SWEEP).read_text(encoding="utf-8").splitlines()
+    got = golden_lines(out / "results.jsonl")
+    assert got == expected, "\n".join(diff_report(expected, got))
+    assert stats_digest(out) == (GOLDEN / FULL_SWEEP_STATS).read_text(encoding="utf-8").strip()
 
 
 def test_09_smoke_determinism_and_resume(tmp_path, capsys):

@@ -1,14 +1,16 @@
+import json
 import logging
 
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, make_net, rel_err
+from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ShapeError
 from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
-from polygrad.polynet import Layer, Net, forward_dual, forward_values, param_count
+from polygrad.polynet import Net, forward_dual, forward_values, param_count
 from polygrad.tape import Tape
 from polygrad.train import TrainConfig, dropout_masks, loss_and_grads
 
@@ -39,12 +41,20 @@ class TestConstruction:
 
     def test_bad_dropout_rejected(self):
         with pytest.raises(ValueError):
-            Net([Layer(np.zeros((2, 2)), np.zeros(2))], np.zeros((2, 2)), np.zeros(2), dropout_rate=1.0)
+            Net("relu", 2, [2], 2, dropout_rate=1.0)
 
-    def test_width_chain_validated(self):
-        layers = [Layer(np.zeros((3, 2)), np.zeros(3)), Layer(np.zeros((2, 4)), np.zeros(2))]
-        with pytest.raises(ShapeError):
-            Net(layers, np.zeros((2, 2)), np.zeros(2))
+    def test_width_chain_validated(self, tmp_path):
+        # Built from its widths, every net chains; a checkpoint whose second
+        # layer does not take the first one's output is refused.
+        net = relu_net()
+        assert [layer.weights.shape for layer in net.layers] == [(6, 4), (5, 6)]
+        path = tmp_path / "chain.json"
+        save_checkpoint(path, net)
+        obj = json.loads(path.read_text())
+        obj["params"]["layer1.W"] = {"shape": [5, 4], "data": ["0"] * 20}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ShapeError, match="layer1.W"):
+            load_checkpoint(path)
 
 
 class TestForward:
@@ -63,7 +73,7 @@ class TestForward:
     def test_all_positive_region_is_affine(self):
         rng = Rng(derive_seed("pos"))
         W = np.abs(rng.spawn("W").standard_normal(4, 3)) + 0.1
-        net = Net([Layer(W, np.zeros(4))], rng.spawn("h").standard_normal(2, 4), np.zeros(2))
+        net = make_net([(W, np.zeros(4), None)], rng.spawn("h").standard_normal(2, 4), np.zeros(2))
         x = np.abs(rng.spawn("x").standard_normal(5, 3)) + 0.1
         logits, _ = forward_values(net, x)
         np.testing.assert_allclose(logits, x @ W.T @ net.head_weights.T, atol=1e-12)
@@ -141,14 +151,14 @@ class TestDualAndInputGrads:
                 assert rel_err(blocks[-1][b, :, j], (lp[b] - lm[b]) / (2 * step)) < 1e-6
 
     def test_slope_is_zero_exactly_at_kink(self):
-        net = Net([Layer(np.ones((2, 2)), np.zeros(2))], np.ones((2, 2)), np.zeros(2))
+        net = make_net([(np.ones((2, 2)), np.zeros(2), None)], np.ones((2, 2)), np.zeros(2))
         _, blocks = forward_dual(net, np.zeros((1, 2)))  # z = 0 everywhere
         np.testing.assert_array_equal(blocks[0], np.zeros((1, 2, 2)))
 
     def test_input_grads_closed_form_in_affine_region(self):
         rng = Rng(derive_seed("closed-form"))
         W1 = np.abs(rng.spawn("w1").standard_normal(4, 3)) + 0.1
-        net = Net([Layer(W1, np.zeros(4))], rng.spawn("head").standard_normal(2, 4), np.zeros(2))
+        net = make_net([(W1, np.zeros(4), None)], rng.spawn("head").standard_normal(2, 4), np.zeros(2))
         x = np.abs(rng.spawn("x").standard_normal(5, 3)) + 0.1
         y = np.array([0, 1, 0, 1, 1])
         logits, _ = forward_values(net, x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -113,6 +114,17 @@ class TestFileFormat:
         assert obj["widths"] == [6, 5]
         assert isinstance(obj["dropout_rate"], str)
 
+    def test_bytes_pinned_across_commits(self):
+        # sha256 of the bytes an earlier network layout wrote for these nets:
+        # the parameter storage may change, the file format may not.
+        pinned = {
+            "poly": "088f489bd95743615a48a8052d10a29f5e313631653684cf3b82630b6f9c7518",
+            "relu": "854f936b9ee857e21a12bed216b0c618cb8d6766711ae9c547943f17de6736dd",
+        }
+        for kind, net in (("poly", poly_net()), ("relu", relu_net())):
+            digest = hashlib.sha256(checkpoint_bytes(net, provenance={"model_id": "x"})).hexdigest()
+            assert digest == pinned[kind], kind
+
     def test_bytes_equal_file_contents(self, tmp_path):
         net = poly_net()
         path = tmp_path / "f.json"
@@ -201,6 +213,43 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{path}.*{field[-1]}") as err:
             load_checkpoint(path)
         assert err.value.key == field[-1]
+
+    def _tampered(self, tmp_path, edit):
+        path = tmp_path / "t.json"
+        save_checkpoint(path, poly_net())
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_extra_parameter_is_named(self, tmp_path):
+        extra = {"shape": [5], "data": ["0"] * 5}
+        path = self._tampered(tmp_path, lambda obj: obj["params"].update({"layer2.b": extra}))
+        with pytest.raises(ConfigError, match="layer2.b") as err:
+            load_checkpoint(path)
+        assert err.value.key == "layer2.b"
+
+    def test_wrong_shape_is_named(self, tmp_path):
+        path = self._tampered(tmp_path, lambda obj: obj["params"]["layer0.W"].update(shape=[4, 6]))
+        with pytest.raises(ShapeError, match=r"layer0.W.*\(4, 6\).*\(6, 4\)"):
+            load_checkpoint(path)
+
+    def test_num_classes_must_match_head(self, tmp_path):
+        path = self._tampered(tmp_path, lambda obj: obj.update(num_classes=2))
+        with pytest.raises(ShapeError, match="head.W"):
+            load_checkpoint(path)
+        path = self._tampered(tmp_path, lambda obj: obj.pop("num_classes"))
+        with pytest.raises(ConfigError, match="num_classes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 0), ("input_dim", "4"), ("widths", [6, 5.0]), ("widths", []), ("widths", [True, 5]),
+    ])
+    def test_dimensions_must_be_positive_integers(self, tmp_path, field, value):
+        path = self._tampered(tmp_path, lambda obj: obj.update({field: value}))
+        with pytest.raises(ConfigError, match=field) as err:
+            load_checkpoint(path)
+        assert err.value.key == field
 
     def test_tampered_input_dim(self, tmp_path):
         path = tmp_path / "d.json"

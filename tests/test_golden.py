@@ -1,12 +1,17 @@
 """Cross-commit bit identity of sweep results.
 
-Each golden file under ``tests/golden/`` is a sweep's ``results.jsonl``
-with ``wall_time_seconds`` dropped from every row. The test reruns the
-sweep and compares every line byte for byte, so any change to the
-numbers a plan produces (accuracy, tau, norms, losses, penalties) fails
-here, however small.
+Each golden ``.jsonl`` file under ``tests/golden/`` is a sweep's
+``results.jsonl`` with ``wall_time_seconds`` dropped from every row. The
+test reruns the sweep and compares every line byte for byte, so any
+change to the numbers a plan produces (accuracy, tau, norms, losses,
+penalties) fails here, however small. The full ``plans/pima_sweep.txt``
+sweep is not rerun here: ``test_acceptance.py`` already runs it once and
+compares its rows to ``pima_sweep.jsonl`` and its ``stats_report.json``
+to the sha256 in ``pima_sweep_stats.sha256``.
 
-Regenerate the files only when a change to the results is intended:
+Regenerate the files only when a change to the results is intended
+(about a minute for the small plans, a few more for the full sweep with
+two workers):
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +20,7 @@ changed, how many rows changed and the largest absolute and relative
 difference from the committed value.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -47,19 +53,32 @@ PLANS = {
     "blobs_smoke.jsonl": lambda: load_config(ROOT / "plans" / "blobs_smoke.txt"),
     "pima_slice.jsonl": lambda: parse_config(PIMA_SLICE, "<pima slice>"),
 }
+# Checked by test_acceptance.py against its module-scoped sweep of the plan.
+FULL_SWEEP = "pima_sweep.jsonl"
+FULL_SWEEP_STATS = "pima_sweep_stats.sha256"
 
 
-def result_lines(config, out_dir) -> list[str]:
-    """The sweep's results.jsonl lines without wall_time_seconds."""
-    plan = plan_from_config(config)
-    sweep(plan, resolve_dataset(plan, str(out_dir)), str(out_dir))
+def golden_lines(results_path) -> list[str]:
+    """A results.jsonl file's lines without wall_time_seconds."""
     lines = []
-    with open(Path(out_dir) / "results.jsonl", encoding="utf-8") as fh:
+    with open(results_path, encoding="utf-8") as fh:
         for line in fh:
             row = json.loads(line)
             row.pop("wall_time_seconds")
             lines.append(json.dumps(row, sort_keys=True))
     return lines
+
+
+def stats_digest(out_dir) -> str:
+    """sha256 of a sweep's stats_report.json."""
+    return hashlib.sha256((Path(out_dir) / "stats_report.json").read_bytes()).hexdigest()
+
+
+def result_lines(config, out_dir, workers: int = 1) -> list[str]:
+    """Run the sweep into ``out_dir``; its results.jsonl lines without wall_time_seconds."""
+    plan = plan_from_config(config)
+    sweep(plan, resolve_dataset(plan, str(out_dir)), str(out_dir), workers=workers)
+    return golden_lines(Path(out_dir) / "results.jsonl")
 
 
 @pytest.mark.parametrize("golden", sorted(PLANS))
@@ -91,17 +110,26 @@ def diff_report(old_lines: list[str], new_lines: list[str]) -> list[str]:
     return report
 
 
+def _write_golden(name: str, lines: list[str]) -> None:
+    path = GOLDEN / name
+    if path.exists():
+        report = diff_report(path.read_text(encoding="utf-8").splitlines(), lines)
+        for entry in report or ["no changes"]:
+            print(f"{name}: {entry}", file=sys.stderr)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"wrote {path}: {len(lines)} rows", file=sys.stderr)
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     for name, make_config in PLANS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            lines = result_lines(make_config(), tmp)
-        path = GOLDEN / name
-        if path.exists():
-            report = diff_report(path.read_text(encoding="utf-8").splitlines(), lines)
-            for entry in report or ["no changes"]:
-                print(f"{name}: {entry}", file=sys.stderr)
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        print(f"wrote {path}: {len(lines)} rows", file=sys.stderr)
+            _write_golden(name, result_lines(make_config(), tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        # Two workers, as test_acceptance.py's sweep runs it.
+        _write_golden(FULL_SWEEP, result_lines(load_config(ROOT / "plans" / "pima_sweep.txt"), tmp, workers=2))
+        digest = stats_digest(tmp)
+    (GOLDEN / FULL_SWEEP_STATS).write_text(digest + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN / FULL_SWEEP_STATS}: {digest}", file=sys.stderr)

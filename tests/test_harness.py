@@ -42,6 +42,19 @@ def rows_without_walltime(rows):
     return [{k: v for k, v in r.items() if k != "wall_time_seconds"} for r in rows]
 
 
+def record_training_rows(monkeypatch):
+    """The (train_x, eval_x) of every ``train`` call ``train_cell`` makes from now on."""
+    seen = []
+    real_train = harness.train
+
+    def recording(net, train_x, train_y, eval_x, eval_y, cfg, trajectory=True):
+        seen.append((train_x, eval_x))
+        return real_train(net, train_x, train_y, eval_x, eval_y, cfg, trajectory)
+
+    monkeypatch.setattr(harness, "train", recording)
+    return seen
+
+
 class TestResolveDataset:
     def test_synthetic_written_once_and_reloaded(self, tmp_path):
         plan = smoke_plan()
@@ -108,7 +121,7 @@ class TestTrainCell:
         for name, arr in a.net.parameters().items():
             np.testing.assert_array_equal(arr, b.net.parameters()[name])
 
-    def test_smallest_fraction_uses_ceiling(self, tmp_path):
+    def test_smallest_fraction_uses_ceiling(self, tmp_path, monkeypatch):
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
             "data.n_samples = 120\nplan.models = cr\n"
@@ -119,21 +132,28 @@ class TestTrainCell:
         ds = resolve_dataset(plan, str(tmp_path))
         # train side is 96 rows: 0.05 is the smallest fraction so it
         # rounds up (ceil(4.8) = 5); 0.24 uses round-half-up (23 not 24)
-        assert train_cell(ds, plan, "cr", 0.05, 0).active_idx.size == 5
-        assert train_cell(ds, plan, "cr", 0.24, 0).active_idx.size == 23
+        seen = record_training_rows(monkeypatch)
+        train_cell(ds, plan, "cr", 0.05, 0)
+        train_cell(ds, plan, "cr", 0.24, 0)
+        assert [train_x.shape[0] for train_x, _ in seen] == [5, 23]
 
-    def test_preprocess_fitted_on_active_subset(self, tmp_path):
+    def test_preprocess_fitted_on_active_subset(self, tmp_path, monkeypatch):
         plan = smoke_plan()
         ds = resolve_dataset(plan, str(tmp_path))
-        out = train_cell(ds, plan, "vanilla", 0.5, 1)
-        np.testing.assert_allclose(
-            out.preprocess.means, ds.features[out.active_idx].mean(axis=0), atol=1e-12)
+        seen = record_training_rows(monkeypatch)
+        train_cell(ds, plan, "vanilla", 0.5, 1)
+        (train_x, _), = seen
+        # Standardized with the active rows' own means, those rows average to zero.
+        np.testing.assert_allclose(train_x.mean(axis=0), 0.0, atol=1e-12)
 
-    def test_eval_disjoint_from_active(self, tmp_path):
+    def test_eval_disjoint_from_active(self, tmp_path, monkeypatch):
         plan = smoke_plan()
         ds = resolve_dataset(plan, str(tmp_path))
-        out = train_cell(ds, plan, "cr", 1.0, 0)
-        assert not set(out.active_idx) & set(out.eval_idx)
+        seen = record_training_rows(monkeypatch)
+        train_cell(ds, plan, "cr", 1.0, 0)
+        (train_x, eval_x), = seen
+        assert train_x.shape[0] + eval_x.shape[0] == ds.n
+        assert not {row.tobytes() for row in train_x} & {row.tobytes() for row in eval_x}
 
 
 ROSTER_PLAN = (
@@ -181,8 +201,9 @@ class TestTrajectorySwitch:
         monkeypatch.setattr(train_mod, "evaluate_accuracy", counted("eval", train_mod.evaluate_accuracy))
         monkeypatch.setattr(train_mod, "measure_penalty", counted("penalty", train_mod.measure_penalty))
         monkeypatch.setattr(train_mod, "loss_and_grads", counted("steps", train_mod.loss_and_grads))
-        full = train_cell(ds, plan, "dropout", 1.0, 0, trajectory=True)
-        batches = math.ceil(full.active_idx.size / 32)
+        seen = record_training_rows(monkeypatch)
+        train_cell(ds, plan, "dropout", 1.0, 0, trajectory=True)
+        batches = math.ceil(seen[0][0].shape[0] / 32)
         assert calls == {"eval": 3, "penalty": 3 * batches, "steps": 3 * batches}
 
         calls.update(eval=0, penalty=0, steps=0)
@@ -328,13 +349,51 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_cell", crash_at_third_cell)
         with pytest.raises(KeyboardInterrupt):
             sweep(new_plan, ds, str(tmp_path))
-        assert not (tmp_path / "results.jsonl").exists()
+        # Nothing the old plan wrote is left beside the new plan's manifest.
+        for name in ("results.jsonl", "results.csv", "stats_report.json", "stats_report.txt"):
+            assert not (tmp_path / name).exists(), name
         monkeypatch.undo()
         straight = sweep(new_plan, ds, str(tmp_path / "straight"))
         kept = read_results(tmp_path / "results.jsonl.partial")
         assert rows_without_walltime(kept) == rows_without_walltime(straight[:2])
         resumed = sweep(new_plan, ds, str(tmp_path), resume=True)
         assert rows_without_walltime(resumed) == rows_without_walltime(straight)
+
+    def test_crash_during_resume_keeps_every_stored_row(self, tmp_path, monkeypatch):
+        plan = smoke_plan()
+        ds = resolve_dataset(plan, str(tmp_path))
+        straight = sweep(plan, ds, str(tmp_path / "straight"))
+        real_run_cell = harness.run_cell
+
+        def first_run(ds, plan, *cell):  # cell 1 fails; the run dies at cell 5
+            index = plan.cells.index(cell)
+            if index == 5:
+                raise KeyboardInterrupt
+            if index == 1:
+                return dict(zip(("model_id", "fraction", "seed"), cell), status="failed", error="x")
+            return real_run_cell(ds, plan, *cell)
+
+        def resume_run(ds, plan, *cell):  # dies on the failed cell, before any later row is rewritten
+            if plan.cells.index(cell) == 1:
+                raise KeyboardInterrupt
+            return real_run_cell(ds, plan, *cell)
+
+        monkeypatch.setattr(harness, "run_cell", first_run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, ds, str(tmp_path))
+        stored = [r for r in read_results(tmp_path / "results.jsonl.partial") if r["status"] == "ok"]
+        assert len(stored) == 4  # cells 0, 2, 3 and 4
+        monkeypatch.setattr(harness, "run_cell", resume_run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, ds, str(tmp_path), resume=True)
+        on_disk = [r for path in sorted(tmp_path.glob("results.jsonl*")) for r in read_results(path)]
+        assert all(row in on_disk for row in stored)
+        monkeypatch.undo()
+        resumed = sweep(plan, ds, str(tmp_path), resume=True)
+        assert rows_without_walltime(resumed) == rows_without_walltime(straight)
+        lines = (tmp_path / "results.jsonl").read_text().splitlines()
+        assert [json.loads(lines[i]) for i in (0, 2, 3, 4)] == stored  # reused verbatim
+        assert sorted(p.name for p in tmp_path.glob("results.jsonl*")) == ["results.jsonl"]
 
     def test_dead_worker_keeps_every_earlier_row(self, tmp_path, monkeypatch):
         plan = smoke_plan()

@@ -1,12 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
-from polygrad.errors import MemoryBudgetError, NumericOverflowError, ShapeError
+from conftest import fd_gradient, identity_coeffs, make_net, rel_err
+from polygrad.checkpoint import load_checkpoint, save_checkpoint
+from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import (
-    ActivationCoeffs,
-    Layer,
     Net,
     dreg_penalty,
     forward_dual,
@@ -32,55 +33,75 @@ def slope_backward(coeffs, z):
     sum_b ||diag(phi'(z_b))||_F^2, whose input gradient is phi'(z) phi''(z).
     """
     batch, width = z.shape
-    net = Net([Layer(np.eye(width), np.zeros(width), coeffs)], np.zeros((2, width)), np.zeros(2))
+    net = make_net([(np.eye(width), np.zeros(width), coeffs)], np.zeros((2, width)), np.zeros(2))
     dx = Tape(net, z, np.zeros(batch, int), need_dual=True).backward(batch / 2)
     return dx / poly_deriv(coeffs, z)
 
 
+def tampered_checkpoint(tmp_path, net, **params):
+    """``net`` saved, with each named stored array replaced by a zero array of the given shape."""
+    path = tmp_path / "tampered.json"
+    save_checkpoint(path, net)
+    obj = json.loads(path.read_text())
+    for name, shape in params.items():
+        obj["params"][name.replace("_", ".")] = {
+            "shape": list(shape), "data": ["0"] * int(np.prod(shape, dtype=int))}
+    path.write_text(json.dumps(obj))
+    return path
+
+
 class TestActivationCoeffs:
+    """Each cubic layer's coefficients are one (4, width) block, rows c0..c3."""
+
     def test_identity_is_exact(self):
-        c = ActivationCoeffs.identity(3)
+        c = identity_coeffs(3)
         z = Rng(0).standard_normal(6, 3)
         np.testing.assert_array_equal(poly_eval(c, z), z)
 
     def test_near_identity_structure(self):
-        c = ActivationCoeffs.near_identity(Rng(1), 8, noise_std=0.01)
-        np.testing.assert_array_equal(c.c0, np.zeros(8))
-        np.testing.assert_array_equal(c.c1, np.ones(8))
-        assert float(np.abs(c.c2).max()) < 0.1
-        assert float(np.abs(c.c3).max()) < 0.1
+        c = Net.build(Rng(1), 3, [8], 2, coeff_noise=0.01).layers[0].coeffs
+        np.testing.assert_array_equal(c[0], np.zeros(8))
+        np.testing.assert_array_equal(c[1], np.ones(8))
+        assert float(np.abs(c[2]).max()) < 0.1
+        assert float(np.abs(c[3]).max()) < 0.1
+        assert np.count_nonzero(c[2]) == np.count_nonzero(c[3]) == 8
 
     def test_near_identity_deterministic(self):
-        a = ActivationCoeffs.near_identity(Rng(5), 4)
-        b = ActivationCoeffs.near_identity(Rng(5), 4)
-        np.testing.assert_array_equal(a.c2, b.c2)
+        a = Net.build(Rng(5), 3, [4], 2).layers[0].coeffs
+        b = Net.build(Rng(5), 3, [4], 2).layers[0].coeffs
+        np.testing.assert_array_equal(a, b)
 
-    def test_mismatched_vectors_rejected(self):
-        with pytest.raises(ShapeError):
-            ActivationCoeffs(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+    def test_mismatched_vectors_rejected(self, tmp_path):
+        # The only way in for outside coefficients is a checkpoint; a row of
+        # the wrong width is refused there, naming the row.
+        path = tampered_checkpoint(tmp_path, small_net(), layer0_c1=(2,))
+        with pytest.raises(ShapeError, match="layer0.c1"):
+            load_checkpoint(path)
 
     def test_width_property(self):
-        assert ActivationCoeffs.identity(6).width == 6
+        net = Net.build(Rng(0), 3, [6, 2], 2)
+        assert [layer.coeffs.shape for layer in net.layers] == [(4, 6), (4, 2)]
+        assert Net.build(Rng(0), 3, [6], 2, activation="relu").layers[0].coeffs is None
 
 
 class TestPolyEvalAndDeriv:
     def test_frozen_cubic_value(self):
-        c = ActivationCoeffs([1.0], [2.0], [3.0], [4.0])
+        c = np.array([[1.0], [2.0], [3.0], [4.0]])
         # 1 + 2*2 + 3*4 + 4*8 = 49
         assert poly_eval(c, np.array([[2.0]]))[0, 0] == 49.0
 
     def test_frozen_first_derivative(self):
-        c = ActivationCoeffs([0.0], [1.0], [0.0], [1.0])
+        c = np.array([[0.0], [1.0], [0.0], [1.0]])
         # d/dz (z + z^3) at z=2 is 1 + 3*4 = 13
         assert poly_deriv(c, np.array([[2.0]]))[0, 0] == 13.0
 
     def test_frozen_second_derivative(self):
         # d2/dz2 (5 z^2) = 10 everywhere
-        assert slope_backward(ActivationCoeffs([0.0], [0.0], [5.0], [0.0]), np.array([[1.0]]))[0, 0] == 10.0
+        assert slope_backward(np.array([[0.0], [0.0], [5.0], [0.0]]), np.array([[1.0]]))[0, 0] == 10.0
 
     def test_first_derivative_matches_finite_differences(self):
         rng = Rng(derive_seed("deriv-fd"))
-        c = ActivationCoeffs(*(rng.standard_normal(5) for _ in range(4)))
+        c = rng.standard_normal(4, 5)
         z = rng.standard_normal(3, 5)
         analytic = poly_deriv(c, z)
         step = 1e-6
@@ -89,7 +110,7 @@ class TestPolyEvalAndDeriv:
 
     def test_second_derivative_matches_finite_differences(self):
         rng = Rng(derive_seed("deriv2-fd"))
-        c = ActivationCoeffs(*(rng.standard_normal(4) for _ in range(4)))
+        c = rng.standard_normal(4, 4)
         z = rng.standard_normal(2, 4)
         analytic = slope_backward(c, z)
         step = 1e-5
@@ -98,7 +119,7 @@ class TestPolyEvalAndDeriv:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            poly_eval(ActivationCoeffs.identity(3), np.zeros((2, 4)))
+            poly_eval(identity_coeffs(3), np.zeros((2, 4)))
 
 
 class TestNetworkConstruction:
@@ -123,21 +144,32 @@ class TestNetworkConstruction:
         expected = (5 * 4 + 5 + 4 * 5) + (4 * 5 + 4 + 4 * 4) + (3 * 4 + 3)
         assert net.arena.size == expected
 
-    def test_layer_width_chain_validated(self):
-        l0 = Layer(np.zeros((3, 2)), np.zeros(3), ActivationCoeffs.identity(3))
-        l1 = Layer(np.zeros((2, 4)), np.zeros(2), ActivationCoeffs.identity(2))
-        with pytest.raises(ShapeError):
-            Net([l0, l1], np.zeros((2, 2)), np.zeros(2))
+    def test_layer_width_chain_validated(self, tmp_path):
+        # Built from its widths, every net chains; a checkpoint whose second
+        # layer does not take the first one's output is refused.
+        net = small_net()
+        assert [layer.weights.shape for layer in net.layers] == [(5, 4), (4, 5)]
+        path = tampered_checkpoint(tmp_path, net, layer1_W=(4, 6))
+        with pytest.raises(ShapeError, match="layer1.W"):
+            load_checkpoint(path)
 
-    def test_mixed_cubic_and_relu_layers_rejected(self):
-        l0 = Layer(np.zeros((3, 2)), np.zeros(3), ActivationCoeffs.identity(3))
-        l1 = Layer(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ShapeError, match="mix"):
-            Net([l0, l1], np.zeros((2, 2)), np.zeros(2))
-        relu_first = [Layer(np.zeros((3, 2)), np.zeros(3)),
-                      Layer(np.zeros((2, 3)), np.zeros(2), ActivationCoeffs.identity(2))]
-        with pytest.raises(ShapeError, match="mix"):
-            Net(relu_first, np.zeros((2, 2)), np.zeros(2))
+    def test_mixed_cubic_and_relu_layers_rejected(self, tmp_path):
+        # One activation serves every layer, so a checkpoint that drops the
+        # second layer's coefficients (or adds some to a ReLU net) is refused.
+        path = tmp_path / "mixed.json"
+        save_checkpoint(path, small_net())
+        obj = json.loads(path.read_text())
+        for k in range(4):
+            del obj["params"][f"layer1.c{k}"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match="layer1.c0"):
+            load_checkpoint(path)
+        save_checkpoint(path, Net.build(Rng(0), 4, [5, 4], 3, activation="relu"))
+        obj = json.loads(path.read_text())
+        obj["params"]["layer1.c0"] = {"shape": [4], "data": ["0"] * 4}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError, match="layer1.c0"):
+            load_checkpoint(path)
 
     def test_activation_kind_follows_layers(self):
         rng = Rng(derive_seed("kind"))
@@ -147,10 +179,12 @@ class TestNetworkConstruction:
         assert set(relu.parameters()) == {"layer0.W", "layer0.b", "head.W", "head.b"}
         with pytest.raises(ValueError, match="activation"):
             Net.build(rng, 3, [4], 2, activation="tanh")
+        with pytest.raises(ValueError, match="activation"):
+            Net("tanh", 3, [4], 2)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ShapeError):
-            Net([], np.zeros((2, 2)), np.zeros(2))
+            Net("poly", 2, [], 2)
 
     def test_input_shape_validated(self):
         net = small_net()
@@ -178,9 +212,8 @@ class TestForwardValues:
         assert [z.shape for z in preacts] == [(2, 5), (2, 4)]
 
     def test_overflow_names_layer(self):
-        layer = Layer(np.array([[1e200]]), np.zeros(1), ActivationCoeffs.identity(1))
-        net = Net([layer], np.ones((2, 1)), np.zeros(2))
-        relu = Net([Layer(np.array([[1e200]]), np.zeros(1))], np.ones((2, 1)), np.zeros(2))
+        net = make_net([(np.array([[1e200]]), np.zeros(1), identity_coeffs(1))], np.ones((2, 1)), np.zeros(2))
+        relu = make_net([(np.array([[1e200]]), np.zeros(1), None)], np.ones((2, 1)), np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericOverflowError, match="layer 0"):
                 forward_values(net, np.array([[1e200]]))
@@ -203,8 +236,7 @@ class TestForwardDual:
         assert [J.shape for J in blocks] == [(3, 5, 4), (3, 4, 4), (3, 3, 4)]
 
     def test_identity_network_jacobian_is_identity(self):
-        layer = Layer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
-        net = Net([layer], np.eye(3), np.zeros(3))
+        net = make_net([(np.eye(3), np.zeros(3), identity_coeffs(3))], np.eye(3), np.zeros(3))
         x = Rng(0).standard_normal(4, 3)
         _, blocks = forward_dual(net, x)
         for b in range(4):
@@ -213,8 +245,8 @@ class TestForwardDual:
 
     def test_single_neuron_closed_form(self):
         # phi(z) = z^3 on z = 2x gives h = 8x^3 and dh/dx = 24x^2.
-        layer = Layer(np.array([[2.0]]), np.zeros(1), ActivationCoeffs([0.0], [0.0], [0.0], [1.0]))
-        net = Net([layer], np.array([[1.0]]), np.zeros(1))
+        cube = np.array([[0.0], [0.0], [0.0], [1.0]])
+        net = make_net([(np.array([[2.0]]), np.zeros(1), cube)], np.array([[1.0]]), np.zeros(1))
         x = np.array([[0.5]])
         logits, blocks = forward_dual(net, x)
         assert logits[0, 0] == 1.0
@@ -276,8 +308,7 @@ class TestDregPenalty:
         assert abs(dreg_penalty(blocks[:-1]) - manual) < 1e-12
 
     def test_identity_network_penalty_equals_dim(self):
-        layer = Layer(np.eye(3), np.zeros(3), ActivationCoeffs.identity(3))
-        net = Net([layer], np.eye(3), np.zeros(3))
+        net = make_net([(np.eye(3), np.zeros(3), identity_coeffs(3))], np.eye(3), np.zeros(3))
         _, blocks = forward_dual(net, np.zeros((5, 3)))
         # ||I_3||_F^2 = 3 for every sample and the single layer
         assert dreg_penalty(blocks[:-1]) == 3.0

@@ -36,7 +36,7 @@ def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe")
     net = Net.build(rng.spawn("net"), 4, list(widths), 3, activation=activation,
                     dropout_rate=0.3 if masked else 0.0, coeff_noise=0.05)
     for i, layer in enumerate(net.layers):  # nonzero biases keep ReLU rows off the kink
-        layer.bias[:] = 0.1 * rng.spawn("b", i).standard_normal(layer.out_width)
+        layer.bias[:] = 0.1 * rng.spawn("b", i).standard_normal(layer.bias.size)
     x = rng.spawn("x").standard_normal(batch, 4)
     y = np.arange(batch) % 3
     masks = dropout_masks(net, batch, rng.spawn("masks")) if masked else None
@@ -48,9 +48,10 @@ def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe")
 
 def tape_grads(net, x, y, masks=None, lam=0.0, head=False, reduction="mean"):
     """Parameter gradients (views into one flat vector) and the input gradient."""
-    grads = net.arena.views(np.zeros(net.arena.size))
+    flat = np.zeros(net.arena.size)
     tape = Tape(net, x, y, masks, need_dual=lam > 0, include_head=head, reduction=reduction)
-    return grads, tape.backward(lam, grads)
+    dx = tape.backward(lam, net.layer_views(flat))
+    return net.arena.views(flat), dx
 
 
 def fd_check(net, x, y, masks=None, lam=0.0, head=False, names=None, reduction="mean", check_x=True):
@@ -185,15 +186,15 @@ class TestTapeMechanics:
         net, x, y, _ = probe()
         cfg = TrainConfig(lambda_dreg=0.5, include_head_in_penalty=True)
         flat = np.full(net.arena.size, 7.0)  # stale contents must not leak into the result
-        Tape(net, x, y, need_dual=True, include_head=True).backward(0.5, net.arena.views(flat))
+        Tape(net, x, y, need_dual=True, include_head=True).backward(0.5, net.layer_views(flat))
         np.testing.assert_array_equal(flat, loss_and_grads(net, x, y, cfg).grad)
 
     def test_backward_clears_stale_gradients(self):
         net, x, y, masks = probe(masked=True)
         tape = Tape(net, x, y, masks, need_dual=True)
         flat = np.zeros(net.arena.size)
-        first_dx = tape.backward(0.5, net.arena.views(flat))
+        first_dx = tape.backward(0.5, net.layer_views(flat))
         first = flat.copy()
-        second_dx = tape.backward(0.5, net.arena.views(flat))  # overwrites, never accumulates
+        second_dx = tape.backward(0.5, net.layer_views(flat))  # overwrites, never accumulates
         np.testing.assert_array_equal(flat, first)
         np.testing.assert_array_equal(second_dx, first_dx)

@@ -1,15 +1,16 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, make_net, rel_err
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import ActivationCoeffs, Layer, Net, forward_values
+from polygrad.polynet import Net, forward_values
 from polygrad.tape import Tape
 from polygrad.train import (
     AdamState,
@@ -112,8 +113,7 @@ class TestObjective:
         # the penalty gradient w.r.t. biases must vanish.
         net = poly_net("flat")
         for layer in net.layers:
-            layer.coeffs.c2[:] = 0.0
-            layer.coeffs.c3[:] = 0.0
+            layer.coeffs[2:] = 0.0
         x, y = batch("flat-b", 5, 3, 2)
         task_only = loss_and_grads(net, x, y, TrainConfig(lambda_dreg=0.0))
         with_pen = loss_and_grads(net, x, y, TrainConfig(lambda_dreg=2.0))
@@ -171,7 +171,7 @@ class TestLeanStep:
         cfg = TrainConfig(lambda_dreg=lam, include_head_in_penalty=head)
         rng_a, rng_b = rng.spawn("drop"), rng.spawn("drop")
         buf = np.empty(reused.arena.size)
-        out = buf, reused.arena.views(buf)
+        out = buf, reused.layer_views(buf)
         adam_a = AdamState.for_params(reused.arena.flat)
         adam_b = AdamState.for_params(fresh.arena.flat)
         for step in range(4):
@@ -242,7 +242,8 @@ class TestOptimizers:
 
     def test_decay_skips_activation_coefficients(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, optimizer="sgd")
-        arena = ParamArena({"layer0.W": np.array([1.0]), "layer0.c2": np.array([1.0])})
+        arena = ParamArena({"layer0.W": ((1,), True), "layer0.c2": ((1,), False)})
+        arena.flat[:] = 1.0
         params = arena.views(arena.flat)
         step_sgd(arena.flat, np.zeros(arena.size), cfg, arena.n_decayed)
         assert params["layer0.W"][0] < 1.0
@@ -260,7 +261,8 @@ class TestOptimizers:
 
     def test_adam_decay_skips_coefficients(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
-        arena = ParamArena({"layer0.W": np.array([2.0]), "layer0.c3": np.array([2.0])})
+        arena = ParamArena({"layer0.W": ((1,), True), "layer0.c3": ((1,), False)})
+        arena.flat[:] = 2.0
         params = arena.views(arena.flat)
         state = AdamState.for_params(arena.flat)
         step_adam(arena.flat, np.zeros(arena.size), state, cfg, arena.n_decayed)
@@ -294,24 +296,10 @@ class TestParamArena:
         relu_rng = Rng(derive_seed("arena-ckpt-relu"))
         relu = Net.build(relu_rng, 3, [5, 4], 2, activation="relu", dropout_rate=0.2)
         separate = {
-            "poly": Net(
-                [
-                    Layer(
-                        layer.weights.copy(),
-                        layer.bias.copy(),
-                        ActivationCoeffs(*(getattr(layer.coeffs, f"c{k}").copy() for k in range(4))),
-                    )
-                    for layer in poly.layers
-                ],
-                poly.head_weights.copy(),
-                poly.head_bias.copy(),
-            ),
-            "relu": Net(
-                [Layer(layer.weights.copy(), layer.bias.copy()) for layer in relu.layers],
-                relu.head_weights.copy(),
-                relu.head_bias.copy(),
-                dropout_rate=0.2,
-            ),
+            "poly": make_net([tuple(a.copy() for a in layer) for layer in poly.layers],
+                             poly.head_weights.copy(), poly.head_bias.copy()),
+            "relu": make_net([(layer.weights.copy(), layer.bias.copy(), None) for layer in relu.layers],
+                             relu.head_weights.copy(), relu.head_bias.copy(), dropout_rate=0.2),
         }
         for kind, net in (("poly", poly), ("relu", relu)):
             for name, arr in net.parameters().items():
@@ -323,8 +311,28 @@ class TestParamArena:
         assert not np.shares_memory(clone.arena.flat, poly.arena.flat)
         assert checkpoint_bytes(clone) == checkpoint_bytes(poly)
         # In-place writes through the named arrays land in the flat vector.
-        poly.layers[0].coeffs.c2[:] = 5.0
-        assert np.count_nonzero(poly.arena.flat == 5.0) == poly.layers[0].coeffs.c2.size
+        poly.layers[0].coeffs[2] = 5.0
+        assert np.count_nonzero(poly.arena.flat == 5.0) == poly.layers[0].coeffs[2].size
+
+    @pytest.mark.parametrize("how", ["deepcopy", *(f"pickle{p}" for p in range(2, pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_view_their_own_vector(self, how):
+        net = poly_net("arena-copy", d=3, widths=(4, 3), classes=2)
+        if how == "deepcopy":
+            clone = copy.deepcopy(net)
+        else:
+            clone = pickle.loads(pickle.dumps(net, protocol=int(how[len("pickle"):])))
+        flat = clone.arena.flat
+        assert flat.tobytes() == net.arena.flat.tobytes()
+        assert not np.shares_memory(flat, net.arena.flat)
+        clone.arena.check_bound(clone.parameters())
+        for name, arr in clone.parameters().items():
+            np.testing.assert_array_equal(arr, net.parameters()[name])
+        for layer in clone.layers:
+            for arr in layer:
+                assert np.shares_memory(arr, flat)
+        flat[:] = 3.0  # every view reads the vector, coefficient blocks included
+        assert all((arr == 3.0).all() for arr in clone.parameters().values())
+        assert all((arr == 3.0).all() for layer in clone.layers for arr in layer)
 
     def test_train_refuses_rebound_parameter(self):
         tx, ty, ex, ey, ds = blob_split()
