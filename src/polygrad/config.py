@@ -24,8 +24,6 @@ __all__ = ["Config", "parse_config", "load_config", "canonical_text", "config_ha
 FORMAT_VERSION = 1
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
 
 
 class Config:
@@ -58,17 +56,6 @@ class Config:
         if not math.isfinite(value):
             raise ConfigError(f"{self.source}: key {key!r} expects a finite number, got {raw!r}", key=key)
         return value
-
-    def get_bool(self, key: str, default: bool | None = None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{self.source}: key {key!r} expects a boolean, got {raw!r}", key=key)
 
     def get_list(self, key: str, default: list[str] | None = None):
         raw = self.values.get(key)

@@ -221,7 +221,6 @@ def fit_preprocess(
     features: np.ndarray,
     feature_names: list[str],
     fit_idx: np.ndarray | None = None,
-    impute: bool = True,
 ) -> PreprocessStats:
     """Fit imputation medians and standardization moments on fit_idx rows.
 
@@ -233,17 +232,16 @@ def fit_preprocess(
     X = np.asarray(features, dtype=np.float64)
     sub = X if fit_idx is None else X[np.asarray(fit_idx)]
     stats = PreprocessStats(feature_names=list(feature_names))
-    if impute:
-        for name in PIMA_ZERO_MISSING:
-            if name not in feature_names:
-                continue
-            col = sub[:, feature_names.index(name)]
-            nonzero = col[col != 0.0]
-            if nonzero.size == 0:
-                log.warning("column %s is all zeros in the fitted subset; filling with 0", name)
-                stats.impute_values[name] = 0.0
-            else:
-                stats.impute_values[name] = _median(nonzero)
+    for name in PIMA_ZERO_MISSING:
+        if name not in feature_names:
+            continue
+        col = sub[:, feature_names.index(name)]
+        nonzero = col[col != 0.0]
+        if nonzero.size == 0:
+            log.warning("column %s is all zeros in the fitted subset; filling with 0", name)
+            stats.impute_values[name] = 0.0
+        else:
+            stats.impute_values[name] = _median(nonzero)
     work = np.array(sub, copy=True)
     for name, fill in stats.impute_values.items():
         j = feature_names.index(name)

@@ -132,7 +132,6 @@ class SweepPlan:
     blob_samples: int
     blob_classes: int
     blob_dim: int
-    impute: bool
     eval_fraction: float
     plan_hash: str
 
@@ -142,7 +141,7 @@ class SweepPlan:
 
 
 # Keys every model takes, as model.<id>.<key> or as the shared train.<key>.
-_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate", "optimizer", "include_head_in_penalty")
+_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate", "optimizer")
 
 
 def _widths(cfg: Config, key: str, default: list[int]) -> list[int]:
@@ -177,7 +176,6 @@ def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec
         epochs=pick(cfg.get_int, "epochs", 150),
         optimizer=pick(cfg.get_str, "optimizer", "adam"),
         weight_decay=knobs["weight_decay"],
-        include_head_in_penalty=pick(cfg.get_bool, "include_head_in_penalty", False),
     )
     try:
         return ModelSpec(model_id, kind, widths, TrainConfig(**loop), knobs["dropout_rate"])
@@ -223,6 +221,12 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         if metric not in ("tau", "accuracy"):
             raise ConfigError(f"comparison metric {metric!r} unknown", key="plan.comparisons")
         comparisons.append((a, b, metric))
+    # A repeated entry would run its cells twice or count its test twice in the Bonferroni family.
+    for key, entries in (("plan.models", models), ("plan.fractions", fractions),
+                         ("plan.seeds", seeds), ("plan.comparisons", [":".join(c) for c in comparisons])):
+        repeats = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeats:
+            raise ConfigError(f"{cfg.source}: key {key!r} lists {repeats[0]} more than once", key=key)
 
     poly_widths = _widths(cfg, "train.widths", [16, 16])
     specs = {m: _model_spec(cfg, m, poly_widths) for m in models}
@@ -240,7 +244,6 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         blob_samples=cfg.get_int("data.n_samples", 200),
         blob_classes=cfg.get_int("data.classes", 3),
         blob_dim=cfg.get_int("data.dim", 2),
-        impute=cfg.get_bool("data.impute", True),
         eval_fraction=cfg.get_float("data.eval_fraction", 0.2),
         plan_hash=config_hash(cfg),
     )
@@ -281,7 +284,6 @@ def _validate_keys(cfg: Config) -> None:
         "data.n_samples",
         "data.classes",
         "data.dim",
-        "data.impute",
         "data.eval_fraction",
         "data.fraction",
         "plan.models",
@@ -450,7 +452,7 @@ def train_cell(
     train_idx, eval_idx = stratified_split(ds.labels, plan.eval_fraction, seed)
     rounding = "ceil" if fraction == min(plan.fractions) else "round"
     active = subsample_fraction(train_idx, ds.labels, fraction, seed, rounding=rounding)
-    stats = fit_preprocess(ds.features, ds.feature_names, active, impute=plan.impute)
+    stats = fit_preprocess(ds.features, ds.feature_names, active)
     X = stats.transform(ds.features)
 
     poly_widths = (plan.specs.get("cr") or spec).widths or [16, 16]

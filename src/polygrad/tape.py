@@ -34,13 +34,12 @@ class Tape:
     """One batch's forward record: logits, task loss and, with
     ``need_dual``, the Jacobian blocks and their penalty.
 
-    ``masks`` are per-layer dropout masks, already scaled. ``include_head``
-    adds the head block ``W_head @ S_L`` to the penalty. ``reduction``
+    ``masks`` are per-layer dropout masks, already scaled. ``reduction``
     "mean" averages the cross-entropy over the batch; "sum" totals it,
     which makes input-gradient row b the gradient of row b's own loss.
     """
 
-    def __init__(self, net, x, labels, masks=None, need_dual=False, include_head=False, reduction="mean"):
+    def __init__(self, net, x, labels, masks=None, need_dual=False, reduction="mean"):
         if reduction not in ("mean", "sum"):
             raise ValueError(f"unknown reduction {reduction!r}")
         self.net = net
@@ -80,13 +79,9 @@ class Tape:
         # losses.sum() / batch is exactly what losses.mean() computes.
         self.task = np.float64(losses.sum() / batch if reduction == "mean" else losses.sum())
 
-        self.blocks = None
         self.penalty = None
         if need_dual:
-            self.blocks = [node[4] for node in self.nodes]
-            if include_head:
-                self.blocks.append(net.head_weights @ S)
-            frobs = [np.float64(np.sum(B * B) / batch) for B in self.blocks]
+            frobs = [np.float64(np.sum(node[4] * node[4]) / batch) for node in self.nodes]
             self.penalty = np.float64(sum(frobs) / len(frobs))
 
     def loss(self, lam: float = 0.0) -> np.float64:
@@ -114,15 +109,9 @@ class Tape:
             g.sum(axis=0, out=grad_head_b)
 
         dS = None
-        if self.blocks is not None:
-            coef = 2.0 * (lam / len(self.blocks)) / g.shape[0]
-            S_last = self.nodes[-1][4]
-            dS = coef * S_last
-            if len(self.blocks) > len(self.nodes):  # the head block
-                gh = coef * self.blocks[-1]
-                if grads is not None:
-                    grad_head_w += np.einsum("bcd,bkd->ck", gh, S_last)
-                dS = dS + np.einsum("ck,bcd->bkd", net.head_weights, gh)
+        if self.penalty is not None:
+            coef = 2.0 * (lam / len(self.nodes)) / g.shape[0]
+            dS = coef * self.nodes[-1][4]
 
         for i in reversed(range(len(self.nodes))):
             layer = net.layers[i]

@@ -49,7 +49,6 @@ class TrainConfig:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     seed: int = 0
-    include_head_in_penalty: bool = False
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -95,10 +94,10 @@ class LossBundle:
         return self.arena.views(self.grad)
 
 
-def measure_penalty(net: Net, x: np.ndarray, include_head: bool = False) -> float:
-    """Report-only penalty value from a plain dual forward pass."""
-    _, blocks = forward_dual(net, x)
-    return dreg_penalty(blocks if include_head else blocks[:-1])
+def measure_penalty(net: Net, x: np.ndarray) -> float:
+    """Report-only penalty value from a plain dual forward pass over the
+    hidden layers' blocks."""
+    return dreg_penalty(forward_dual(net, x)[1][:-1])
 
 
 def loss_and_grads(
@@ -129,8 +128,7 @@ def loss_and_grads(
         if dropout_rng is None:
             raise ValueError("dropout needs an rng")
         masks = dropout_masks(net, x.shape[0], dropout_rng)
-    include_head = cfg.include_head_in_penalty
-    tape = Tape(net, x, labels, masks, need_dual=cfg.lambda_dreg > 0.0, include_head=include_head)
+    tape = Tape(net, x, labels, masks, need_dual=cfg.lambda_dreg > 0.0)
     loss = float(tape.loss(cfg.lambda_dreg))
     if not math.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
@@ -144,12 +142,9 @@ def loss_and_grads(
     elif not log_penalty:
         penalty = None
     elif masks is not None:
-        penalty = measure_penalty(net, x, include_head)
+        penalty = measure_penalty(net, x)
     else:
-        blocks = jacobian_stream(net, [node[2] for node in tape.nodes])
-        if include_head:
-            blocks.append(net.head_weights @ blocks[-1])
-        penalty = dreg_penalty(blocks)
+        penalty = dreg_penalty(jacobian_stream(net, [node[2] for node in tape.nodes]))
     return LossBundle(loss, float(tape.task), penalty, grad, net.arena)
 
 
@@ -168,7 +163,7 @@ def objective_value(
     task = cross_entropy(logits, labels)
     if cfg.lambda_dreg == 0.0:
         return task
-    return task + cfg.lambda_dreg * measure_penalty(net, x, cfg.include_head_in_penalty)
+    return task + cfg.lambda_dreg * measure_penalty(net, x)
 
 
 # -- plain inference helpers ----------------------------------------------

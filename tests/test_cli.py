@@ -398,6 +398,24 @@ class TestErrorPaths:
         assert err.startswith(f"error: {plan}: key {key!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("plan.models", "cr, vanilla, cr"),
+        ("plan.fractions", "0.5, 1.0, 0.50"),
+        ("plan.seeds", "0, 0, 1"),
+        ("plan.comparisons", "cr:vanilla:tau, cr:vanilla:accuracy, cr : vanilla : tau"),
+    ])
+    def test_repeated_plan_entry_fails_before_any_output(self, tmp_path, capsys, key, value):
+        lines = {"plan.models": "cr, vanilla", "plan.fractions": "1.0", "plan.seeds": "0", key: value}
+        plan = tmp_path / "plan.txt"
+        plan.write_text("format_version = 1\ndata.source = blobs\n"
+                        + "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        out = tmp_path / "o"
+        code = main(["sweep", "--plan", str(plan), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan}: key {key!r}") and "more than once" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")])

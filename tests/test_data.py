@@ -320,12 +320,6 @@ class TestPreprocess:
         assert stats.impute_values["insulin"] == 0.0
         assert any("all zeros" in r.message for r in caplog.records)
 
-    def test_impute_flag_off(self):
-        X = np.array([[0.0], [2.0], [4.0]])
-        stats = fit_preprocess(X, ["glucose"], impute=False)
-        assert stats.impute_values == {}
-        np.testing.assert_allclose(stats.means, [2.0], atol=1e-12)
-
 
 class TestStratifiedSplit:
     def test_small_toy_counts(self):

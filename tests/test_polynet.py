@@ -330,7 +330,7 @@ class TestDregPenalty:
 
 def record(net, x, masks=None):
     tape = Tape(net, x, np.zeros(x.shape[0], int), masks, need_dual=True)
-    return tape.logits, [node[1] for node in tape.nodes], tape.blocks
+    return tape.logits, [node[1] for node in tape.nodes], [node[4] for node in tape.nodes]
 
 
 class TestOneForwardPath:

@@ -2,7 +2,7 @@
 
 ``test_gradients_match_finite_differences`` covers every parameter class
 and the input gradient for cubic and ReLU nets, with and without the
-penalty, dropout masks and the head block. The oracle is the tape-free
+penalty and dropout masks. The oracle is the tape-free
 ``objective_value`` without masks, and ``Tape.loss`` under fixed masks
 (the masks make the objective a different function of the parameters).
 The tests in ``TestPrimitiveVjps`` each pin one piece of the adjoint in
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fd_gradient, rel_err
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, forward_values
+from polygrad.polynet import Net, dreg_penalty, forward_values
 from polygrad.tape import Tape
 from polygrad.train import (
     TrainConfig,
@@ -46,25 +46,25 @@ def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe")
     return net, x, y, masks
 
 
-def tape_grads(net, x, y, masks=None, lam=0.0, head=False, reduction="mean"):
+def tape_grads(net, x, y, masks=None, lam=0.0, reduction="mean"):
     """Parameter gradients (views into one flat vector) and the input gradient."""
     flat = np.zeros(net.arena.size)
-    tape = Tape(net, x, y, masks, need_dual=lam > 0, include_head=head, reduction=reduction)
+    tape = Tape(net, x, y, masks, need_dual=lam > 0, reduction=reduction)
     dx = tape.backward(lam, net.layer_views(flat))
     return net.arena.views(flat), dx
 
 
-def fd_check(net, x, y, masks=None, lam=0.0, head=False, names=None, reduction="mean", check_x=True):
+def fd_check(net, x, y, masks=None, lam=0.0, names=None, reduction="mean", check_x=True):
     """Tape gradients of ``names`` (default: every parameter) and, with
     ``check_x``, of the input, against central differences."""
-    cfg = TrainConfig(lambda_dreg=lam, include_head_in_penalty=head)
+    cfg = TrainConfig(lambda_dreg=lam)
     if reduction == "sum":
         oracle = lambda: cross_entropy(predict_logits(net, x), y, reduction="sum")
     elif masks is None:
         oracle = lambda: objective_value(net, x, y, cfg)
     else:
-        oracle = lambda: float(Tape(net, x, y, masks, need_dual=lam > 0, include_head=head).loss(lam))
-    grads, dx = tape_grads(net, x, y, masks, lam, head, reduction)
+        oracle = lambda: float(Tape(net, x, y, masks, need_dual=lam > 0).loss(lam))
+    grads, dx = tape_grads(net, x, y, masks, lam, reduction)
     params = net.parameters()
     for name in names if names is not None else params:
         assert rel_err(grads[name], fd_gradient(oracle, params[name], STEP)) < TOL, name
@@ -72,13 +72,12 @@ def fd_check(net, x, y, masks=None, lam=0.0, head=False, names=None, reduction="
         assert rel_err(dx, fd_gradient(oracle, x, STEP)) < TOL, "input"
 
 
-@pytest.mark.parametrize("head", [False, True], ids=["nohead", "head"])
 @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
 @pytest.mark.parametrize("lam", [0.0, 0.5], ids=["lam0", "lam0.5"])
 @pytest.mark.parametrize("activation", ["poly", "relu"])
-def test_gradients_match_finite_differences(activation, lam, masked, head):
+def test_gradients_match_finite_differences(activation, lam, masked):
     net, x, y, masks = probe(activation, masked)
-    fd_check(net, x, y, masks, lam, head)
+    fd_check(net, x, y, masks, lam)
 
 
 class TestPrimitiveVjps:
@@ -123,8 +122,14 @@ class TestPrimitiveVjps:
         fd_check(net, x, y, lam=0.5, names=["layer0.W", "layer1.W", "layer2.W", "layer1.c2"])
 
     def test_jac_head(self):
+        # The penalty covers the hidden layers only: the head's gradients
+        # are the task loss's, bit for bit.
         net, x, y, _ = probe()
-        fd_check(net, x, y, lam=0.5, head=True, names=["head.W", "layer1.W", "layer1.b", "layer0.c3"])
+        with_pen, _ = tape_grads(net, x, y, lam=0.5)
+        plain, _ = tape_grads(net, x, y)
+        for name in ("head.W", "head.b"):
+            assert with_pen[name].tobytes() == plain[name].tobytes(), name
+        fd_check(net, x, y, lam=0.5, names=["head.W", "layer1.W", "layer1.b", "layer0.c3"])
 
     def test_jac_mask(self):
         net, x, y, masks = probe(masked=True)
@@ -134,16 +139,15 @@ class TestPrimitiveVjps:
         # The penalty alone: its value and its gradient, the difference
         # of the lambda = 1 and lambda = 0 gradients.
         net, x, y, _ = probe()
-        for head in (False, True):
-            tape = Tape(net, x, y, need_dual=True, include_head=head)
-            assert abs(float(tape.penalty) - measure_penalty(net, x, head)) < 1e-12
-            with_pen, with_dx = tape_grads(net, x, y, lam=1.0, head=head)
-            plain, plain_dx = tape_grads(net, x, y)
-            penalty = lambda: measure_penalty(net, x, head)
-            for name in ("layer0.W", "layer1.b", "layer1.c2"):
-                numeric = fd_gradient(penalty, net.parameters()[name], STEP)
-                assert rel_err(with_pen[name] - plain[name], numeric) < TOL, name
-            assert rel_err(with_dx - plain_dx, fd_gradient(penalty, x, STEP)) < TOL
+        tape = Tape(net, x, y, need_dual=True)
+        assert abs(float(tape.penalty) - measure_penalty(net, x)) < 1e-12
+        with_pen, with_dx = tape_grads(net, x, y, lam=1.0)
+        plain, plain_dx = tape_grads(net, x, y)
+        penalty = lambda: measure_penalty(net, x)
+        for name in ("layer0.W", "layer1.b", "layer1.c2"):
+            numeric = fd_gradient(penalty, net.parameters()[name], STEP)
+            assert rel_err(with_pen[name] - plain[name], numeric) < TOL, name
+        assert rel_err(with_dx - plain_dx, fd_gradient(penalty, x, STEP)) < TOL
 
     def test_softmax_cross_entropy_mean(self):
         net, x, y, _ = probe()
@@ -154,13 +158,15 @@ class TestPrimitiveVjps:
         fd_check(net, x, y, reduction="sum")
 
     def test_mean_scalars_and_add_scaled(self):
-        # loss = task + lambda * mean over the L + 1 blocks.
+        # loss = task + lambda * mean over the L hidden-layer blocks.
         net, x, y, _ = probe()
-        cfg = TrainConfig(lambda_dreg=0.7, include_head_in_penalty=True)
-        tape = Tape(net, x, y, need_dual=True, include_head=True)
-        assert len(tape.blocks) == len(net.layers) + 1
+        cfg = TrainConfig(lambda_dreg=0.7)
+        tape = Tape(net, x, y, need_dual=True)
+        blocks = [node[4] for node in tape.nodes]
+        assert len(blocks) == len(net.layers)
+        assert abs(float(tape.penalty) - dreg_penalty(blocks)) < 1e-12
         assert abs(float(tape.loss(0.7)) - objective_value(net, x, y, cfg)) < 1e-12
-        fd_check(net, x, y, lam=0.7, head=True, names=["layer0.W", "layer0.c2", "head.W"])
+        fd_check(net, x, y, lam=0.7, names=["layer0.W", "layer0.c2", "head.W"])
 
     def test_gradient_accumulation_over_shared_leaf(self):
         # Weights, pre-activations, cubic coefficients and blocks each get
@@ -184,9 +190,9 @@ class TestTapeMechanics:
 
     def test_grad_out_receives_gradients_in_place(self):
         net, x, y, _ = probe()
-        cfg = TrainConfig(lambda_dreg=0.5, include_head_in_penalty=True)
+        cfg = TrainConfig(lambda_dreg=0.5)
         flat = np.full(net.arena.size, 7.0)  # stale contents must not leak into the result
-        Tape(net, x, y, need_dual=True, include_head=True).backward(0.5, net.layer_views(flat))
+        Tape(net, x, y, need_dual=True).backward(0.5, net.layer_views(flat))
         np.testing.assert_array_equal(flat, loss_and_grads(net, x, y, cfg).grad)
 
     def test_backward_clears_stale_gradients(self):

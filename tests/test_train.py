@@ -99,15 +99,6 @@ class TestObjective:
             numeric = fd_gradient(lambda: objective_value(net, x, y, cfg), arr)
             assert rel_err(bundle.grads[name], numeric) < 1e-6, name
 
-    def test_gradients_match_finite_differences_with_head_penalty(self):
-        net = poly_net("fd-head")
-        x, y = batch("fd-head-b", 4, 3, 2)
-        cfg = TrainConfig(lambda_dreg=0.2, include_head_in_penalty=True)
-        bundle = loss_and_grads(net, x, y, cfg)
-        for name, arr in net.parameters().items():
-            numeric = fd_gradient(lambda: objective_value(net, x, y, cfg), arr)
-            assert rel_err(bundle.grads[name], numeric) < 1e-6, name
-
     def test_linear_activation_penalty_ignores_curvature_params(self):
         # With c2 = c3 = 0 the Jacobian stream is input-independent, so
         # the penalty gradient w.r.t. biases must vanish.
@@ -155,20 +146,19 @@ class TestObjective:
 class TestLeanStep:
     """What ``train`` reuses across steps changes no bit of a step."""
 
-    @pytest.mark.parametrize("activation, lam, rate, head", [
-        ("poly", 0.5, 0.0, False),
-        ("poly", 0.5, 0.0, True),
-        ("poly", 0.0, 0.0, False),
-        ("relu", 0.5, 0.0, False),
-        ("relu", 0.0, 0.3, False),
-        ("relu", 0.5, 0.3, True),
+    @pytest.mark.parametrize("activation, lam, rate", [
+        ("poly", 0.5, 0.0),
+        ("poly", 0.0, 0.0),
+        ("relu", 0.5, 0.0),
+        ("relu", 0.0, 0.3),
+        ("relu", 0.5, 0.3),
     ])
-    def test_garbage_buffer_matches_fresh_over_steps(self, activation, lam, rate, head):
-        rng = Rng(derive_seed("lean", activation, lam, rate, head))
+    def test_garbage_buffer_matches_fresh_over_steps(self, activation, lam, rate):
+        rng = Rng(derive_seed("lean", activation, lam, rate))
         reused = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation,
                            dropout_rate=rate, coeff_noise=0.05)
         fresh = copy.deepcopy(reused)
-        cfg = TrainConfig(lambda_dreg=lam, include_head_in_penalty=head)
+        cfg = TrainConfig(lambda_dreg=lam)
         rng_a, rng_b = rng.spawn("drop"), rng.spawn("drop")
         buf = np.empty(reused.arena.size)
         out = buf, reused.layer_views(buf)
@@ -199,13 +189,12 @@ class TestLeanStep:
                 assert m.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("activation", ["poly", "relu"])
-    @pytest.mark.parametrize("head", [False, True])
-    def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation, head):
-        rng = Rng(derive_seed("lam0-log", activation, head))
+    def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation):
+        rng = Rng(derive_seed("lam0-log", activation))
         net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, coeff_noise=0.05)
         x = rng.spawn("x").standard_normal(9, 4)
-        bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig(include_head_in_penalty=head))
-        assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x, head)).tobytes()
+        bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig())
+        assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x)).tobytes()
 
 
 class TestInferenceHelpers:
@@ -358,9 +347,8 @@ class TestParamArena:
 class TestPenaltyLogging:
     """With lambda = 0 the logged penalty equals measure_penalty bitwise."""
 
-    @pytest.mark.parametrize("include_head", [False, True])
     @pytest.mark.parametrize("model", ["vanilla", "weight_decay", "dropout", "poly"])
-    def test_logged_penalty_equals_measure_penalty(self, model, include_head):
+    def test_logged_penalty_equals_measure_penalty(self, model):
         rng = Rng(derive_seed("penalty-log", model))
         x = rng.spawn("x").standard_normal(16, 4)
         y = np.asarray(rng.spawn("y").integers(0, 3, size=16))
@@ -372,9 +360,8 @@ class TestPenaltyLogging:
         cfg = TrainConfig(
             lambda_dreg=0.0,
             weight_decay=1e-4 if model == "weight_decay" else 0.0,
-            include_head_in_penalty=include_head,
         )
-        expected = measure_penalty(net, x, include_head)
+        expected = measure_penalty(net, x)
         bundle = loss_and_grads(net, x, y, cfg, dropout_rng=rng.spawn("drop"))
         assert bundle.penalty == expected
 
