@@ -3,14 +3,14 @@ view into one contiguous float64 vector.
 
 The vector holds the decayed parameters (every weight matrix, bias and
 the head) first and the cubic activation coefficients last, so
-decoupled weight decay is one leading slice and an optimizer step is a
+decoupled weight decay is one leading slice and an Adam step is a
 handful of whole-vector operations instead of a loop over arrays.
 Gradients share the layout: ``views`` cuts any vector of the arena's
 size into per-parameter arrays named as in ``Net.parameters()``.
 
 Parameters must be mutated in place (``arr[...] = ...``), never rebound:
 a rebound attribute no longer shares memory with the vector the
-optimizer updates.
+Adam step updates.
 """
 
 from __future__ import annotations

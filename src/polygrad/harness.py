@@ -140,50 +140,30 @@ class SweepPlan:
         return [(m, f, s) for m in self.models for f in self.fractions for s in self.seeds]
 
 
-# Keys every model takes, as model.<id>.<key> or as the shared train.<key>.
-_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate", "optimizer")
-
-
-def _widths(cfg: Config, key: str, default: list[int]) -> list[int]:
-    """Hidden widths at ``key``: every width >= 1; empty only where ``default`` is."""
-    widths = cfg.get_int_list(key, default)
-    if (default and not widths) or any(w < 1 for w in widths):
-        raise ConfigError(
-            f"{cfg.source}: key {key!r} needs hidden widths >= 1, got {cfg.get_str(key)!r}", key=key
-        )
-    return widths
+# Keys every model takes, as the shared train.<key>.
+_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate")
 
 
 def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec:
     if model_id not in ROSTER:
         raise ConfigError(f"unknown roster model {model_id!r}", key=f"model.{model_id}")
     kind, defaults = ROSTER[model_id]
-
-    def pick(getter, key, default):
-        return getter(f"model.{model_id}.{key}", getter(f"train.{key}", default))
-
-    knobs = {k: pick(cfg.get_float, k, defaults[k]) if k in defaults else 0.0 for k in _KNOBS}
-    if kind == "poly":
-        widths = _widths(cfg, f"model.{model_id}.widths", poly_widths)
-    else:
-        # Identical-conditions fairness: baseline widths are derived from
-        # the polynomial architecture by parameter-count matching.
-        widths = _widths(cfg, f"model.{model_id}.widths", []) or None
+    knobs = {k: cfg.get_float(f"train.{k}", defaults[k]) if k in defaults else 0.0 for k in _KNOBS}
     loop = dict(
         lambda_dreg=knobs["lambda_dreg"],
-        learning_rate=pick(cfg.get_float, "learning_rate", 1e-3),
-        batch_size=pick(cfg.get_int, "batch_size", 32),
-        epochs=pick(cfg.get_int, "epochs", 150),
-        optimizer=pick(cfg.get_str, "optimizer", "adam"),
+        learning_rate=cfg.get_float("train.learning_rate", 1e-3),
+        batch_size=cfg.get_int("train.batch_size", 32),
+        epochs=cfg.get_int("train.epochs", 150),
         weight_decay=knobs["weight_decay"],
     )
+    # Identical-conditions fairness: baseline widths (None) are derived from
+    # the polynomial architecture by parameter-count matching.
+    widths = poly_widths if kind == "poly" else None
     try:
         return ModelSpec(model_id, kind, widths, TrainConfig(**loop), knobs["dropout_rate"])
     except ConfigError as err:
-        # Out-of-range values come back under their field name; report the key pick() read.
-        key = f"model.{model_id}.{err.key}"
-        if key not in cfg.values:
-            key = f"train.{err.key}"
+        # Out-of-range values come back under their field name.
+        key = f"train.{err.key}"
         raise ConfigError(f"{cfg.source}: key {key!r}: {err}", key=key) from None
 
 
@@ -228,7 +208,12 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         if repeats:
             raise ConfigError(f"{cfg.source}: key {key!r} lists {repeats[0]} more than once", key=key)
 
-    poly_widths = _widths(cfg, "train.widths", [16, 16])
+    poly_widths = cfg.get_int_list("train.widths", [16, 16])
+    if not poly_widths or any(w < 1 for w in poly_widths):
+        raise ConfigError(
+            f"{cfg.source}: key 'train.widths' needs hidden widths >= 1, got {cfg.get_str('train.widths')!r}",
+            key="train.widths",
+        )
     specs = {m: _model_spec(cfg, m, poly_widths) for m in models}
 
     plan = SweepPlan(
@@ -268,11 +253,7 @@ def plan_from_config(cfg: Config) -> SweepPlan:
 
 
 def _validate_keys(cfg: Config) -> None:
-    """Reject any key outside the documented vocabulary, naming it.
-
-    ``model.<id>.<knob>`` is valid only for a knob in the model's roster
-    row; a knob set there for another model would do nothing.
-    """
+    """Reject any key outside the documented vocabulary, naming it."""
     allowed = {
         "format_version",
         "run.seed",
@@ -292,8 +273,6 @@ def _validate_keys(cfg: Config) -> None:
         "plan.comparisons",
     }
     allowed.update(f"train.{k}" for k in _SHARED_KEYS + _KNOBS)
-    for m, (_, defaults) in ROSTER.items():
-        allowed.update(f"model.{m}.{k}" for k in _SHARED_KEYS + tuple(defaults))
     for key in sorted(cfg.values):
         if key not in allowed:
             raise ConfigError(f"{cfg.source}: unknown key {key!r}", key=key)
@@ -308,6 +287,8 @@ def train_config_from_file(cfg: Config) -> tuple[SweepPlan, str, float, int]:
     """
     model_id = cfg.get_str("model.id", "cr")
     fraction = cfg.get_float("data.fraction", 1.0)
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"{cfg.source}: key 'data.fraction' must be in (0, 1], got {fraction!r}", key="data.fraction")
     seed = cfg.get_int("run.seed", 0)
     base = dict(cfg.values)
     base.setdefault("plan.models", model_id)

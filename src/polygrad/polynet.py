@@ -43,8 +43,8 @@ __all__ = [
     "dreg_penalty",
 ]
 
-# Cap on the per-call Jacobian-stream allocation: the blocks of a batch take
-# batch * (sum(widths) + num_classes) * d doubles, checked before any is built.
+# Cap on the per-call Jacobian-stream allocation: a (batch, rows, d) block of
+# doubles per layer, counted over the blocks a call builds before any is built.
 MAX_DUAL_BYTES = 1 << 29  # 512 MiB
 
 
@@ -184,8 +184,8 @@ class Net:
         cubics (``activation="poly"``) or ReLU (``activation="relu"``).
 
         A cubic explodes quickly for |z| > 1, so training starts from
-        phi(z) = z plus ``coeff_noise`` on the curvature terms and lets the
-        optimizer grow them. ``coeff_noise`` stays for the finite-difference
+        phi(z) = z plus ``coeff_noise`` on the curvature terms and lets
+        training grow them. ``coeff_noise`` stays for the finite-difference
         gates, which raise it to 0.05 so the curvature terms are exercised.
         """
         net = cls(activation, input_dim, widths, num_classes, dropout_rate)
@@ -259,6 +259,16 @@ def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     return logits, preacts
 
 
+def _check_dual_budget(net: Net, batch: int, rows: int) -> None:
+    """MemoryBudgetError unless ``rows`` Jacobian rows of ``batch`` samples fit ``MAX_DUAL_BYTES``."""
+    need = 8 * batch * net.input_dim * rows
+    if need > MAX_DUAL_BYTES:
+        raise MemoryBudgetError(
+            f"dual stream needs {need} bytes for batch={batch}, d={net.input_dim}, "
+            f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
+        )
+
+
 def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value stream plus per-sample cumulative input-Jacobians.
 
@@ -268,13 +278,7 @@ def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]
     whose blocks would exceed ``MAX_DUAL_BYTES`` is rejected up front.
     """
     x = net.check_input(x)
-    batch, d = x.shape
-    need = 8 * batch * d * (sum(net.widths) + net.num_classes)
-    if need > MAX_DUAL_BYTES:
-        raise MemoryBudgetError(
-            f"dual stream needs {need} bytes for batch={batch}, d={d}, "
-            f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
-        )
+    _check_dual_budget(net, x.shape[0], sum(net.widths) + net.num_classes)
     logits, preacts = forward_values(net, x)
     blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)])
     blocks.append(net.head_weights @ blocks[-1])
@@ -287,7 +291,10 @@ def jacobian_stream(net: Net, slopes: list[np.ndarray]) -> list[np.ndarray]:
 
     Returns one (batch, width_l, d) block per layer:
     S1 = diag(phi'(z1)) @ W1 and Sl = diag(phi'(zl)) @ Wl @ S(l-1).
+    Blocks that would exceed ``MAX_DUAL_BYTES`` are rejected before any
+    is built.
     """
+    _check_dual_budget(net, slopes[0].shape[0], sum(net.widths))
     blocks = []
     S = None  # layer-0 value is the implicit identity
     for layer, slope in zip(net.layers, slopes):

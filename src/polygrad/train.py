@@ -1,4 +1,4 @@
-"""Composite objective, exact gradients, optimizers, and the training loop.
+"""Composite objective, exact gradients, the Adam step, and the training loop.
 
 The objective is mean softmax cross-entropy plus lambda times the
 layer-mean squared Frobenius norm of the per-sample input-Jacobian
@@ -20,7 +20,7 @@ import numpy as np
 from .arena import ParamArena
 from .errors import ConfigError, NumericOverflowError
 from .linalg import Rng
-from .polynet import Net, dreg_penalty, forward_dual, forward_values, jacobian_stream
+from .polynet import Net, dreg_penalty, forward_values, jacobian_stream
 from .tape import Tape
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "accuracy",
     "evaluate_accuracy",
     "AdamState",
-    "step_sgd",
     "step_adam",
     "EpochStats",
     "TrainLog",
@@ -46,7 +45,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 100
-    optimizer: str = "adam"
     weight_decay: float = 0.0
     seed: int = 0
 
@@ -56,7 +54,6 @@ class TrainConfig:
             ("learning_rate", self.learning_rate > 0, "> 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("epochs", self.epochs >= 1, ">= 1"),
-            ("optimizer", self.optimizer in ("sgd", "adam"), "'sgd' or 'adam'"),
             ("weight_decay", self.weight_decay >= 0, ">= 0"),
         ):
             if not ok:
@@ -95,9 +92,10 @@ class LossBundle:
 
 
 def measure_penalty(net: Net, x: np.ndarray) -> float:
-    """Report-only penalty value from a plain dual forward pass over the
-    hidden layers' blocks."""
-    return dreg_penalty(forward_dual(net, x)[1][:-1])
+    """Report-only penalty value from a plain forward pass and the hidden
+    layers' Jacobian blocks; no head block is built."""
+    _, preacts = forward_values(net, x)
+    return dreg_penalty(jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)]))
 
 
 def loss_and_grads(
@@ -194,19 +192,11 @@ def evaluate_accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
     return accuracy(predict_logits(net, x), labels)
 
 
-# -- optimizers ------------------------------------------------------------
+# -- Adam ------------------------------------------------------------------
 #
-# Both steps update a network's whole flat parameter vector (``net.arena.flat``)
+# A step updates a network's whole flat parameter vector (``net.arena.flat``)
 # at once; ``n_decayed`` leading entries get decoupled weight decay, the
 # trailing cubic coefficients do not.
-
-
-def step_sgd(params: np.ndarray, grad: np.ndarray, cfg: TrainConfig, n_decayed: int) -> None:
-    """In-place SGD step with decoupled weight decay."""
-    params -= cfg.learning_rate * grad
-    if cfg.weight_decay > 0.0:
-        decayed = params[:n_decayed]
-        decayed -= cfg.learning_rate * cfg.weight_decay * decayed
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -293,7 +283,7 @@ def train(
     arena = net.arena
     arena.check_bound(net.parameters())
     params = arena.flat
-    adam = AdamState.for_params(params) if cfg.optimizer == "adam" else None
+    adam = AdamState.for_params(params)
     grad = np.empty(arena.size)
     grad_out = grad, net.layer_views(grad)
 
@@ -314,10 +304,7 @@ def train(
                 raise NumericOverflowError(
                     f"training diverged: {err}", epoch=epoch, batch=start // cfg.batch_size
                 ) from err
-            if cfg.optimizer == "sgd":
-                step_sgd(params, grad, cfg, arena.n_decayed)
-            else:
-                step_adam(params, grad, adam, cfg, arena.n_decayed)
+            step_adam(params, grad, adam, cfg, arena.n_decayed)
             task_losses.append(bundle.task_loss)
             penalties.append(bundle.penalty)
         if not logged:

@@ -197,9 +197,9 @@ class TestSweepCommand:
         plan = tmp_path / "bad_plan.txt"
         plan.write_text(
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
-            "data.n_samples = 80\nplan.models = cr\nplan.fractions = 1.0\n"
+            "data.n_samples = 80\nplan.models = weight_decay\nplan.fractions = 1.0\n"
             "plan.seeds = 0\ntrain.widths = 4\ntrain.epochs = 5\n"
-            "model.cr.optimizer = sgd\nmodel.cr.learning_rate = 1e9\n"
+            "train.weight_decay = 1e50\n"
         )
         code = main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "o")])
         assert code == 1
@@ -363,6 +363,14 @@ class TestErrorPaths:
         assert err.startswith("error:") and key in err
         assert not (out / "results.jsonl").exists()
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0"])
+    def test_train_fraction_out_of_range_fails_before_out(self, tmp_path, capsys, fraction):
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(PLAN), "--fraction", fraction, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {PLAN}: key 'data.fraction'")
+        assert not out.exists()
+
     def test_zero_workers_rejected(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["sweep", "--plan", str(PLAN), "--out", str(out), "--workers", "0"])
@@ -371,18 +379,17 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, key", [
-        ("model.cr.learning_rate = 0", "model.cr.learning_rate"),
+        ("train.learning_rate = 0", "train.learning_rate"),
         ("train.learning_rate = -0.1", "train.learning_rate"),
         ("train.batch_size = 0", "train.batch_size"),
-        ("model.vanilla.epochs = 0", "model.vanilla.epochs"),
-        ("model.cr.optimizer = rmsprop", "model.cr.optimizer"),
-        ("model.weight_decay.weight_decay = -1", "model.weight_decay.weight_decay"),
+        ("train.epochs = 0", "train.epochs"),
+        ("train.weight_decay = -1", "train.weight_decay"),
         ("train.lambda_dreg = -0.5", "train.lambda_dreg"),
-        ("model.dropout.dropout_rate = 1.0", "model.dropout.dropout_rate"),
+        ("train.dropout_rate = 1.0", "train.dropout_rate"),
         ("data.n_samples = 2", "data.n_samples"),
         ("data.classes = 1", "data.classes"),
         ("data.dim = 1", "data.dim"),
-        ("model.cr.batch_size = many", "model.cr.batch_size"),
+        ("train.batch_size = many", "train.batch_size"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, line, key):
         plan = tmp_path / "plan.txt"

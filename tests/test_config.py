@@ -161,29 +161,30 @@ class TestPlanFromConfig:
         assert plan.specs["dropout"].dropout_rate == 0.4
         assert plan.specs["weight_decay"].train.weight_decay == 0.01
 
-    @pytest.mark.parametrize("key", ["model.vanilla.lambda_dreg", "model.dropout.weight_decay",
-                                     "model.cr.dropout_rate"])
-    def test_knob_outside_model_row_rejected(self, key):
-        with pytest.raises(ConfigError, match=key) as exc:
-            plan_from_config(cfg_of(f"{key} = 0.5"))
-        assert exc.value.key == key
+    @pytest.mark.parametrize("knob, model_id", [("lambda_dreg", "vanilla"), ("weight_decay", "dropout"),
+                                                ("dropout_rate", "cr")])
+    def test_knob_outside_model_row_is_zero(self, knob, model_id):
+        spec = plan_from_config(cfg_of(f"train.{knob} = 0.5")).specs[model_id]
+        assert (spec.dropout_rate if knob == "dropout_rate" else getattr(spec.train, knob)) == 0.0
 
     def test_knob_in_model_row_accepted(self):
-        plan = plan_from_config(cfg_of("model.relu_dreg.lambda_dreg = 0.5", "model.dropout.dropout_rate = 0.3",
-                                       "model.weight_decay.weight_decay = 0.01"))
+        plan = plan_from_config(cfg_of("train.lambda_dreg = 0.5", "train.dropout_rate = 0.3",
+                                       "train.weight_decay = 0.01"))
         assert plan.specs["relu_dreg"].train.lambda_dreg == 0.5
-        assert plan.specs["cr"].train.lambda_dreg == 0.1
+        assert plan.specs["cr"].train.lambda_dreg == 0.5
         assert plan.specs["dropout"].dropout_rate == 0.3
         assert plan.specs["weight_decay"].train.weight_decay == 0.01
 
     def test_dropout_rate_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="dropout_rate"):
-            plan_from_config(cfg_of("model.dropout.dropout_rate = 1.0"))
+        with pytest.raises(ConfigError, match="dropout_rate") as exc:
+            plan_from_config(cfg_of("train.dropout_rate = 1.0"))
+        assert exc.value.key == "train.dropout_rate"
 
-    def test_model_override_beats_shared_train_key(self):
-        plan = plan_from_config(cfg_of("train.epochs = 7", "model.cr.epochs = 9"))
-        assert plan.specs["cr"].train.epochs == 9
-        assert plan.specs["vanilla"].train.epochs == 7
+    def test_loop_keys_shared_by_every_model(self):
+        plan = plan_from_config(cfg_of("train.epochs = 7", "train.batch_size = 16", "train.learning_rate = 0.02"))
+        assert {(s.train.epochs, s.train.batch_size, s.train.learning_rate) for s in plan.specs.values()} == {
+            (7, 16, 0.02)
+        }
 
     def test_fractions_sorted(self):
         plan = plan_from_config(cfg_of("plan.fractions = 1.0, 0.1, 0.5"))
@@ -200,25 +201,20 @@ class TestPlanFromConfig:
     def test_poly_widths_flow_from_train_key(self):
         plan = plan_from_config(cfg_of("train.widths = 8, 8"))
         assert plan.specs["cr"].widths == [8, 8]
-        assert plan.specs["vanilla"].widths is None  # derived by capacity match
+        for model_id in ("vanilla", "dropout", "weight_decay", "relu_dreg"):
+            assert plan.specs[model_id].widths is None  # derived by capacity match
 
     @pytest.mark.parametrize("line, key", [
         ("train.widths =", "train.widths"),
         ("train.widths = 4, -2", "train.widths"),
         ("train.widths = 0", "train.widths"),
-        ("model.cr.widths =", "model.cr.widths"),
-        ("model.cr.widths = 8, 0", "model.cr.widths"),
-        ("model.vanilla.widths = -3", "model.vanilla.widths"),
+        ("train.widths = 8, 0", "train.widths"),
+        ("train.widths = -3", "train.widths"),
     ])
     def test_bad_widths_rejected(self, line, key):
         with pytest.raises(ConfigError, match=key) as exc:
             plan_from_config(cfg_of(line))
         assert exc.value.key == key
-
-    def test_empty_baseline_widths_mean_capacity_match(self):
-        plan = plan_from_config(cfg_of("model.vanilla.widths =", "model.dropout.widths = 12, 12"))
-        assert plan.specs["vanilla"].widths is None
-        assert plan.specs["dropout"].widths == [12, 12]
 
     def test_unknown_roster_model_rejected(self):
         with pytest.raises(ConfigError, match="resnet"):
@@ -239,7 +235,8 @@ class TestPlanFromConfig:
 
     def test_unknown_key_named(self):
         for key in ("train.epochz", "train.include_head_in_penalty",
-                    "model.cr.include_head_in_penalty", "data.impute"):
+                    "model.cr.include_head_in_penalty", "data.impute",
+                    "train.optimizer", "model.cr.learning_rate", "model.vanilla.widths"):
             with pytest.raises(ConfigError, match=re.escape(repr(key))) as exc:
                 plan_from_config(cfg_of(f"{key} = 3"))
             assert exc.value.key == key

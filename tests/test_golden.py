@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # All five roster models on a small pima slice, with the full sweep's
-# training knobs: every model family, optimizer path and penalty-logging
-# path runs, in a few seconds.
+# training knobs: every model family and penalty-logging path runs, in a
+# few seconds.
 PIMA_SLICE = """\
 format_version = 1
 data.source = pima_like

@@ -226,41 +226,45 @@ class TestRunCell:
     def test_failure_becomes_row(self, tmp_path):
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
-            "data.n_samples = 80\nplan.models = cr\nplan.fractions = 1.0\n"
+            "data.n_samples = 80\nplan.models = weight_decay\nplan.fractions = 1.0\n"
             "plan.seeds = 0\ntrain.widths = 4\ntrain.epochs = 5\n"
-            "model.cr.optimizer = sgd\nmodel.cr.learning_rate = 1e9\n"
+            "train.weight_decay = 1e50\n"
         )
         plan = plan_from_config(parse_config(text))
         ds = resolve_dataset(plan, str(tmp_path))
-        row = run_cell(ds, plan, "cr", 1.0, 0)
+        row = run_cell(ds, plan, "weight_decay", 1.0, 0)
         assert row["status"] == "failed"
         assert "error" in row and "wall_time_seconds" in row
+        assert row["error"] == "NumericOverflowError: training diverged: non-finite training loss"
+        assert (row["epoch"], row["batch"]) == (1, 1)
 
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_mid_run_overflow_fails_at_next_batch(self):
-        # SGD at lr 1e9 overflows the parameters on epoch 1's only batch.
-        # A row skips epoch 1's eval forward, so the overflow surfaces as
-        # epoch 2's training loss; the full trajectory catches it in eval.
+        # Weight decay 1e50 at lr 1e-3 scales the decayed parameters by
+        # 1 - 1e47 on every step, one step per epoch here, and the
+        # parameters overflow on epoch 2's step. A row skips epoch 2's eval
+        # forward, so the overflow surfaces as epoch 3's training loss; the
+        # full trajectory catches it in eval.
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
-            "data.n_samples = 400\nplan.models = cr\nplan.fractions = 0.05\n"
+            "data.n_samples = 400\nplan.models = weight_decay\nplan.fractions = 0.05\n"
             "plan.seeds = 0\ntrain.widths = 4\ntrain.epochs = 20\n"
-            "model.cr.optimizer = sgd\nmodel.cr.learning_rate = 1e9\n"
+            "train.weight_decay = 1e50\n"
         )
         plan = plan_from_config(parse_config(text))
         ds = resolve_dataset(plan)
-        row = run_cell(ds, plan, "cr", 0.05, 0)
+        row = run_cell(ds, plan, "weight_decay", 0.05, 0)
         assert row["status"] == "failed"
         assert row["error"] == "NumericOverflowError: training diverged: non-finite training loss"
-        assert (row["epoch"], row["batch"]) == (2, 0)
+        assert (row["epoch"], row["batch"]) == (3, 0)
         with pytest.raises(NumericOverflowError) as exc:
-            train_cell(ds, plan, "cr", 0.05, 0, trajectory=False)
-        assert (exc.value.epoch, exc.value.batch) == (2, 0)
+            train_cell(ds, plan, "weight_decay", 0.05, 0, trajectory=False)
+        assert (exc.value.epoch, exc.value.batch) == (3, 0)
         with pytest.raises(NumericOverflowError) as exc:
-            train_cell(ds, plan, "cr", 0.05, 0, trajectory=True)
+            train_cell(ds, plan, "weight_decay", 0.05, 0, trajectory=True)
         assert str(exc.value) == "evaluation diverged: non-finite values in head"
-        assert (exc.value.epoch, exc.value.batch) == (1, None)
+        assert (exc.value.epoch, exc.value.batch) == (2, None)
 
 
 def exit_at_third_cell(ds, plan, model_id, fraction, seed):
@@ -457,10 +461,11 @@ class TestSweep:
     def test_divergent_cells_reported_not_fatal(self, tmp_path):
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
-            "data.n_samples = 80\nplan.models = cr, vanilla\n"
+            "data.n_samples = 80\nplan.models = weight_decay, vanilla\n"
             "plan.fractions = 1.0\nplan.seeds = 0, 1\n"
             "train.widths = 4\ntrain.epochs = 5\ntrain.learning_rate = 0.01\n"
-            "model.cr.optimizer = sgd\nmodel.cr.learning_rate = 1e9\n"
+            "train.weight_decay = 1e50\n"
+            "plan.comparisons = weight_decay:vanilla:tau, weight_decay:vanilla:accuracy\n"
         )
         plan = plan_from_config(parse_config(text))
         ds = resolve_dataset(plan, str(tmp_path))
@@ -468,12 +473,13 @@ class TestSweep:
         by_model = {}
         for r in rows:
             by_model.setdefault(r["model_id"], []).append(r["status"])
-        assert by_model["cr"] == ["failed", "failed"]
+        assert by_model["weight_decay"] == ["failed", "failed"]
         assert by_model["vanilla"] == ["ok", "ok"]
         # csv keeps only ok rows
         csv_lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 3
         report = json.loads((tmp_path / "stats_report.json").read_text())
+        assert len(report["comparisons"]) == 2
         assert all(e.get("error") == "insufficient paired rows"
                    for e in report["comparisons"])
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, make_net, rel_err
+from polygrad import polynet
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
-from polygrad.errors import NumericOverflowError
+from polygrad.errors import MemoryBudgetError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, forward_values
+from polygrad.polynet import Net, dreg_penalty, forward_dual, forward_values
 from polygrad.tape import Tape
 from polygrad.train import (
     AdamState,
@@ -23,7 +24,6 @@ from polygrad.train import (
     measure_penalty,
     objective_value,
     step_adam,
-    step_sgd,
     train,
 )
 
@@ -47,7 +47,7 @@ class TestTrainConfigValidation:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"epochs": 0},
-            {"optimizer": "lbfgs"},
+            {"learning_rate": float("nan")},
             {"weight_decay": -1e-4},
         ],
     )
@@ -196,6 +196,20 @@ class TestLeanStep:
         bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig())
         assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x)).tobytes()
 
+    def test_measure_penalty_budget_counts_hidden_blocks_only(self, monkeypatch):
+        rng = Rng(derive_seed("penalty-budget"))
+        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
+        x = rng.spawn("x").standard_normal(9, 4)
+        expected = dreg_penalty(forward_dual(net, x)[1][:-1])
+        hidden_bytes = 8 * 9 * 4 * (6 + 5)
+        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", hidden_bytes)
+        assert np.float64(measure_penalty(net, x)).tobytes() == np.float64(expected).tobytes()
+        with pytest.raises(MemoryBudgetError):  # the head block counts here
+            forward_dual(net, x)
+        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", hidden_bytes - 1)
+        with pytest.raises(MemoryBudgetError):
+            measure_penalty(net, x)
+
 
 class TestInferenceHelpers:
     def test_cross_entropy_matches_log_softmax(self):
@@ -218,24 +232,15 @@ class TestInferenceHelpers:
 
 
 class TestOptimizers:
-    def test_sgd_frozen_step(self):
-        params = np.array([0.0])
-        step_sgd(params, np.array([1.0]), TrainConfig(learning_rate=0.1, optimizer="sgd"), n_decayed=1)
-        np.testing.assert_allclose(params, [-0.1], atol=1e-15)
-
-    def test_sgd_decoupled_decay_frozen(self):
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01, optimizer="sgd")
-        params = np.array([1.0])
-        step_sgd(params, np.array([0.0]), cfg, n_decayed=1)
-        np.testing.assert_allclose(params, [0.999], atol=1e-15)
-
     def test_decay_skips_activation_coefficients(self):
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, optimizer="sgd")
+        # A zero gradient leaves Adam's moment step at zero, so only the
+        # decoupled decay moves the weight: 1 - 0.1 * 0.01 = 0.999.
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
         arena = ParamArena({"layer0.W": ((1,), True), "layer0.c2": ((1,), False)})
         arena.flat[:] = 1.0
         params = arena.views(arena.flat)
-        step_sgd(arena.flat, np.zeros(arena.size), cfg, arena.n_decayed)
-        assert params["layer0.W"][0] < 1.0
+        step_adam(arena.flat, np.zeros(arena.size), AdamState.for_params(arena.flat), cfg, arena.n_decayed)
+        np.testing.assert_allclose(params["layer0.W"], [0.999], atol=1e-15)
         assert params["layer0.c2"][0] == 1.0
 
     def test_adam_first_step_closed_form(self):
@@ -412,11 +417,12 @@ class TestTrainingLoop:
     def test_divergence_reports_epoch_and_batch(self):
         tx, ty, ex, ey, ds = blob_split()
         net = Net.build(Rng(derive_seed("diverge")), ds.d, [6], ds.class_count)
-        cfg = TrainConfig(learning_rate=1e9, optimizer="sgd", epochs=5, seed=0)
+        cfg = TrainConfig(weight_decay=1e50, epochs=5, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericOverflowError) as exc:
                 train(net, tx, ty, ex, ey, cfg)
-        assert exc.value.epoch is not None
+        assert str(exc.value) == "training diverged: non-finite training loss"
+        assert (exc.value.epoch, exc.value.batch) == (0, 2)
 
     def test_epoch_log_fields(self):
         tx, ty, ex, ey, ds = blob_split()
