@@ -201,8 +201,14 @@ class TestPlanFromConfig:
     def test_poly_widths_flow_from_train_key(self):
         plan = plan_from_config(cfg_of("train.widths = 8, 8"))
         assert plan.specs["cr"].widths == [8, 8]
+        assert plan.specs["vanilla"].widths is None  # derived by capacity match
+
+    def test_empty_baseline_widths_mean_capacity_match(self):
+        # No key sets a ReLU model's widths, so every baseline is sized by
+        # capacity matching against the polynomial widths.
+        plan = plan_from_config(cfg_of("train.widths = 12, 12"))
         for model_id in ("vanilla", "dropout", "weight_decay", "relu_dreg"):
-            assert plan.specs[model_id].widths is None  # derived by capacity match
+            assert plan.specs[model_id].widths is None
 
     @pytest.mark.parametrize("line, key", [
         ("train.widths =", "train.widths"),

@@ -232,15 +232,21 @@ class TestInferenceHelpers:
 
 
 class TestOptimizers:
-    def test_decay_skips_activation_coefficients(self):
+    def test_decoupled_decay_frozen(self):
         # A zero gradient leaves Adam's moment step at zero, so only the
         # decoupled decay moves the weight: 1 - 0.1 * 0.01 = 0.999.
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
+        params = np.array([1.0])
+        step_adam(params, np.array([0.0]), AdamState.for_params(params), cfg, n_decayed=1)
+        np.testing.assert_allclose(params, [0.999], atol=1e-15)
+
+    def test_decay_skips_activation_coefficients(self):
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
         arena = ParamArena({"layer0.W": ((1,), True), "layer0.c2": ((1,), False)})
         arena.flat[:] = 1.0
         params = arena.views(arena.flat)
         step_adam(arena.flat, np.zeros(arena.size), AdamState.for_params(arena.flat), cfg, arena.n_decayed)
-        np.testing.assert_allclose(params["layer0.W"], [0.999], atol=1e-15)
+        assert params["layer0.W"][0] < 1.0
         assert params["layer0.c2"][0] == 1.0
 
     def test_adam_first_step_closed_form(self):
