@@ -43,8 +43,6 @@ from .polynet import (
     dreg_penalty,
     forward_dual,
     forward_values,
-    poly_deriv,
-    poly_eval,
 )
 from .train import TrainConfig, loss_and_grads
 
@@ -82,8 +80,6 @@ __all__ = [
     "paired_t_one_sided",
     "parse_config",
     "plan_from_config",
-    "poly_deriv",
-    "poly_eval",
     "quantile",
     "run_cell",
     "save_checkpoint",

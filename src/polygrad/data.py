@@ -90,8 +90,9 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     """Read a comma-delimited numeric table with a header row.
 
     Error messages number rows by csv record: the header is row 0 and
-    blank records count. Labels may be any integer values; they are
-    remapped to contiguous classes 0..K-1 in sorted order.
+    blank records count. Labels may be any integers that fit an int64;
+    they are remapped to contiguous classes 0..K-1 in sorted order. A
+    fractional, non-finite or out-of-range label is refused with its row.
 
     The data rows are parsed in one call to numpy's C reader. A file it
     rejects (or one holding ASCII separator characters, which numpy
@@ -116,13 +117,16 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
 
     label_pos = header.index(label_column)
     labels_f = table[:, label_pos]
-    non_integer = labels_f != np.round(labels_f)
-    if non_integer.any():
-        index = int(np.flatnonzero(non_integer)[0])
+    non_integer = labels_f != np.round(labels_f)  # True for NaN
+    in_range = (labels_f >= -(2.0**63)) & (labels_f < 2.0**63)  # False for NaN and +-inf
+    refused = non_integer | ~in_range
+    if refused.any():
+        index = int(np.flatnonzero(refused)[0])
         with open(path, newline="", encoding="utf-8") as fh:
             bad = next(itertools.islice(_records(fh), index, None))[0]
+        what = "non-integer label" if non_integer[index] else "label outside the int64 range"
         raise CsvParseError(
-            f"{path}: non-integer label at row {bad}", row=bad, column=label_column
+            f"{path}: {what} at row {bad}, column {label_column!r}", row=bad, column=label_column
         )
     values, labels = np.unique(labels_f.astype(np.int64), return_inverse=True)
     feature_names = [h for h in header if h != label_column]
@@ -208,13 +212,16 @@ class PreprocessStats:
     means: np.ndarray | None = None
     stds: np.ndarray | None = None
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def impute(self, features: np.ndarray) -> np.ndarray:
+        """A float64 copy of ``features`` with each imputed column's zeros filled."""
         out = np.array(features, dtype=np.float64, copy=True)
         for name, fill in self.impute_values.items():
-            j = self.feature_names.index(name)
-            col = out[:, j]
+            col = out[:, self.feature_names.index(name)]
             col[col == 0.0] = fill
-        return (out - self.means) / self.stds
+        return out
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        return (self.impute(features) - self.means) / self.stds
 
 
 def fit_preprocess(
@@ -242,11 +249,7 @@ def fit_preprocess(
             stats.impute_values[name] = 0.0
         else:
             stats.impute_values[name] = _median(nonzero)
-    work = np.array(sub, copy=True)
-    for name, fill in stats.impute_values.items():
-        j = feature_names.index(name)
-        col = work[:, j]
-        col[col == 0.0] = fill
+    work = stats.impute(sub)
     stats.means = work.mean(axis=0)
     stds = work.std(axis=0)
     stds[stds == 0.0] = 1.0

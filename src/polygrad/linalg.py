@@ -1,9 +1,7 @@
-"""Seeded RNG, Gaussian initialization, and quantile primitives.
+"""Seeded RNG, seed derivation, and quantile primitives.
 
-Matrices are plain 2-D ``numpy.ndarray`` values in row-major order and
-double precision. Public operations validate shapes and promise finite
-output; violations raise :class:`~polygrad.errors.ShapeError` or
-``ValueError`` rather than propagating NaN silently.
+``quantile`` validates its input and raises ``ValueError`` rather than
+propagating NaN silently.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ShapeError
-
-__all__ = ["Rng", "derive_seed", "quantile", "gauss_init"]
+__all__ = ["Rng", "derive_seed", "quantile"]
 
 
 def derive_seed(*parts) -> int:
@@ -85,12 +81,3 @@ def quantile(values, q: float) -> float:
         return float(v[-1])
     frac = h - lo
     return float(v[lo] + frac * (v[lo + 1] - v[lo]))
-
-
-def gauss_init(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
-    """(rows x cols) matrix of i.i.d. N(0, scale^2) entries."""
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"gauss_init needs positive dimensions, got {rows}x{cols}")
-    if not scale > 0:
-        raise ValueError(f"gauss_init scale must be > 0, got {scale}")
-    return scale * rng.standard_normal(rows, cols)

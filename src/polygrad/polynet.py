@@ -27,7 +27,7 @@ import numpy as np
 
 from .arena import ParamArena
 from .errors import MemoryBudgetError, NumericOverflowError, ShapeError
-from .linalg import Rng, gauss_init
+from .linalg import Rng
 
 __all__ = [
     "Layer",
@@ -35,8 +35,6 @@ __all__ = [
     "PolyNetwork",
     "param_shapes",
     "param_count",
-    "poly_eval",
-    "poly_deriv",
     "forward_values",
     "forward_dual",
     "jacobian_stream",
@@ -48,35 +46,14 @@ __all__ = [
 MAX_DUAL_BYTES = 1 << 29  # 512 MiB
 
 
-def _check_width(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != coeffs.shape[1]:
-        raise ShapeError(
-            f"pre-activation shape {z.shape} does not match coefficient width {coeffs.shape[1]}"
-        )
-    return z
-
-
-def poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Elementwise phi(z); ``coeffs`` is a (4, width) block, rows c0..c3 broadcast per column."""
-    z = _check_width(coeffs, z)
-    c0, c1, c2, c3 = coeffs
-    return c0 + z * (c1 + z * (c2 + z * c3))
-
-
-def poly_deriv(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Elementwise analytic phi'(z); ``coeffs`` as in ``poly_eval``."""
-    z = _check_width(coeffs, z)
-    _, c1, c2, c3 = coeffs
-    return c1 + z * (2.0 * c2 + 3.0 * c3 * z)
-
-
 class Layer(NamedTuple):
     """One fully connected layer's parameters: views into its net's vector.
 
     ``coeffs`` is the (4, width) block of cubic coefficients, rows c0..c3;
     a ReLU layer has none. The ReLU slope is the subgradient 1[z > 0],
-    taken as exactly 0 at the kink.
+    taken as exactly 0 at the kink. ``activate`` and ``slope`` take a
+    pre-activation of shape (..., out_width): the coefficients broadcast
+    over any leading axes, so a stack of batches is one call.
     """
 
     weights: np.ndarray  # (out_width, in_width)
@@ -87,13 +64,15 @@ class Layer(NamedTuple):
         """phi(z) for a cubic layer, max(0, z) for a ReLU layer."""
         if self.coeffs is None:
             return np.maximum(z, 0.0)
-        return poly_eval(self.coeffs, z)
+        c0, c1, c2, c3 = self.coeffs
+        return c0 + z * (c1 + z * (c2 + z * c3))
 
     def slope(self, z: np.ndarray) -> np.ndarray:
         """phi'(z) for a cubic layer, 1[z > 0] for a ReLU layer."""
         if self.coeffs is None:
             return (z > 0.0).astype(np.float64)
-        return poly_deriv(self.coeffs, z)
+        _, c1, c2, c3 = self.coeffs
+        return c1 + z * (2.0 * c2 + 3.0 * c3 * z)
 
 
 def param_shapes(
@@ -148,6 +127,11 @@ class Net:
         self.input_dim = int(input_dim)
         self.widths = [int(w) for w in widths]
         self.num_classes = int(num_classes)
+        if min(self.input_dim, self.num_classes, *self.widths) < 1:
+            raise ShapeError(
+                f"input_dim, widths and num_classes must all be >= 1, got input_dim={self.input_dim}, "
+                f"widths={self.widths}, num_classes={self.num_classes}"
+            )
         self.dropout_rate = dropout_rate
         self.arena = ParamArena(param_shapes(activation, self.input_dim, self.widths, self.num_classes))
         self._bind()
@@ -196,9 +180,9 @@ class Net:
                 coeffs[1] = 1.0
                 coeffs[2] = coeff_noise * draw.standard_normal(w)
                 coeffs[3] = coeff_noise * draw.standard_normal(w)
-            W[...] = gauss_init(rng.spawn("W", i), w, fan_in, 1.0 / np.sqrt(fan_in))
+            W[...] = (1.0 / np.sqrt(fan_in)) * rng.spawn("W", i).standard_normal(w, fan_in)
         classes, fan_in = net.head_weights.shape
-        net.head_weights[...] = gauss_init(rng.spawn("head"), classes, fan_in, 1.0 / np.sqrt(fan_in))
+        net.head_weights[...] = (1.0 / np.sqrt(fan_in)) * rng.spawn("head").standard_normal(classes, fan_in)
         return net
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -233,6 +233,9 @@ class TestCsvGrammar:
     @pytest.mark.parametrize("text, message", [
         ("a,outcome\n1,0\n\n2,0.5\n", "non-integer label at row 3"),
         ("a,outcome\n1,0\n\nx,0\n", "non-numeric cell 'x' at row 3, column 'a'"),
+        ("a,outcome\n1,0\n\n2,inf\n", "label outside the int64 range at row 3, column 'outcome'"),
+        ("a,outcome\n1,0\n\n2,1e300\n", "label outside the int64 range at row 3, column 'outcome'"),
+        ("a,outcome\n1,0\n\n2,9223372036854775808\n", "label outside the int64 range at row 3"),
     ])
     def test_label_and_cell_errors_count_blank_records(self, tmp_path, text, message):
         p = tmp_path / "t.csv"

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from polygrad.errors import ShapeError
-from polygrad.linalg import Rng, derive_seed, gauss_init, quantile
+from polygrad.linalg import Rng, derive_seed, quantile
 
 
 class TestDeriveSeed:
@@ -105,23 +104,3 @@ class TestQuantile:
     def test_level_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             quantile(np.array([1.0]), 1.5)
-
-
-class TestGaussInit:
-    def test_shape_and_determinism(self):
-        a = gauss_init(Rng(9), 5, 7, 0.5)
-        b = gauss_init(Rng(9), 5, 7, 0.5)
-        assert a.shape == (5, 7)
-        np.testing.assert_array_equal(a, b)
-
-    def test_scale_controls_std(self):
-        big = gauss_init(Rng(2), 200, 200, 2.0)
-        assert abs(float(big.std()) - 2.0) < 0.1
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ShapeError):
-            gauss_init(Rng(0), 0, 3, 1.0)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            gauss_init(Rng(0), 2, 2, 0.0)

@@ -8,13 +8,12 @@ from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import (
+    Layer,
     Net,
     dreg_penalty,
     forward_dual,
     forward_values,
     jacobian_stream,
-    poly_deriv,
-    poly_eval,
 )
 from polygrad.tape import Tape
 from polygrad.train import dropout_masks
@@ -23,6 +22,13 @@ from polygrad.train import dropout_masks
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
     rng = Rng(derive_seed(seed))
     return Net.build(rng, d, list(widths), classes, coeff_noise=0.05)
+
+
+def cubic(coeffs):
+    """A cubic layer with the (4, width) coefficient block ``coeffs``; only
+    ``activate`` and ``slope`` are exercised, so the affine part is identity."""
+    width = coeffs.shape[1]
+    return Layer(np.eye(width), np.zeros(width), coeffs)
 
 
 def slope_backward(coeffs, z):
@@ -35,7 +41,7 @@ def slope_backward(coeffs, z):
     batch, width = z.shape
     net = make_net([(np.eye(width), np.zeros(width), coeffs)], np.zeros((2, width)), np.zeros(2))
     dx = Tape(net, z, np.zeros(batch, int), need_dual=True).backward(batch / 2)
-    return dx / poly_deriv(coeffs, z)
+    return dx / cubic(coeffs).slope(z)
 
 
 def tampered_checkpoint(tmp_path, net, **params):
@@ -56,7 +62,7 @@ class TestActivationCoeffs:
     def test_identity_is_exact(self):
         c = identity_coeffs(3)
         z = Rng(0).standard_normal(6, 3)
-        np.testing.assert_array_equal(poly_eval(c, z), z)
+        np.testing.assert_array_equal(cubic(c).activate(z), z)
 
     def test_near_identity_structure(self):
         c = Net.build(Rng(1), 3, [8], 2, coeff_noise=0.01).layers[0].coeffs
@@ -88,12 +94,12 @@ class TestPolyEvalAndDeriv:
     def test_frozen_cubic_value(self):
         c = np.array([[1.0], [2.0], [3.0], [4.0]])
         # 1 + 2*2 + 3*4 + 4*8 = 49
-        assert poly_eval(c, np.array([[2.0]]))[0, 0] == 49.0
+        assert cubic(c).activate(np.array([[2.0]]))[0, 0] == 49.0
 
     def test_frozen_first_derivative(self):
         c = np.array([[0.0], [1.0], [0.0], [1.0]])
         # d/dz (z + z^3) at z=2 is 1 + 3*4 = 13
-        assert poly_deriv(c, np.array([[2.0]]))[0, 0] == 13.0
+        assert cubic(c).slope(np.array([[2.0]]))[0, 0] == 13.0
 
     def test_frozen_second_derivative(self):
         # d2/dz2 (5 z^2) = 10 everywhere
@@ -103,9 +109,9 @@ class TestPolyEvalAndDeriv:
         rng = Rng(derive_seed("deriv-fd"))
         c = rng.standard_normal(4, 5)
         z = rng.standard_normal(3, 5)
-        analytic = poly_deriv(c, z)
+        analytic = cubic(c).slope(z)
         step = 1e-6
-        numeric = (poly_eval(c, z + step) - poly_eval(c, z - step)) / (2 * step)
+        numeric = (cubic(c).activate(z + step) - cubic(c).activate(z - step)) / (2 * step)
         assert rel_err(analytic, numeric) < 1e-8
 
     def test_second_derivative_matches_finite_differences(self):
@@ -114,12 +120,21 @@ class TestPolyEvalAndDeriv:
         z = rng.standard_normal(2, 4)
         analytic = slope_backward(c, z)
         step = 1e-5
-        numeric = (poly_deriv(c, z + step) - poly_deriv(c, z - step)) / (2 * step)
+        numeric = (cubic(c).slope(z + step) - cubic(c).slope(z - step)) / (2 * step)
         assert rel_err(analytic, numeric) < 1e-8
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            poly_eval(identity_coeffs(3), np.zeros((2, 4)))
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_stacked_preactivations_match_per_slice(self, activation):
+        # A (K, batch, width) stack of pre-activations is one call whose
+        # every slice is bit for bit the call on that slice alone.
+        layer = Net.build(Rng(derive_seed("stacked")), 3, [6], 2, activation=activation, coeff_noise=0.05).layers[0]
+        z = Rng(derive_seed("stacked-z")).standard_normal(3, 5, 6)
+        z[0, 0, :2] = 0.0  # the ReLU kink
+        for fn in (layer.activate, layer.slope):
+            stacked = fn(z)
+            assert stacked.shape == z.shape
+            for k in range(z.shape[0]):
+                assert stacked[k].tobytes() == fn(z[k]).tobytes()
 
 
 class TestNetworkConstruction:
@@ -183,8 +198,25 @@ class TestNetworkConstruction:
             Net("tanh", 3, [4], 2)
 
     def test_empty_network_rejected(self):
-        with pytest.raises(ShapeError):
-            Net("poly", 2, [], 2)
+        # Every non-positive dimension is refused where the net is made,
+        # through the constructor and through ``build`` alike.
+        bad = [(3, [0], 2), (3, [4, 0], 2), (3, [-2], 2), (3, [4, -1], 2), (0, [3], 2), (-1, [3], 2), (3, [4], 0)]
+        for activation in ("poly", "relu"):
+            with pytest.raises(ShapeError, match="at least one layer"):
+                Net(activation, 2, [], 2)
+            with pytest.raises(ShapeError, match="at least one layer"):
+                Net.build(Rng(0), 2, [], 2, activation=activation)
+            for input_dim, widths, classes in bad:
+                with pytest.raises(ShapeError, match="input_dim, widths and num_classes"):
+                    Net(activation, input_dim, widths, classes)
+                with pytest.raises(ShapeError, match="input_dim, widths and num_classes"):
+                    Net.build(Rng(0), input_dim, widths, classes, activation=activation)
+
+    def test_build_weight_std_is_inverse_sqrt_fan_in(self):
+        net = Net.build(Rng(2), 400, [200], 200, activation="relu")
+        for W in (net.layers[0].weights, net.head_weights):
+            fan_in = W.shape[1]
+            assert abs(float(W.std()) * np.sqrt(fan_in) - 1.0) < 0.05
 
     def test_input_shape_validated(self):
         net = small_net()
@@ -202,7 +234,8 @@ class TestForwardValues:
         h = x
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
-            h = poly_eval(layer.coeffs, z)
+            c0, c1, c2, c3 = layer.coeffs
+            h = c0 + z * (c1 + z * (c2 + z * c3))
             np.testing.assert_array_equal(preacts[i], z)
         np.testing.assert_array_equal(logits, h @ net.head_weights.T + net.head_bias)
 

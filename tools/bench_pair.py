@@ -13,13 +13,18 @@ alike. Each run's last output line is its result. The output file holds
 every run, and per workload and end-to-end metric the per-side median
 and quartiles, the number of pairs the change wins, and whether the
 change's median beats the parent's by more than the parent's
-interquartile range. Standard library only; both checkouts need their
+interquartile range. It also records, per side, the code it measured:
+the sha256 of ``src/polygrad/*.py`` and the checkout's git HEAD (null
+when the checkout is not the root of a git repository), and warns when
+both sides hash the same. Standard library only; both checkouts need their
 own ``perfbench/`` and ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import statistics
@@ -47,6 +52,21 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int | None) -> di
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def code_identity(checkout: str) -> dict:
+    """The sha256 of ``src/polygrad/*.py`` (each file's name and bytes, in
+    sorted order) and ``git rev-parse HEAD``, null outside a git checkout."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "polygrad", "*.py"))):
+        digest.update(os.path.basename(path).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    head = None
+    if os.path.exists(os.path.join(checkout, ".git")):
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+        head = proc.stdout.strip() if proc.returncode == 0 else None
+    return {"src_sha256": digest.hexdigest(), "git_head": head}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -109,7 +129,11 @@ def main(argv=None) -> int:
     with open(os.path.join(dirs["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
 
-    record = {"seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
+    code = {side: code_identity(dirs[side]) for side in SIDES}
+    if code["parent"]["src_sha256"] == code["change"]["src_sha256"]:
+        print("warning: both sides have the same src/polygrad sources; the pairs compare no code change",
+              file=sys.stderr, flush=True)
+    record = {"seeds": args.seeds, "seconds": args.seconds, "code": code, "workloads": {}}
     for arg in args.workload:
         workload, _, seed_text = arg.partition(":")
         seeds = parse_seeds(seed_text) if seed_text else args.seeds
