@@ -198,14 +198,17 @@ class TestNetworkConstruction:
             Net("tanh", 3, [4], 2)
 
     def test_empty_network_rejected(self):
-        # Every non-positive dimension is refused where the net is made,
-        # through the constructor and through ``build`` alike.
-        bad = [(3, [0], 2), (3, [4, 0], 2), (3, [-2], 2), (3, [4, -1], 2), (0, [3], 2), (-1, [3], 2), (3, [4], 0)]
         for activation in ("poly", "relu"):
             with pytest.raises(ShapeError, match="at least one layer"):
                 Net(activation, 2, [], 2)
             with pytest.raises(ShapeError, match="at least one layer"):
                 Net.build(Rng(0), 2, [], 2, activation=activation)
+
+    def test_build_rejects_bad_dims(self):
+        # Every non-positive dimension is refused where the net is made,
+        # through the constructor and through ``build`` alike.
+        bad = [(3, [0], 2), (3, [4, 0], 2), (3, [-2], 2), (3, [4, -1], 2), (0, [3], 2), (-1, [3], 2), (3, [4], 0)]
+        for activation in ("poly", "relu"):
             for input_dim, widths, classes in bad:
                 with pytest.raises(ShapeError, match="input_dim, widths and num_classes"):
                     Net(activation, input_dim, widths, classes)
