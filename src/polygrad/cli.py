@@ -13,9 +13,10 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, load_config
-from .data import load_csv, stratified_split
+from .data import PIMA_LABEL, load_csv, stratified_split
 from .errors import ShapeError
 from .harness import (
+    KEYS,
     default_comparisons,
     plan_from_config,
     read_results,
@@ -92,7 +93,7 @@ def _eval_view(bundle, ds):
                 f"schema {bundle.preprocess.feature_names}"
             )
     seed = bundle.provenance.get("seed")
-    eval_fraction = bundle.provenance.get("eval_fraction", 0.2)
+    eval_fraction = bundle.provenance.get("eval_fraction", KEYS["data.eval_fraction"][1])
     if seed is None:
         X, y, eval_idx = ds.features, ds.labels, np.arange(ds.n)
     else:
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tailratio", help="tail-ratio report for a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="CSV dataset path")
-    p.add_argument("--label-column", default="outcome")
+    p.add_argument("--label-column", default=PIMA_LABEL)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_tailratio)
 
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default="outcome")
+    p.add_argument("--label-column", default=PIMA_LABEL)
     p.set_defaults(fn=cmd_eval)
     return parser
 

@@ -18,6 +18,7 @@ sweep without resume first removes every output an earlier run left.
 
 from __future__ import annotations
 
+import copy
 import glob
 import json
 import logging
@@ -30,8 +31,10 @@ from itertools import starmap
 
 import numpy as np
 
+from .config import FORMAT_VERSION as CONFIG_FORMAT_VERSION
 from .config import Config, config_hash
 from .data import (
+    PIMA_LABEL,
     Dataset,
     fit_preprocess,
     load_csv,
@@ -56,6 +59,8 @@ from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test cal
 
 __all__ = [
     "ROSTER",
+    "KEYS",
+    "read_keys",
     "RESULT_FIELDS",
     "ModelSpec",
     "SweepPlan",
@@ -81,16 +86,15 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
-# model_id -> (activation substrate, {knob: default}). A model takes only
-# the regularizer knobs its row lists; every other knob is 0 for it.
+# model_id -> (activation substrate, the regularizer knobs it takes). Every
+# other knob is 0 for it.
 ROSTER = {
-    "cr": ("poly", {"lambda_dreg": 0.1}),
-    "vanilla": ("relu", {}),
-    "dropout": ("relu", {"dropout_rate": 0.2}),
-    "weight_decay": ("relu", {"weight_decay": 1e-4}),
-    "relu_dreg": ("relu", {"lambda_dreg": 0.1}),
+    "cr": ("poly", ("lambda_dreg",)),
+    "vanilla": ("relu", ()),
+    "dropout": ("relu", ("dropout_rate",)),
+    "weight_decay": ("relu", ("weight_decay",)),
+    "relu_dreg": ("relu", ("lambda_dreg",)),
 }
-_KNOBS = ("lambda_dreg", "dropout_rate", "weight_decay")
 RESULT_FIELDS = (
     "model_id",
     "fraction",
@@ -104,6 +108,58 @@ RESULT_FIELDS = (
     "wall_time_seconds",
 )
 
+_MODELS = ", ".join(ROSTER)
+_SOURCES = ("pima_like", "blobs", "csv")
+
+# Every key a config may set: key -> (Config getter, default, (predicate,
+# rule text) or None). A knob's default reaches only the models whose ROSTER
+# row takes it; rules that span keys live in plan_from_config.
+KEYS = {
+    "format_version": (Config.get_int, CONFIG_FORMAT_VERSION, None),  # parse_config checks it
+    "run.seed": (Config.get_int, 0, None),
+    "model.id": (Config.get_str, "cr", (lambda v: v in ROSTER, f"one of {_MODELS}")),
+    "data.source": (Config.get_str, "pima_like", (lambda v: v in _SOURCES, f"one of {', '.join(_SOURCES)}")),
+    "data.path": (Config.get_str, None, None),
+    "data.label_column": (Config.get_str, PIMA_LABEL, None),
+    "data.seed": (Config.get_int, 7, None),
+    "data.n_samples": (Config.get_int, 200, None),
+    "data.classes": (Config.get_int, 3, None),
+    "data.dim": (Config.get_int, 2, None),
+    "data.eval_fraction": (Config.get_float, 0.2, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "data.fraction": (Config.get_float, 1.0, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "plan.models": (Config.get_list, list(ROSTER),
+                    (lambda v: v and set(v) <= ROSTER.keys(), f"a nonempty list of {_MODELS}")),
+    "plan.fractions": (Config.get_float_list, [0.05, 0.1, 0.25, 0.5, 1.0],
+                       (lambda v: v and all(0.0 < f <= 1.0 for f in v), "a nonempty list of numbers in (0, 1]")),
+    "plan.seeds": (Config.get_int_list, [0, 1, 2, 3, 4, 5], (bool, "a nonempty list of integers")),
+    "plan.comparisons": (Config.get_list, None, None),  # None: default_comparisons(plan.models)
+    "train.widths": (Config.get_int_list, [16, 16], (lambda v: v and min(v) >= 1, "a nonempty list of integers >= 1")),
+    "train.epochs": (Config.get_int, TrainConfig.epochs, (lambda v: v >= 1, ">= 1")),
+    "train.batch_size": (Config.get_int, TrainConfig.batch_size, (lambda v: v >= 1, ">= 1")),
+    "train.learning_rate": (Config.get_float, TrainConfig.learning_rate, (lambda v: v > 0.0, "> 0")),
+    "train.lambda_dreg": (Config.get_float, 0.1, (lambda v: v >= 0.0, ">= 0")),
+    "train.dropout_rate": (Config.get_float, 0.2, (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+    "train.weight_decay": (Config.get_float, 1e-4, (lambda v: v >= 0.0, ">= 0")),
+}
+
+
+def read_keys(cfg: Config) -> dict:
+    """Every key's value: the config's, checked against its rule, or else the
+    default. An unknown key, or a value that breaks its rule, is a
+    ConfigError naming the key."""
+    for key in sorted(cfg.values):
+        if key not in KEYS:
+            raise ConfigError(f"{cfg.source}: unknown key {key!r}", key=key)
+    values = {}
+    for key, (get, default, rule) in KEYS.items():
+        if key not in cfg.values:
+            values[key] = copy.copy(default)  # a list default becomes the plan's own list
+            continue
+        values[key] = value = get(cfg, key)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{cfg.source}: key {key!r} must be {rule[1]}, got {cfg.values[key]!r}", key=key)
+    return values
+
 
 @dataclass
 class ModelSpec:
@@ -112,10 +168,6 @@ class ModelSpec:
     widths: list[int] | None  # None: derive by capacity matching
     train: TrainConfig
     dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}", key="dropout_rate")
 
 
 @dataclass
@@ -140,31 +192,18 @@ class SweepPlan:
         return [(m, f, s) for m in self.models for f in self.fractions for s in self.seeds]
 
 
-# Keys every model takes, as the shared train.<key>.
-_SHARED_KEYS = ("widths", "epochs", "batch_size", "learning_rate")
+def _model_spec(keys: dict, model_id: str) -> ModelSpec:
+    kind, knobs = ROSTER[model_id]
 
+    def knob(name: str) -> float:
+        return keys[f"train.{name}"] if name in knobs else 0.0
 
-def _model_spec(cfg: Config, model_id: str, poly_widths: list[int]) -> ModelSpec:
-    if model_id not in ROSTER:
-        raise ConfigError(f"unknown roster model {model_id!r}", key=f"model.{model_id}")
-    kind, defaults = ROSTER[model_id]
-    knobs = {k: cfg.get_float(f"train.{k}", defaults[k]) if k in defaults else 0.0 for k in _KNOBS}
-    loop = dict(
-        lambda_dreg=knobs["lambda_dreg"],
-        learning_rate=cfg.get_float("train.learning_rate", 1e-3),
-        batch_size=cfg.get_int("train.batch_size", 32),
-        epochs=cfg.get_int("train.epochs", 150),
-        weight_decay=knobs["weight_decay"],
-    )
+    loop = {k: keys[f"train.{k}"] for k in ("learning_rate", "batch_size", "epochs")}
+    train_cfg = TrainConfig(lambda_dreg=knob("lambda_dreg"), weight_decay=knob("weight_decay"), **loop)
     # Identical-conditions fairness: baseline widths (None) are derived from
     # the polynomial architecture by parameter-count matching.
-    widths = poly_widths if kind == "poly" else None
-    try:
-        return ModelSpec(model_id, kind, widths, TrainConfig(**loop), knobs["dropout_rate"])
-    except ConfigError as err:
-        # Out-of-range values come back under their field name.
-        key = f"train.{err.key}"
-        raise ConfigError(f"{cfg.source}: key {key!r}: {err}", key=key) from None
+    widths = keys["train.widths"] if kind == "poly" else None
+    return ModelSpec(model_id, kind, widths, train_cfg, knob("dropout_rate"))
 
 
 def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
@@ -176,16 +215,14 @@ def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
 
 
 def plan_from_config(cfg: Config) -> SweepPlan:
-    models = cfg.get_list("plan.models", list(ROSTER))
-    fractions = sorted(cfg.get_float_list("plan.fractions", [0.05, 0.1, 0.25, 0.5, 1.0]))
-    seeds = cfg.get_int_list("plan.seeds", [0, 1, 2, 3, 4, 5])
-    if not models or not fractions or not seeds:
-        raise ConfigError("plan needs nonempty models, fractions, and seeds", key="plan.models")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ConfigError(f"plan fraction {f} outside (0, 1]", key="plan.fractions")
+    keys = read_keys(cfg)
+    models = keys["plan.models"]
+    fractions = sorted(keys["plan.fractions"])
+    seeds = keys["plan.seeds"]
 
-    raw_cmp = cfg.get_list("plan.comparisons", [":".join(c) for c in default_comparisons(models)])
+    raw_cmp = keys["plan.comparisons"]
+    if raw_cmp is None:
+        raw_cmp = [":".join(c) for c in default_comparisons(models)]
     comparisons = []
     for item in raw_cmp:
         parts = item.split(":")
@@ -208,32 +245,22 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         if repeats:
             raise ConfigError(f"{cfg.source}: key {key!r} lists {repeats[0]} more than once", key=key)
 
-    poly_widths = cfg.get_int_list("train.widths", [16, 16])
-    if not poly_widths or any(w < 1 for w in poly_widths):
-        raise ConfigError(
-            f"{cfg.source}: key 'train.widths' needs hidden widths >= 1, got {cfg.get_str('train.widths')!r}",
-            key="train.widths",
-        )
-    specs = {m: _model_spec(cfg, m, poly_widths) for m in models}
-
     plan = SweepPlan(
         models=models,
         fractions=fractions,
         seeds=seeds,
         comparisons=comparisons,
-        specs=specs,
-        data_source=cfg.get_str("data.source", "pima_like"),
-        data_path=cfg.get_str("data.path"),
-        label_column=cfg.get_str("data.label_column", "outcome"),
-        data_seed=cfg.get_int("data.seed", 7),
-        blob_samples=cfg.get_int("data.n_samples", 200),
-        blob_classes=cfg.get_int("data.classes", 3),
-        blob_dim=cfg.get_int("data.dim", 2),
-        eval_fraction=cfg.get_float("data.eval_fraction", 0.2),
+        specs={m: _model_spec(keys, m) for m in models},
+        data_source=keys["data.source"],
+        data_path=keys["data.path"],
+        label_column=keys["data.label_column"],
+        data_seed=keys["data.seed"],
+        blob_samples=keys["data.n_samples"],
+        blob_classes=keys["data.classes"],
+        blob_dim=keys["data.dim"],
+        eval_fraction=keys["data.eval_fraction"],
         plan_hash=config_hash(cfg),
     )
-    if plan.data_source not in ("pima_like", "blobs", "csv"):
-        raise ConfigError(f"unknown data.source {plan.data_source!r}", key="data.source")
     if plan.data_source == "csv" and not plan.data_path:
         raise ConfigError("data.source = csv requires data.path", key="data.path")
     if plan.data_source == "blobs":  # make_blobs' limits, checked before any file is written
@@ -244,38 +271,7 @@ def plan_from_config(cfg: Config) -> SweepPlan:
         ):
             if value < least:
                 raise ConfigError(f"{cfg.source}: key {key!r} must be >= {least} for blobs, got {value}", key=key)
-    if not 0.0 < plan.eval_fraction < 1.0:
-        raise ConfigError(
-            f"{cfg.source}: data.eval_fraction {plan.eval_fraction} outside (0, 1)", key="data.eval_fraction"
-        )
-    _validate_keys(cfg)
     return plan
-
-
-def _validate_keys(cfg: Config) -> None:
-    """Reject any key outside the documented vocabulary, naming it."""
-    allowed = {
-        "format_version",
-        "run.seed",
-        "model.id",
-        "data.source",
-        "data.path",
-        "data.label_column",
-        "data.seed",
-        "data.n_samples",
-        "data.classes",
-        "data.dim",
-        "data.eval_fraction",
-        "data.fraction",
-        "plan.models",
-        "plan.fractions",
-        "plan.seeds",
-        "plan.comparisons",
-    }
-    allowed.update(f"train.{k}" for k in _SHARED_KEYS + _KNOBS)
-    for key in sorted(cfg.values):
-        if key not in allowed:
-            raise ConfigError(f"{cfg.source}: unknown key {key!r}", key=key)
 
 
 def train_config_from_file(cfg: Config) -> tuple[SweepPlan, str, float, int]:
@@ -285,18 +281,14 @@ def train_config_from_file(cfg: Config) -> tuple[SweepPlan, str, float, int]:
     the subsample rounding context (and therefore the exact row) matches
     the sweep that declared it.
     """
-    model_id = cfg.get_str("model.id", "cr")
-    fraction = cfg.get_float("data.fraction", 1.0)
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"{cfg.source}: key 'data.fraction' must be in (0, 1], got {fraction!r}", key="data.fraction")
-    seed = cfg.get_int("run.seed", 0)
+    keys = read_keys(cfg)
+    model_id, fraction, seed = keys["model.id"], keys["data.fraction"], keys["run.seed"]
     base = dict(cfg.values)
     base.setdefault("plan.models", model_id)
     base.setdefault("plan.fractions", format(fraction, "g"))
     base.setdefault("plan.seeds", str(seed))
     base.setdefault("plan.comparisons", "")
-    sub = Config(base, cfg.source)
-    plan = plan_from_config(sub)
+    plan = plan_from_config(Config(base, cfg.source))
     if model_id not in plan.specs:
         raise ConfigError(
             f"model.id {model_id!r} is not among the plan models {plan.models}", key="model.id"
@@ -436,7 +428,7 @@ def train_cell(
     stats = fit_preprocess(ds.features, ds.feature_names, active)
     X = stats.transform(ds.features)
 
-    poly_widths = (plan.specs.get("cr") or spec).widths or [16, 16]
+    poly_widths = (plan.specs.get("cr") or spec).widths or KEYS["train.widths"][1]
     init_seed = derive_seed("init", model_id, f"{fraction!r}", str(seed))
     net = build_model(spec, ds.d, ds.class_count, init_seed, poly_widths)
     cfg = replace(spec.train, seed=derive_seed("train", model_id, f"{fraction!r}", str(seed)))

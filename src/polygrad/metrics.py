@@ -55,6 +55,7 @@ def tail_ratio(norms) -> TailRatioReport:
     return TailRatioReport(mean=mean, p99=p99, tau=p99 / mean, n=int(arr.size))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm raises instead
 def input_grad_norms(net: Net, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample L2 norm of the gradient of each sample's own
     cross-entropy with respect to its input row.

@@ -227,6 +227,7 @@ def _check_finite(arr: np.ndarray, where: str):
         raise NumericOverflowError(f"non-finite values in {where}", layer=where)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value stream only (eval mode, no dropout): the logits and each
     layer's pre-activation z, (batch, width)."""

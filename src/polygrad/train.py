@@ -44,7 +44,7 @@ class TrainConfig:
     lambda_dreg: float = 0.0
     learning_rate: float = 1e-3
     batch_size: int = 32
-    epochs: int = 100
+    epochs: int = 150
     weight_decay: float = 0.0
     seed: int = 0
 
@@ -255,6 +255,7 @@ class TrainLog:
         return self.epochs[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every finite check raises instead
 def train(
     net: Net,
     train_x: np.ndarray,

@@ -192,7 +192,7 @@ class TestStats:
 
 
 class TestSweepCommand:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_code_one_when_cells_fail(self, tmp_path, capsys):
         plan = tmp_path / "bad_plan.txt"
         plan.write_text(

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from polygrad.config import (
     parse_config,
 )
 from polygrad.errors import ConfigError
-from polygrad.harness import ROSTER, plan_from_config, train_config_from_file
+from polygrad.harness import KEYS, ROSTER, plan_from_config, train_config_from_file
 
 
 def cfg_of(*lines):
@@ -223,8 +224,34 @@ class TestPlanFromConfig:
         assert exc.value.key == key
 
     def test_unknown_roster_model_rejected(self):
-        with pytest.raises(ConfigError, match="resnet"):
+        with pytest.raises(ConfigError, match="resnet") as exc:
             plan_from_config(cfg_of("plan.models = cr, resnet"))
+        assert exc.value.key == "plan.models"
+        assert str(exc.value) == (
+            "<memory>: key 'plan.models' must be a nonempty list of cr, vanilla, dropout, "
+            "weight_decay, relu_dreg, got 'cr, resnet'"
+        )
+
+    @pytest.mark.parametrize("models, line, key, message", [
+        ("cr", "train.dropout_rate = 1.0", "train.dropout_rate", "must be in [0, 1), got '1.0'"),
+        ("vanilla", "train.lambda_dreg = -1", "train.lambda_dreg", "must be >= 0, got '-1'"),
+        ("cr", "train.weight_decay = -0.5", "train.weight_decay", "must be >= 0, got '-0.5'"),
+    ])
+    def test_knob_checked_when_no_plan_model_reads_it(self, models, line, key, message):
+        with pytest.raises(ConfigError) as exc:
+            plan_from_config(cfg_of(f"plan.models = {models}", line))
+        assert exc.value.key == key
+        assert str(exc.value) == f"<memory>: key {key!r} {message}"
+
+    @pytest.mark.parametrize("line, key", [
+        ("plan.models =", "plan.models"),
+        ("plan.fractions =", "plan.fractions"),
+        ("plan.seeds =", "plan.seeds"),
+    ])
+    def test_empty_plan_list_names_its_key(self, line, key):
+        with pytest.raises(ConfigError, match="nonempty") as exc:
+            plan_from_config(cfg_of(line))
+        assert exc.value.key == key
 
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="fraction"):
@@ -286,6 +313,40 @@ class TestTrainConfigFromFile:
     def test_model_outside_plan_rejected(self):
         with pytest.raises(ConfigError, match="model.id"):
             train_config_from_file(cfg_of("plan.models = cr, vanilla", "model.id = dropout"))
+
+    def test_unknown_model_id_names_its_key(self):
+        with pytest.raises(ConfigError, match="'foo'") as exc:
+            train_config_from_file(cfg_of("model.id = foo"))
+        assert exc.value.key == "model.id"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_key_table() -> dict:
+    """The README's key vocabulary, key -> default cell, one key per row."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\nKey vocabulary"):]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            if rows:
+                break
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells[-1].strip("`")
+    return rows
+
+
+class TestKeyTable:
+    def test_readme_lists_every_key_with_its_default(self):
+        # A default cell is read with the key's own getter; a dash means unset.
+        rows = readme_key_table()
+        assert list(rows) == list(KEYS)
+        for key, cell in rows.items():
+            get, default, _ = KEYS[key]
+            assert (None if cell == "—" else get(Config({key: cell}), key)) == default, key
 
 
 class TestConfigObject:

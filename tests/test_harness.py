@@ -222,7 +222,7 @@ class TestRunCell:
         for key in RESULT_FIELDS:
             assert key in row, key
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_becomes_row(self, tmp_path):
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"
@@ -457,7 +457,7 @@ class TestSweep:
         assert sizes == ([] if size is None else [size])
         assert [(r["model_id"], r["fraction"], r["seed"]) for r in rows] == cells
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_cells_reported_not_fatal(self, tmp_path):
         text = (
             "format_version = 1\ndata.source = blobs\ndata.seed = 0\n"

@@ -6,18 +6,22 @@ Usage, from anywhere:
         [--workload train_full:0-4 ...] --seeds 0-9 --out BENCH_<n>.json
 
 For each workload and seed, ``perfbench/run.py --workload W --seed S``
-runs once in each checkout (end-to-end mode; ``--workload W:A-B`` gives
-W its own seeds instead of ``--seeds``), the two sides taking turns
-at going first, so a drift in the host's speed falls on both sides
-alike. Each run's last output line is its result. The output file holds
-every run, and per workload and end-to-end metric the per-side median
-and quartiles, the number of pairs the change wins, and whether the
-change's median beats the parent's by more than the parent's
-interquartile range. It also records, per side, the code it measured:
-the sha256 of ``src/polygrad/*.py`` and the checkout's git HEAD (null
-when the checkout is not the root of a git repository), and warns when
-both sides hash the same. Standard library only; both checkouts need their
-own ``perfbench/`` and ``BENCHMARK.json``.
+runs once for each checkout (end-to-end mode; ``--workload W:A-B`` gives
+W its own seeds instead of ``--seeds``), the two sides taking turns at
+going first, so a drift in the host's speed falls on both sides alike.
+Every run works in a fresh copy of its checkout's ``git ls-files``, as
+they stand in the working tree, made in a new temporary directory and
+removed after the run: a long-lived directory can read a steady gap of
+several percent that no code causes, and a fresh copy does not carry it
+from run to run. Each run's last output line is its result. The output
+file holds every run, and per workload and end-to-end metric the
+per-side median and quartiles, the number of pairs the change wins, and
+whether the change's median beats the parent's by more than the
+parent's interquartile range. It also records, per side, the code it
+measured: the sha256 of ``src/polygrad/*.py`` and the checkout's git
+HEAD, and warns when both sides hash the same. Standard library only;
+both checkouts must be git checkouts with their own ``perfbench/`` and
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 
@@ -42,12 +48,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def checkout_files(checkout: str) -> list[str]:
+    """The checkout's ``git ls-files`` that exist in its working tree, relative to it."""
+    proc = subprocess.run(["git", "ls-files", "-z"], cwd=checkout, capture_output=True, text=True, check=True)
+    return [name for name in proc.stdout.split("\0") if name and os.path.isfile(os.path.join(checkout, name))]
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int | None) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its result line as a dict."""
+    """One ``perfbench/run.py`` run in a fresh copy of ``checkout``; its result line as a dict."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pair-") as copy:
+        for name in checkout_files(checkout):
+            os.makedirs(os.path.join(copy, os.path.dirname(name)), exist_ok=True)
+            shutil.copy2(os.path.join(checkout, name), os.path.join(copy, name))
+        proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
