@@ -27,28 +27,24 @@ _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
 
 class Config:
-    """Parsed key-value mapping with typed, error-reporting accessors."""
+    """Parsed key-value mapping with typed, error-reporting accessors of the keys it sets."""
 
     def __init__(self, values: dict[str, str], source: str = "<memory>"):
         self.values = values
         self.source = source
 
-    def get_str(self, key: str, default: str | None = None):
-        return self.values.get(key, default)
+    def get_str(self, key: str) -> str:
+        return self.values[key]
 
-    def get_int(self, key: str, default: int | None = None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
+    def get_int(self, key: str) -> int:
+        raw = self.values[key]
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r} expects an integer, got {raw!r}", key=key) from None
 
-    def get_float(self, key: str, default: float | None = None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
+    def get_float(self, key: str) -> float:
+        raw = self.values[key]
         try:
             value = float(raw)
         except ValueError:
@@ -57,31 +53,26 @@ class Config:
             raise ConfigError(f"{self.source}: key {key!r} expects a finite number, got {raw!r}", key=key)
         return value
 
-    def get_list(self, key: str, default: list[str] | None = None):
-        raw = self.values.get(key)
-        if raw is None:
-            return default if default is not None else []
-        return [part.strip() for part in raw.split(",") if part.strip()]
+    def get_list(self, key: str) -> list[str]:
+        return [part.strip() for part in self.values[key].split(",") if part.strip()]
 
-    def get_float_list(self, key: str, default: list[float] | None = None):
-        if key not in self.values:
-            return default if default is not None else []
+    def get_float_list(self, key: str) -> list[float]:
+        raw = self.values[key]
         try:
             values = [float(p) for p in self.get_list(key)]
         except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r} expects numbers", key=key) from None
+            raise ConfigError(f"{self.source}: key {key!r} expects numbers, got {raw!r}", key=key) from None
         if not all(math.isfinite(v) for v in values):
-            raw = self.get_str(key)
             raise ConfigError(f"{self.source}: key {key!r} expects finite numbers, got {raw!r}", key=key)
         return values
 
-    def get_int_list(self, key: str, default: list[int] | None = None):
-        if key not in self.values:
-            return default if default is not None else []
+    def get_int_list(self, key: str) -> list[int]:
+        raw = self.values[key]
         try:
             return [int(p) for p in self.get_list(key)]
         except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r} expects integers", key=key) from None
+            raise ConfigError(f"{self.source}: key {key!r} expects integers, got {raw!r}", key=key) from None
+
 
 def parse_config(text: str, source: str = "<memory>") -> Config:
     values: dict[str, str] = {}

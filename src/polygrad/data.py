@@ -290,11 +290,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def stratified_split(
-    labels: np.ndarray,
-    eval_fraction: float = 0.2,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(labels: np.ndarray, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-class 80/20 partition; eval takes ceil(eval_fraction * n_c).
 
     Ceiling per class keeps every class represented on the eval side
@@ -334,13 +330,7 @@ def _largest_remainder(class_sizes: np.ndarray, total: int) -> np.ndarray:
     return np.minimum(counts, class_sizes)
 
 
-def subsample_fraction(
-    train_indices: np.ndarray,
-    labels: np.ndarray,
-    f: float,
-    seed: int = 0,
-    rounding: str = "round",
-) -> np.ndarray:
+def subsample_fraction(train_indices: np.ndarray, labels: np.ndarray, f: float, seed: int, rounding: str) -> np.ndarray:
     """Stratified fraction-f subset of the training indices, nested per seed.
 
     Per-class membership is a prefix of a permutation derived only from
@@ -378,27 +368,24 @@ def subsample_fraction(
 # -- synthetic datasets ----------------------------------------------------
 
 
-def make_blobs(
-    n_samples: int = 200,
-    n_classes: int = 3,
-    dim: int = 2,
-    center_radius: float = 4.0,
-    noise: float = 1.0,
-    seed: int = 0,
-) -> Dataset:
+_BLOB_RADIUS = 4.0  # cluster centers lie on this circle in the first two dimensions
+_BLOB_NOISE = 1.0  # per-coordinate std of each cluster
+
+
+def make_blobs(n_samples: int, n_classes: int, dim: int, seed: int) -> Dataset:
     """Well-separated Gaussian clusters on a circle; a sanity-check task."""
     if dim < 2 or n_classes < 2 or n_samples < n_classes:
         raise ValueError("need dim >= 2, n_classes >= 2 and n_samples >= n_classes")
     rng = Rng(seed).spawn("blobs")
     centers = np.zeros((n_classes, dim))
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    centers[:, 0] = center_radius * np.cos(angles)
-    centers[:, 1] = center_radius * np.sin(angles)
+    centers[:, 0] = _BLOB_RADIUS * np.cos(angles)
+    centers[:, 1] = _BLOB_RADIUS * np.sin(angles)
 
     base = n_samples // n_classes
     counts = [base + (1 if c < n_samples % n_classes else 0) for c in range(n_classes)]
     X = np.concatenate(
-        [centers[c] + noise * rng.standard_normal(counts[c], dim) for c in range(n_classes)]
+        [centers[c] + _BLOB_NOISE * rng.standard_normal(counts[c], dim) for c in range(n_classes)]
     )
     y = np.concatenate([np.full(counts[c], c, dtype=np.int64) for c in range(n_classes)])
     order = rng.permutation(n_samples)
@@ -456,7 +443,7 @@ def _lognormal_params(mean: float, std: float) -> tuple[float, float]:
     return math.log(mean) - 0.5 * sigma2, math.sqrt(sigma2)
 
 
-def make_pima_like(seed: int = 7, n_samples: int = _PIMA_N) -> Dataset:
+def make_pima_like(seed: int, n_samples: int = _PIMA_N) -> Dataset:
     """Deterministic surrogate with the diabetes-screening schema.
 
     Eight numeric features with realistic marginals, a few fixed

@@ -215,7 +215,11 @@ def default_comparisons(models: list[str]) -> list[tuple[str, str, str]]:
 
 
 def plan_from_config(cfg: Config) -> SweepPlan:
-    keys = read_keys(cfg)
+    return _plan_from_keys(read_keys(cfg), cfg)
+
+
+def _plan_from_keys(keys: dict, cfg: Config) -> SweepPlan:
+    """The plan of ``read_keys``' dict; ``cfg`` gives the error source and the plan hash."""
     models = keys["plan.models"]
     fractions = sorted(keys["plan.fractions"])
     seeds = keys["plan.seeds"]
@@ -277,18 +281,16 @@ def plan_from_config(cfg: Config) -> SweepPlan:
 def train_config_from_file(cfg: Config) -> tuple[SweepPlan, str, float, int]:
     """Single-run view of a config: a one-cell plan plus the cell key.
 
-    A full sweep plan file works here too: its fraction list is kept, so
-    the subsample rounding context (and therefore the exact row) matches
-    the sweep that declared it.
+    A plan list the config leaves unset holds the cell's own value, and
+    comparisons default to none. A full sweep plan file works here too:
+    its fraction list is kept, so the subsample rounding context (and
+    therefore the exact row) matches the sweep that declared it.
     """
     keys = read_keys(cfg)
     model_id, fraction, seed = keys["model.id"], keys["data.fraction"], keys["run.seed"]
-    base = dict(cfg.values)
-    base.setdefault("plan.models", model_id)
-    base.setdefault("plan.fractions", format(fraction, "g"))
-    base.setdefault("plan.seeds", str(seed))
-    base.setdefault("plan.comparisons", "")
-    plan = plan_from_config(Config(base, cfg.source))
+    cell = {"plan.models": [model_id], "plan.fractions": [fraction], "plan.seeds": [seed], "plan.comparisons": []}
+    keys.update((k, v) for k, v in cell.items() if k not in cfg.values)
+    plan = _plan_from_keys(keys, cfg)
     if model_id not in plan.specs:
         raise ConfigError(
             f"model.id {model_id!r} is not among the plan models {plan.models}", key="model.id"

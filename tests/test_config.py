@@ -68,21 +68,16 @@ class TestTypedGetters:
         assert cfg.get_float_list("fs") == [0.5, 1.0]
         assert cfg.get_list("names") == ["a", "b"]
 
-    def test_defaults_when_absent(self):
-        cfg = cfg_of()
-        assert cfg.get_int("missing", 7) == 7
-        assert cfg.get_float("missing", 1.5) == 1.5
-        assert cfg.get_list("missing", ["x"]) == ["x"]
-        assert cfg.get_str("missing") is None
-
     def test_parse_failures_name_the_key(self):
-        cfg = cfg_of("a = notanint", "b = nan-ish", "xs = 1, two")
+        cfg = cfg_of("a = notanint", "b = nan-ish", "xs = 1, two", "fs = 0.5, half")
         with pytest.raises(ConfigError, match="'a'"):
             cfg.get_int("a")
         with pytest.raises(ConfigError, match="'b'"):
             cfg.get_float("b")
-        with pytest.raises(ConfigError, match="'xs'"):
+        with pytest.raises(ConfigError, match="'xs' expects integers, got '1, two'$"):
             cfg.get_int_list("xs")
+        with pytest.raises(ConfigError, match="'fs' expects numbers, got '0.5, half'$"):
+            cfg.get_float_list("fs")
 
     def test_non_finite_floats_name_the_key(self):
         cfg = cfg_of("a = nan", "b = inf", "c = -Infinity", "fs = 0.5, nan")
@@ -309,6 +304,13 @@ class TestTrainConfigFromFile:
                    "model.id = cr", "data.fraction = 0.1"))
         assert fraction == 0.1
         assert plan.fractions == [0.05, 0.1, 1.0]
+
+    def test_single_run_fraction_is_its_plan_fraction(self):
+        # The cell must be its plan's smallest fraction, so it subsamples
+        # with ceiling rounding as a one-fraction sweep cell does.
+        plan, _, fraction, _ = train_config_from_file(cfg_of("data.fraction = 0.1012345678"))
+        assert fraction == 0.1012345678
+        assert plan.fractions == [0.1012345678]
 
     def test_model_outside_plan_rejected(self):
         with pytest.raises(ConfigError, match="model.id"):

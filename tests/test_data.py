@@ -335,7 +335,7 @@ class TestStratifiedSplit:
 
     def test_partition_properties(self):
         ds = make_pima_like(seed=7)
-        train, evals = stratified_split(ds.labels, seed=3)
+        train, evals = stratified_split(ds.labels, 0.2, seed=3)
         combined = np.concatenate([train, evals])
         assert np.array_equal(np.sort(combined), np.arange(ds.n))
         assert np.array_equal(train, np.sort(train))
@@ -344,35 +344,35 @@ class TestStratifiedSplit:
     def test_canonical_eval_counts(self):
         # class sizes 498/270 with eval_fraction 0.2 give eval (100, 54)
         ds = make_pima_like(seed=7)
-        _, evals = stratified_split(ds.labels, seed=0)
+        _, evals = stratified_split(ds.labels, 0.2, seed=0)
         ev = ds.labels[evals]
         assert int((ev == 0).sum()) == 100
         assert int((ev == 1).sum()) == 54
 
     def test_deterministic_and_seed_sensitive(self):
         labels = make_pima_like(seed=7).labels
-        a = stratified_split(labels, seed=5)
-        b = stratified_split(labels, seed=5)
+        a = stratified_split(labels, 0.2, seed=5)
+        b = stratified_split(labels, 0.2, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-        c = stratified_split(labels, seed=6)
+        c = stratified_split(labels, 0.2, seed=6)
         assert not np.array_equal(a[1], c[1])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=0.0)
+            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=0.0, seed=0)
         with pytest.raises(ValueError):
-            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=1.0)
+            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=1.0, seed=0)
         with pytest.raises(ValueError, match="class 1"):
-            stratified_split(np.array([0, 0, 0, 1]))
+            stratified_split(np.array([0, 0, 0, 1]), eval_fraction=0.2, seed=0)
         with pytest.raises(ValueError, match="too small"):
-            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=0.6)
+            stratified_split(np.array([0, 0, 1, 1]), eval_fraction=0.6, seed=0)
 
 
 class TestSubsampleFraction:
     def setup_method(self):
         self.ds = make_pima_like(seed=7)
-        self.train, _ = stratified_split(self.ds.labels, seed=0)
+        self.train, _ = stratified_split(self.ds.labels, 0.2, seed=0)
 
     def counts(self, idx):
         sub = self.ds.labels[idx]
@@ -406,33 +406,33 @@ class TestSubsampleFraction:
                 prev = idx
 
     def test_full_fraction_is_identity(self):
-        idx = subsample_fraction(self.train, self.ds.labels, 1.0, seed=9)
+        idx = subsample_fraction(self.train, self.ds.labels, 1.0, seed=9, rounding="round")
         np.testing.assert_array_equal(idx, np.sort(self.train))
 
     def test_deterministic_and_seed_sensitive(self):
-        a = subsample_fraction(self.train, self.ds.labels, 0.25, seed=1)
-        b = subsample_fraction(self.train, self.ds.labels, 0.25, seed=1)
+        a = subsample_fraction(self.train, self.ds.labels, 0.25, seed=1, rounding="round")
+        b = subsample_fraction(self.train, self.ds.labels, 0.25, seed=1, rounding="round")
         np.testing.assert_array_equal(a, b)
-        c = subsample_fraction(self.train, self.ds.labels, 0.25, seed=2)
+        c = subsample_fraction(self.train, self.ds.labels, 0.25, seed=2, rounding="round")
         assert not np.array_equal(a, c)
 
     def test_subset_drawn_from_train_only(self):
-        idx = subsample_fraction(self.train, self.ds.labels, 0.1, seed=4)
+        idx = subsample_fraction(self.train, self.ds.labels, 0.1, seed=4, rounding="round")
         assert set(idx).issubset(set(self.train))
 
     def test_starved_class_rejected(self):
         labels = np.array([0] * 50 + [1] * 2)
         train = np.arange(52)
         with pytest.raises(ValueError, match="class 1"):
-            subsample_fraction(train, labels, 0.05, seed=0)
+            subsample_fraction(train, labels, 0.05, seed=0, rounding="round")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            subsample_fraction(self.train, self.ds.labels, 0.0)
+            subsample_fraction(self.train, self.ds.labels, 0.0, seed=0, rounding="round")
         with pytest.raises(ValueError):
-            subsample_fraction(self.train, self.ds.labels, 1.5)
+            subsample_fraction(self.train, self.ds.labels, 1.5, seed=0, rounding="round")
         with pytest.raises(ValueError, match="rounding"):
-            subsample_fraction(self.train, self.ds.labels, 0.5, rounding="floor")
+            subsample_fraction(self.train, self.ds.labels, 0.5, seed=0, rounding="floor")
 
 
 class TestSortHelpers:
@@ -504,7 +504,7 @@ class TestBlobs:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_clusters_are_separated(self):
-        ds = make_blobs(300, 3, 2, center_radius=6.0, noise=0.5, seed=1)
+        ds = make_blobs(300, 3, 2, seed=1)
         for c in range(3):
             members = ds.features[ds.labels == c]
             center = members.mean(axis=0)
@@ -515,6 +515,6 @@ class TestBlobs:
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
-            make_blobs(10, 1, 2)
+            make_blobs(10, 1, 2, seed=0)
         with pytest.raises(ValueError):
-            make_blobs(10, 3, 1)
+            make_blobs(10, 3, 1, seed=0)

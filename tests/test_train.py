@@ -378,7 +378,7 @@ class TestPenaltyLogging:
 
 
 def blob_split(seed=0):
-    ds = make_blobs(n_samples=200, seed=0)
+    ds = make_blobs(n_samples=200, n_classes=3, dim=2, seed=0)
     tr, ev = stratified_split(ds.labels, 0.2, seed=seed)
     return ds.features[tr], ds.labels[tr], ds.features[ev], ds.labels[ev], ds
 

@@ -9,17 +9,21 @@ For each workload and seed, ``perfbench/run.py --workload W --seed S``
 runs once for each checkout (end-to-end mode; ``--workload W:A-B`` gives
 W its own seeds instead of ``--seeds``), the two sides taking turns at
 going first, so a drift in the host's speed falls on both sides alike.
+Then each side makes one traced run (``--trace 1``) of W at its first
+seed, which checks the traced outputs and step count as well.
 Every run works in a fresh copy of its checkout's ``git ls-files``, as
 they stand in the working tree, made in a new temporary directory and
 removed after the run: a long-lived directory can read a steady gap of
 several percent that no code causes, and a fresh copy does not carry it
 from run to run. Each run's last output line is its result. The output
-file holds every run, and per workload and end-to-end metric the
-per-side median and quartiles, the number of pairs the change wins, and
-whether the change's median beats the parent's by more than the
-parent's interquartile range. It also records, per side, the code it
-measured: the sha256 of ``src/polygrad/*.py`` and the checkout's git
-HEAD, and warns when both sides hash the same. Standard library only;
+file holds every run; per workload, whether every run (the traced ones
+too) read correct with no failed operation; and per workload and
+end-to-end metric the per-side median and quartiles, the number of
+pairs the change wins, and whether the change's median beats the
+parent's by more than the parent's interquartile range. It also
+records, per side, the code it measured: the sha256 of
+``src/polygrad/*.py`` and the checkout's git HEAD, and warns when both
+sides hash the same. Standard library only;
 both checkouts must be git checkouts with their own ``perfbench/`` and
 ``BENCHMARK.json``.
 """
@@ -54,9 +58,9 @@ def checkout_files(checkout: str) -> list[str]:
     return [name for name in proc.stdout.split("\0") if name and os.path.isfile(os.path.join(checkout, name))]
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int | None) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: int | None, trace: int) -> dict:
     """One ``perfbench/run.py`` run in a fresh copy of ``checkout``; its result line as a dict."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as copy:
@@ -121,7 +125,7 @@ def run_pairs(dirs: dict, workload: str, seeds: list[int], seconds: int | None, 
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(dirs[side], workload, seed, seconds)
+            pair[side] = run_once(dirs[side], workload, seed, seconds, trace=0)
             print(
                 f"{workload} seed {seed} {side:6s} correct={pair[side]['correct']} failed={pair[side]['failed']} "
                 + " ".join(f"{m['name']}={pair[side]['metrics'][m['name']]['value']:.4g}" for m in metrics),
@@ -155,9 +159,17 @@ def main(argv=None) -> int:
         seeds = parse_seeds(seed_text) if seed_text else args.seeds
         pairs = run_pairs(dirs, workload, seeds, args.seconds, metrics)
         summary = summarize(pairs, metrics)
+        traced = {}
+        for side in SIDES:
+            result = run_once(dirs[side], workload, seeds[0], args.seconds, trace=1)
+            traced[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
+            print(f"{workload} seed {seeds[0]} {side:6s} traced correct={result['correct']} "
+                  f"failed={result['failed']}", flush=True)
+        runs = [p[s] for p in pairs for s in SIDES] + list(traced.values())
         record["workloads"][workload] = {
             "seeds": seeds,
-            "all_correct": all(p[s]["correct"] and p[s]["failed"] == 0 for p in pairs for s in SIDES),
+            "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
+            "traced": traced,
             "metrics": summary,
             "pairs": pairs,
         }
