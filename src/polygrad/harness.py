@@ -597,6 +597,13 @@ def write_results_csv(path, rows: list[dict]) -> None:
 # -- statistics over a results table ---------------------------------------
 
 
+def _fraction_text(f: float) -> str:
+    """``f`` as the report's keys and text show it: ``format(f, "g")`` when
+    that parses back to ``f``, else ``repr(f)``, so no two fractions share one."""
+    text = format(f, "g")
+    return text if float(text) == f else repr(f)
+
+
 def _paired_values(by_cell: dict, a: str, b: str, fraction: float, seeds: list, metric: str):
     """Paired ``(x, y, missing)`` for models a and b at one fraction, oriented
     so that x > y favors a: higher accuracy, lower tau."""
@@ -644,7 +651,7 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
                     "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
                     "n": int(vals.size),
                 }
-            summary[m][format(f, "g")] = block
+            summary[m][_fraction_text(f)] = block
 
     instances = []
     pooled = []
@@ -718,7 +725,7 @@ def render_stats_text(report: dict) -> str:
     lines.append("")
     lines.append(f"== paired comparisons (alternative: model_a better; m={report['bonferroni_m']}) ==")
     for e in report["comparisons"]:
-        head = f"{e['model_a']} vs {e['model_b']} [{e['metric']}] f={e['fraction']:g}"
+        head = f"{e['model_a']} vs {e['model_b']} [{e['metric']}] f={_fraction_text(e['fraction'])}"
         if "error" in e:
             lines.append(f"{head}: {e['error']}")
             continue

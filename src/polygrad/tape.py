@@ -21,6 +21,14 @@ its linear map and its Jacobian block; a pre-activation and the cubic
 coefficients from the value and the slope; a block from its own penalty
 term and the next layer), so the sums do not depend on the order they
 are formed in.
+
+The block adjoint ``W.T @ dt`` of the layers past the first,
+``einsum("wk,bwd->bkd")``, forms each output as one multiply-add chain
+over w, in order. ``_contract_w`` runs that same chain over ``dt`` laid
+out as contiguous (w, B*d) rows, so numpy makes one pass per (w, k) over
+a row of B*d values instead of B*w*k passes over rows of d, with the same
+bits. The other three einsums run numpy's dot kernel, whose lane-wise
+sums have no longer-row form with the same bits, so they stay as written.
 """
 
 from __future__ import annotations
@@ -28,6 +36,20 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Tape"]
+
+
+def _contract_w(W: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """``np.einsum("wk,bwd->bkd", W, dt)``, bit for bit, possibly as a non-contiguous view.
+
+    At k * d == 1 the einsum takes its dot kernel, which sums in another
+    order, so that shape keeps the plain call.
+    """
+    batch, w, d = dt.shape
+    k = W.shape[1]
+    if k * d == 1:
+        return np.einsum("wk,bwd->bkd", W, dt)
+    rows = np.ascontiguousarray(dt.transpose(1, 0, 2)).reshape(w, batch * d)
+    return np.einsum("wk,wn->kn", W, rows).reshape(k, batch, d).transpose(1, 0, 2)
 
 
 class Tape:
@@ -135,7 +157,9 @@ class Tape:
                 dt = slope[:, :, None] * dS
                 if grads is not None:
                     dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)
-                dS = coef * S_in + np.einsum("wk,bwd->bkd", W, dt)
+                # Added in place, so dS stays C-contiguous: the next layer's sums read its layout.
+                dS = coef * S_in
+                dS += _contract_w(W, dt)
 
             dz = dh * slope
             if dslope is not None:

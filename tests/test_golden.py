@@ -1,4 +1,4 @@
-"""Cross-commit bit identity of sweep results.
+"""Cross-commit bit identity of sweep results and training logs.
 
 Each golden ``.jsonl`` file under ``tests/golden/`` is a sweep's
 ``results.jsonl`` with ``wall_time_seconds`` dropped from every row. The
@@ -9,13 +9,18 @@ sweep is not rerun here: ``test_acceptance.py`` already runs it once and
 compares its rows to ``pima_sweep.jsonl`` and its ``stats_report.json``
 to the sha256 in ``pima_sweep_stats.sha256``.
 
+``tests/golden/train/<model>/`` holds ``polygrad train``'s
+``trainlog.jsonl`` and ``summary.json`` for one small pima config, so the
+per-epoch eval, the per-batch penalty log and dropout's penalty
+measurement are pinned too, not only each cell's final row.
+
 Regenerate the files only when a change to the results is intended
 (about a minute for the small plans, a few more for the full sweep with
 two workers):
 
     PYTHONPATH=src python tests/test_golden.py
 
-Before overwriting a file it prints, for each (model, field) that
+Before overwriting a sweep file it prints, for each (model, field) that
 changed, how many rows changed and the largest absolute and relative
 difference from the committed value.
 """
@@ -27,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from polygrad.cli import main as cli_main
 from polygrad.config import load_config, parse_config
 from polygrad.harness import plan_from_config, resolve_dataset, sweep
 
@@ -57,6 +63,24 @@ PLANS = {
 FULL_SWEEP = "pima_sweep.jsonl"
 FULL_SWEEP_STATS = "pima_sweep_stats.sha256"
 
+# One ``polygrad train`` run per model in TRAIN_MODELS. The roster names
+# all five models, so the ReLU baselines take their capacity-matched
+# widths from ``cr``'s.
+TRAIN_CONFIG = """\
+format_version = 1
+data.source = pima_like
+data.seed = 7
+data.fraction = 0.25
+run.seed = 1
+plan.models = cr, vanilla, dropout, weight_decay, relu_dreg
+train.widths = 8, 8
+train.epochs = 30
+train.learning_rate = 0.002
+train.lambda_dreg = 0.5
+"""
+TRAIN_MODELS = ("cr", "dropout", "relu_dreg")
+TRAIN_FILES = ("trainlog.jsonl", "summary.json")
+
 
 def golden_lines(results_path) -> list[str]:
     """A results.jsonl file's lines without wall_time_seconds."""
@@ -85,6 +109,23 @@ def result_lines(config, out_dir, workers: int = 1) -> list[str]:
 def test_results_match_golden(golden, tmp_path):
     expected = (GOLDEN / golden).read_text(encoding="utf-8").splitlines()
     assert result_lines(PLANS[golden](), tmp_path) == expected
+
+
+def train_outputs(model_id: str, work_dir) -> dict[str, bytes]:
+    """``polygrad train`` of ``model_id`` on TRAIN_CONFIG in ``work_dir``; its TRAIN_FILES."""
+    work_dir = Path(work_dir)
+    config = work_dir / "train.txt"
+    config.write_text(TRAIN_CONFIG, encoding="utf-8")
+    out = work_dir / model_id
+    assert cli_main(["train", "--config", str(config), "--model", model_id, "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in TRAIN_FILES}
+
+
+@pytest.mark.parametrize("model_id", TRAIN_MODELS)
+def test_train_logs_match_golden(model_id, tmp_path):
+    got = train_outputs(model_id, tmp_path)
+    for name in TRAIN_FILES:
+        assert got[name] == (GOLDEN / "train" / model_id / name).read_bytes(), name
 
 
 def diff_report(old_lines: list[str], new_lines: list[str]) -> list[str]:
@@ -133,3 +174,12 @@ if __name__ == "__main__":
         digest = stats_digest(tmp)
     (GOLDEN / FULL_SWEEP_STATS).write_text(digest + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN / FULL_SWEEP_STATS}: {digest}", file=sys.stderr)
+    for model_id in TRAIN_MODELS:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = train_outputs(model_id, tmp)
+        target = GOLDEN / "train" / model_id
+        target.mkdir(parents=True, exist_ok=True)
+        for name, data in outputs.items():
+            changed = "" if not (target / name).exists() or (target / name).read_bytes() == data else " (changed)"
+            (target / name).write_bytes(data)
+            print(f"wrote {target / name}{changed}", file=sys.stderr)

@@ -548,6 +548,19 @@ class TestStatsReport:
         assert math.isclose(block["std"], float(np.std(cr_acc, ddof=1)))
         assert block["n"] == 3
 
+    def test_close_fractions_keep_their_own_blocks(self):
+        # Both print as 0.101235 under "g"; neither block may replace the other.
+        rows = [fake_row(m, f, s, acc, 2.0) for m in ("cr", "vanilla") for s in range(2)
+                for f, acc in ((0.1012345, 0.6), (0.1012346, 0.9))]
+        report = stats_report(rows, [("cr", "vanilla", "accuracy")])
+        blocks = report["summary"]["cr"]
+        assert sorted(blocks) == ["0.1012345", "0.1012346"]
+        assert blocks["0.1012345"]["eval_accuracy"]["mean"] == 0.6
+        assert blocks["0.1012346"]["eval_accuracy"]["mean"] == 0.9
+        text = render_stats_text(report)
+        for f in ("0.1012345", "0.1012346"):
+            assert f"f={f}  acc" in text and f"[accuracy] f={f}:" in text
+
     def test_missing_and_failed_cells_tracked(self):
         rows, _ = self.build_rows()
         rows = [r for r in rows if not (r["model_id"] == "vanilla" and r["seed"] == 2)]

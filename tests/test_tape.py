@@ -6,16 +6,22 @@ penalty and dropout masks. The oracle is the tape-free
 ``objective_value`` without masks, and ``Tape.loss`` under fixed masks
 (the masks make the objective a different function of the parameters).
 The tests in ``TestPrimitiveVjps`` each pin one piece of the adjoint in
-the configuration that exercises it.
+the configuration that exercises it. ``TestBlockContraction`` holds the
+backward's row-major W-contraction to the plain einsum it replaces, bit
+for bit.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+import polygrad.tape
+
 from conftest import fd_gradient, rel_err
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import Net, dreg_penalty, forward_values
-from polygrad.tape import Tape
+from polygrad.tape import Tape, _contract_w
 from polygrad.train import (
     TrainConfig,
     cross_entropy,
@@ -30,14 +36,14 @@ TOL = 1e-6
 STEP = 1e-6  # the cubic's third-order terms put a 1e-5 step's truncation error near TOL
 
 
-def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe"):
+def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe", input_dim=4):
     """A small net, a batch, labels and (when ``masked``) fixed dropout masks."""
     rng = Rng(derive_seed("tape", activation, seed))
-    net = Net.build(rng.spawn("net"), 4, list(widths), 3, activation=activation,
+    net = Net.build(rng.spawn("net"), input_dim, list(widths), 3, activation=activation,
                     dropout_rate=0.3 if masked else 0.0, coeff_noise=0.05)
     for i, layer in enumerate(net.layers):  # nonzero biases keep ReLU rows off the kink
         layer.bias[:] = 0.1 * rng.spawn("b", i).standard_normal(layer.bias.size)
-    x = rng.spawn("x").standard_normal(batch, 4)
+    x = rng.spawn("x").standard_normal(batch, input_dim)
     y = np.arange(batch) % 3
     masks = dropout_masks(net, batch, rng.spawn("masks")) if masked else None
     if activation == "relu":
@@ -204,3 +210,46 @@ class TestTapeMechanics:
         second_dx = tape.backward(0.5, net.layer_views(flat))  # overwrites, never accumulates
         np.testing.assert_array_equal(flat, first)
         np.testing.assert_array_equal(second_dx, first_dx)
+
+
+def awkward_entries(rng, shape):
+    """Normal draws with about half replaced by +0, -0, subnormals, or
+    magnitudes near 1e300 and 1e-300."""
+    x = rng.standard_normal(shape)
+    pick = rng.integers(0, 10, shape)
+    for code, value in enumerate((0.0, -0.0, x * 1e-310, x * 1e300, x * 1e-300)):
+        x = np.where(pick == code, value, x)
+    return x
+
+
+def einsum_contraction(W, dt):
+    """The backward's block contraction as it was first written."""
+    return np.einsum("wk,bwd->bkd", W, dt)
+
+
+class TestBlockContraction:
+    def test_matches_einsum_bit_for_bit(self):
+        # Every shape, k * d == 1 included, where the einsum takes its dot kernel.
+        rng = np.random.default_rng(24)
+        differ = []
+        for batch, w, k, d in itertools.product((1, 2, 5, 31, 32, 154), (1, 2, 3, 8, 19), (1, 2, 3, 8, 19),
+                                                (1, 2, 3, 8, 13)):
+            for make in (rng.standard_normal, lambda shape: awkward_entries(rng, shape)):
+                W, dt = make((w, k)), make((batch, w, d))
+                if _contract_w(W, dt).tobytes() != einsum_contraction(W, dt).tobytes():
+                    differ.append((batch, w, k, d))
+        assert differ == []
+
+    @pytest.mark.parametrize("batch", [1, 5, 31])
+    @pytest.mark.parametrize("input_dim", [1, 8])
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_backward_matches_einsum_backward(self, activation, input_dim, batch, monkeypatch):
+        # Widths [3, 1, 4]: layer 2 contracts a k = 1 block, so at input_dim 1
+        # the k * d == 1 shape runs inside a real backward.
+        net, x, y, masks = probe(activation, masked=True, widths=(3, 1, 4), batch=batch, input_dim=input_dim)
+        got, got_dx = tape_grads(net, x, y, masks, lam=0.5)
+        monkeypatch.setattr(polygrad.tape, "_contract_w", einsum_contraction)
+        want, want_dx = tape_grads(net, x, y, masks, lam=0.5)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert got_dx.tobytes() == want_dx.tobytes()

@@ -19,8 +19,10 @@ from run to run. Each run's last output line is its result. The output
 file holds every run; per workload, whether every run (the traced ones
 too) read correct with no failed operation; and per workload and
 end-to-end metric the per-side median and quartiles, the number of
-pairs the change wins, and whether the change's median beats the
-parent's by more than the parent's interquartile range. It also
+pairs the change wins, whether the change's median beats the parent's
+by more than the parent's interquartile range, and whether it is worse
+than the parent's by more than the metric's relative ``bound`` in
+``BENCHMARK.json`` (``worse_than_bound``). It also
 records, per side, the code it measured: the sha256 of
 ``src/polygrad/*.py`` and the checkout's git HEAD, and warns when both
 sides hash the same. Standard library only;
@@ -98,7 +100,9 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's quartiles, pair wins, and the claim test."""
+    """Per end-to-end metric: each side's quartiles, pair wins, the claim
+    test, and whether the change's median is worse than the parent's by
+    more than the metric's relative ``bound``."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -115,6 +119,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "median_change_rel": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
             "beats_parent_iqr": gain > stats["parent"]["iqr"],
+            "worse_than_bound": -gain > spec["bound"] * abs(stats["parent"]["median"]),
         }
     return out
 
@@ -178,7 +183,7 @@ def main(argv=None) -> int:
                 f"{workload} {name:14s} parent {m['parent']['median']:.4g} "
                 f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} "
                 f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]  wins {m['change_wins']}/{m['pairs']}  "
-                f"beats parent IQR: {m['beats_parent_iqr']}",
+                f"beats parent IQR: {m['beats_parent_iqr']}  worse than bound: {m['worse_than_bound']}",
                 flush=True,
             )
         with open(args.out, "w", encoding="utf-8") as fh:  # rewritten after each workload
