@@ -17,6 +17,7 @@ from .data import PIMA_LABEL, load_csv, stratified_split
 from .errors import ShapeError
 from .harness import (
     KEYS,
+    _fraction_text,
     default_comparisons,
     plan_from_config,
     read_results,
@@ -53,13 +54,13 @@ def cmd_train(args) -> int:
         "seed": seed,
         "config_hash": config_hash(cfg),
         "eval_fraction": plan.eval_fraction,
-        "epochs_trained": len(out.log.epochs),
+        "epochs_trained": len(out.log),
     }
     ck_path = os.path.join(args.out, "checkpoint.json")
     save_checkpoint(ck_path, out.net, provenance, out.preprocess)
 
     with open(os.path.join(args.out, "trainlog.jsonl"), "w", encoding="utf-8") as fh:
-        for e in out.log.epochs:
+        for e in out.log:
             fh.write(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n")
     summary = {"format_version": 1, "model_id": model_id, "fraction": fraction, "seed": seed, **out.metrics()}
     write_json(os.path.join(args.out, "summary.json"), summary)
@@ -152,7 +153,7 @@ def cmd_stats(args) -> int:
         if "error" in entry:
             print(
                 f"warning: {entry['model_a']} vs {entry['model_b']} [{entry['metric']}] "
-                f"f={entry['fraction']:g}: {entry['error']}; missing cells: {entry['missing_cells']}",
+                f"f={_fraction_text(entry['fraction'])}: {entry['error']}; missing cells: {entry['missing_cells']}",
                 file=sys.stderr,
             )
     return 0

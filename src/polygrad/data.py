@@ -227,7 +227,7 @@ class PreprocessStats:
 def fit_preprocess(
     features: np.ndarray,
     feature_names: list[str],
-    fit_idx: np.ndarray | None = None,
+    fit_idx: np.ndarray,
 ) -> PreprocessStats:
     """Fit imputation medians and standardization moments on fit_idx rows.
 
@@ -237,7 +237,7 @@ def fit_preprocess(
     instead of dividing by zero.
     """
     X = np.asarray(features, dtype=np.float64)
-    sub = X if fit_idx is None else X[np.asarray(fit_idx)]
+    sub = X[np.asarray(fit_idx)]
     stats = PreprocessStats(feature_names=list(feature_names))
     for name in PIMA_ZERO_MISSING:
         if name not in feature_names:

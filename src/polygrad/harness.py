@@ -54,7 +54,7 @@ from .metrics import (
     wilcoxon_signed_rank,
 )
 from .polynet import Net, param_count
-from .train import TrainConfig, train
+from .train import EpochStats, TrainConfig, train
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test calls harness.evaluate_accuracy)
 
 __all__ = [
@@ -395,13 +395,13 @@ def _cell_tag(model_id: str, fraction: float, seed: int) -> str:
 class CellOutput:
     net: object
     preprocess: object
-    log: object
+    log: list[EpochStats]
     tail: object
     eval_accuracy: float
 
     def metrics(self) -> dict:
         """The six metrics a cell reports, as results rows and ``polygrad train``'s summary hold them."""
-        final = self.log.final
+        final = self.log[-1]
         return {
             "eval_accuracy": self.eval_accuracy,
             "tau": self.tail.tau,
@@ -438,7 +438,7 @@ def train_cell(
     train_log = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg, trajectory)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
     report = tail_ratio(norms)
-    acc = train_log.final.eval_accuracy  # the last epoch evaluated these parameters on these rows
+    acc = train_log[-1].eval_accuracy  # the last epoch evaluated these parameters on these rows
     return CellOutput(net, stats, train_log, report, acc)
 
 

@@ -203,7 +203,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-14) -> float:
+BETA_CF_MAX_ITER, BETA_CF_EPS = 300, 1e-14
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -212,7 +215,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -233,7 +236,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < BETA_CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 

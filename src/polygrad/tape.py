@@ -1,14 +1,16 @@
 """The network's recorded forward pass and its hand-written adjoint.
 
-``Tape`` runs the value stream of a ``Net`` on one batch and, when asked,
-the per-sample Jacobian stream the DREG penalty is built from:
+``Tape`` runs the value stream of a ``Net`` on one batch and, when the
+penalty weight ``lam`` is nonzero, the per-sample Jacobian stream the
+DREG penalty is built from:
 
     S1 = diag(phi'(z1)) @ W1,    Sl = diag(phi'(zl)) @ Wl @ S(l-1)
 
 with optional dropout masks scaling each layer's output rows (and, in
 step, its Jacobian rows). It keeps one record ``(h_in, z, slope, S_in, S,
 W @ S_in)`` per layer in ``nodes``, plus the softmax's ``exp(logits -
-max)`` and row sums. ``backward`` is the adjoint of exactly that
+max)`` and row sums. ``loss`` is the task loss plus ``lam``
+times the penalty. ``backward`` is the adjoint of exactly that
 recurrence plus the softmax cross-entropy and the penalty's Frobenius
 terms, applied in reverse layer order: the penalty reaches every
 parameter class through the Jacobian stream, second activation
@@ -53,21 +55,23 @@ def _contract_w(W: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """One batch's forward record: logits, task loss and, with
-    ``need_dual``, the Jacobian blocks and their penalty.
+    """One batch's forward record: logits, task loss and, when ``lam`` is
+    nonzero, the Jacobian blocks, their penalty and the loss they weigh into.
 
     ``masks`` are per-layer dropout masks, already scaled. ``reduction``
     "mean" averages the cross-entropy over the batch; "sum" totals it,
     which makes input-gradient row b the gradient of row b's own loss.
     """
 
-    def __init__(self, net, x, labels, masks=None, need_dual=False, reduction="mean"):
+    def __init__(self, net, x, labels, masks=None, lam=0.0, reduction="mean"):
         if reduction not in ("mean", "sum"):
             raise ValueError(f"unknown reduction {reduction!r}")
         self.net = net
         self.masks = masks
+        self.lam = lam
         self.reduction = reduction
         self.nodes: list[tuple] = []
+        dual = lam != 0.0
         h = np.asarray(x, dtype=np.float64)
         S = WS = None
         for i, layer in enumerate(net.layers):
@@ -75,13 +79,13 @@ class Tape:
             slope = layer.slope(z)
             out = layer.activate(z)
             S_in = S
-            if need_dual:
+            if dual:
                 W = layer.weights
                 WS = W[None, :, :] if S_in is None else W @ S_in
                 S = slope[:, :, None] * WS
             if masks is not None:
                 out *= masks[i]
-                if need_dual:
+                if dual:
                     S *= masks[i][:, :, None]
             self.nodes.append((h, z, slope, S_in, S, WS))
             h = out
@@ -102,18 +106,14 @@ class Tape:
         self.task = np.float64(losses.sum() / batch if reduction == "mean" else losses.sum())
 
         self.penalty = None
-        if need_dual:
+        self.loss = self.task
+        if dual:
             frobs = [np.float64(np.sum(node[4] * node[4]) / batch) for node in self.nodes]
             self.penalty = np.float64(sum(frobs) / len(frobs))
+            self.loss = np.float64(self.task + lam * self.penalty)
 
-    def loss(self, lam: float = 0.0) -> np.float64:
-        """Task loss plus ``lam`` times the penalty (recorded with ``need_dual``)."""
-        if self.penalty is None:
-            return self.task
-        return np.float64(self.task + lam * self.penalty)
-
-    def backward(self, lam: float = 0.0, grads: tuple | None = None) -> np.ndarray:
-        """Gradient of ``loss(lam)``; returns the input gradient.
+    def backward(self, grads: tuple | None = None) -> np.ndarray:
+        """Gradient of ``loss``; returns the input gradient.
 
         With ``grads``, a ``net.layer_views(vec)`` of a gradient vector,
         every parameter's gradient is written into it; without, no
@@ -132,7 +132,7 @@ class Tape:
 
         dS = None
         if self.penalty is not None:
-            coef = 2.0 * (lam / len(self.nodes)) / g.shape[0]
+            coef = 2.0 * (self.lam / len(self.nodes)) / g.shape[0]
             dS = coef * self.nodes[-1][4]
 
         for i in reversed(range(len(self.nodes))):

@@ -2,18 +2,19 @@
 
 The objective is mean softmax cross-entropy plus lambda times the
 layer-mean squared Frobenius norm of the per-sample input-Jacobian
-blocks. ``loss_and_grads`` records each batch once on a ``tape.Tape``
-(the value stream, the dropout masks and, when lambda > 0, the Jacobian
-stream) and runs its hand-written adjoint once, so every parameter
-class (weights, biases, activation coefficients) is differentiated
-through the Jacobian stream itself, second activation derivatives
-included.
+blocks. ``loss_and_grads`` gives lambda once to a ``tape.Tape``, which
+records the batch (the value stream, the dropout masks and, when lambda
+is nonzero, the Jacobian stream), and runs its hand-written adjoint
+once, so every parameter class (weights, biases, activation
+coefficients) is differentiated through the Jacobian stream itself,
+second activation derivatives included. ``train`` returns its per-epoch
+``EpochStats`` as a plain list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "AdamState",
     "step_adam",
     "EpochStats",
-    "TrainLog",
     "train",
 ]
 
@@ -126,15 +126,15 @@ def loss_and_grads(
         if dropout_rng is None:
             raise ValueError("dropout needs an rng")
         masks = dropout_masks(net, x.shape[0], dropout_rng)
-    tape = Tape(net, x, labels, masks, need_dual=cfg.lambda_dreg > 0.0)
-    loss = float(tape.loss(cfg.lambda_dreg))
+    tape = Tape(net, x, labels, masks, cfg.lambda_dreg)
+    loss = float(tape.loss)
     if not math.isfinite(loss):
         raise NumericOverflowError("non-finite training loss")
     if out is None:
         grad = np.empty(net.arena.size)
         out = grad, net.layer_views(grad)
     grad, grad_views = out
-    tape.backward(cfg.lambda_dreg, grad_views)
+    tape.backward(grad_views)
     if tape.penalty is not None:
         penalty = float(tape.penalty)
     elif not log_penalty:
@@ -172,16 +172,13 @@ def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, reduction: str = "mean") -> float | np.ndarray:
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy over the rows of ``logits``."""
     y = np.asarray(labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=1)) + logits.max(axis=1)
     losses = lse - logits[np.arange(logits.shape[0]), y]
-    if reduction == "mean":
-        return float(losses.mean())
-    if reduction == "sum":
-        return float(losses.sum())
-    return losses
+    return float(losses.mean())
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -246,15 +243,6 @@ class EpochStats:
     eval_accuracy: float
 
 
-@dataclass
-class TrainLog:
-    epochs: list[EpochStats] = field(default_factory=list)
-
-    @property
-    def final(self) -> EpochStats:
-        return self.epochs[-1]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # every finite check raises instead
 def train(
     net: Net,
@@ -264,7 +252,7 @@ def train(
     eval_y: np.ndarray,
     cfg: TrainConfig,
     trajectory: bool = True,
-) -> TrainLog:
+) -> list[EpochStats]:
     """Deterministic minibatch training of ``net`` in place; returns the per-epoch log.
 
     All randomness (shuffling, dropout masks) comes from generators
@@ -289,7 +277,7 @@ def train(
     grad_out = grad, net.layer_views(grad)
 
     n = train_x.shape[0]
-    log_out = TrainLog()
+    log_out: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         logged = trajectory or epoch == cfg.epochs - 1
         order = shuffle_rng.permutation(n)
@@ -314,7 +302,7 @@ def train(
             eval_acc = evaluate_accuracy(net, eval_x, eval_y)
         except NumericOverflowError as err:
             raise NumericOverflowError(f"evaluation diverged: {err}", epoch=epoch) from err
-        log_out.epochs.append(
+        log_out.append(
             EpochStats(epoch, float(np.mean(task_losses)), float(np.mean(penalties)), eval_acc)
         )
     return log_out

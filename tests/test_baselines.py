@@ -184,8 +184,8 @@ class TestDualAndInputGrads:
                 xm[b, j] -= step
                 lp, _ = forward_values(net, xp)
                 lm, _ = forward_values(net, xm)
-                per_p = cross_entropy(lp, y, reduction="none")[b]
-                per_m = cross_entropy(lm, y, reduction="none")[b]
+                per_p = cross_entropy(lp[b:b + 1], y[b:b + 1])
+                per_m = cross_entropy(lm[b:b + 1], y[b:b + 1])
                 g[j] = (per_p - per_m) / (2 * step)
             assert abs(norms[b] - float(np.linalg.norm(g))) < 1e-6
 

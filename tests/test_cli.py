@@ -109,7 +109,7 @@ class TestEvalView:
     ], ids=["preprocess", "raw", "no-seed"])
     def test_equals_transform_all_then_index(self, tmp_path, with_preprocess, provenance):
         ds = make_pima_like(seed=7, n_samples=300)
-        stats = fit_preprocess(ds.features, ds.feature_names) if with_preprocess else None
+        stats = fit_preprocess(ds.features, ds.feature_names, np.arange(ds.n)) if with_preprocess else None
         ck = tmp_path / "ck.json"
         save_checkpoint(ck, Net.build(Rng(0), ds.d, [4], 2), provenance, stats)
         X, y, eval_idx = _eval_view(load_checkpoint(ck), ds)
@@ -183,6 +183,21 @@ class TestStats:
         capsys.readouterr()
         assert ((dest / "stats_report.json").read_bytes()
                 == (out / "stats_report.json").read_bytes())
+
+    def test_warnings_keep_close_fractions_apart(self, tmp_path, capsys):
+        # Both fractions print as 0.101235 under "g"; each warning names its own.
+        rows = [{"status": "ok", "model_id": m, "fraction": f, "seed": s, "eval_accuracy": 0.8,
+                 "tau": 2.0, "mean_norm": 1.0, "p99_norm": 2.0}
+                for f in (0.1012345, 0.1012346) for m in ("cr", "vanilla") for s in range(2)
+                if (m, s) != ("vanilla", 1)]
+        results = tmp_path / "results.jsonl"
+        results.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code = main(["stats", "--results", str(results), "--out", str(tmp_path / "st")])
+        assert code == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 4
+        for f in ("0.1012345", "0.1012346"):
+            assert sum(f" f={f}: " in line for line in warnings) == 2
 
     def test_empty_results_error(self, tmp_path, capsys):
         code = main(["stats", "--results", str(tmp_path / "none.jsonl"),

@@ -288,7 +288,7 @@ class TestCsvLarge:
 class TestPreprocess:
     def test_impute_uses_nonzero_median(self):
         X = np.array([[0.0], [2.0], [4.0]])
-        stats = fit_preprocess(X, ["glucose"])
+        stats = fit_preprocess(X, ["glucose"], np.arange(3))
         assert stats.impute_values["glucose"] == 3.0
         out = stats.transform(X)
         # after imputation column is [3, 2, 4]: mean 3, std sqrt(2/3)
@@ -297,7 +297,7 @@ class TestPreprocess:
 
     def test_columns_outside_missing_set_untouched(self):
         X = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
-        stats = fit_preprocess(X, ["pregnancies", "glucose"])
+        stats = fit_preprocess(X, ["pregnancies", "glucose"], np.arange(3))
         assert "pregnancies" not in stats.impute_values
         assert stats.impute_values == {"glucose": 3.0}
 
@@ -305,21 +305,21 @@ class TestPreprocess:
         rng = np.random.default_rng(3)
         X = rng.normal(100.0, 10.0, size=(40, 2))
         fit_idx = np.arange(10)
-        stats = fit_preprocess(X, ["glucose", "bmi"], fit_idx=fit_idx)
+        stats = fit_preprocess(X, ["glucose", "bmi"], fit_idx)
         np.testing.assert_allclose(stats.means, X[:10].mean(axis=0), atol=1e-12)
-        leaky = fit_preprocess(X, ["glucose", "bmi"])
+        leaky = fit_preprocess(X, ["glucose", "bmi"], np.arange(40))
         assert not np.allclose(stats.means, leaky.means)
 
     def test_constant_column_keeps_unit_std(self):
         X = np.full((5, 1), 9.0)
-        stats = fit_preprocess(X, ["age"])
+        stats = fit_preprocess(X, ["age"], np.arange(5))
         assert stats.stds[0] == 1.0
         np.testing.assert_array_equal(stats.transform(X)[:, 0], np.zeros(5))
 
     def test_all_zero_missing_column_warns(self, caplog):
         X = np.zeros((4, 1))
         with caplog.at_level(logging.WARNING):
-            stats = fit_preprocess(X, ["insulin"])
+            stats = fit_preprocess(X, ["insulin"], np.arange(4))
         assert stats.impute_values["insulin"] == 0.0
         assert any("all zeros" in r.message for r in caplog.records)
 

@@ -183,9 +183,9 @@ class TestTrajectorySwitch:
         full = train_cell(ds, plan, model_id, fraction, 0, trajectory=True)
         last = train_cell(ds, plan, model_id, fraction, 0, trajectory=False)
         assert last.net.arena.flat.tobytes() == full.net.arena.flat.tobytes()
-        assert len(full.log.epochs) == 3
-        assert len(last.log.epochs) == 1
-        assert float_bytes(last.log.final) == float_bytes(full.log.final)
+        assert len(full.log) == 3
+        assert len(last.log) == 1
+        assert float_bytes(last.log[-1]) == float_bytes(full.log[-1])
         assert last.metrics() == full.metrics()
 
     def test_run_cell_evaluates_and_logs_only_the_last_epoch(self, roster, monkeypatch):

@@ -94,8 +94,8 @@ class TestInputGradNorms:
                 xp[b, j] += step
                 xm = x.copy()
                 xm[b, j] -= step
-                lp = cross_entropy(predict_logits(net, xp), y, reduction="none")[b]
-                lm = cross_entropy(predict_logits(net, xm), y, reduction="none")[b]
+                lp = cross_entropy(predict_logits(net, xp)[b:b + 1], y[b:b + 1])
+                lm = cross_entropy(predict_logits(net, xm)[b:b + 1], y[b:b + 1])
                 g[j] = (lp - lm) / (2 * step)
             assert abs(norms[b] - float(np.linalg.norm(g))) < 1e-6
 

@@ -40,7 +40,7 @@ def slope_backward(coeffs, z):
     """
     batch, width = z.shape
     net = make_net([(np.eye(width), np.zeros(width), coeffs)], np.zeros((2, width)), np.zeros(2))
-    dx = Tape(net, z, np.zeros(batch, int), need_dual=True).backward(batch / 2)
+    dx = Tape(net, z, np.zeros(batch, int), lam=batch / 2).backward()
     return dx / cubic(coeffs).slope(z)
 
 
@@ -365,7 +365,7 @@ class TestDregPenalty:
 
 
 def record(net, x, masks=None):
-    tape = Tape(net, x, np.zeros(x.shape[0], int), masks, need_dual=True)
+    tape = Tape(net, x, np.zeros(x.shape[0], int), masks, lam=1.0)
     return tape.logits, [node[1] for node in tape.nodes], [node[4] for node in tape.nodes]
 
 

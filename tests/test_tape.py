@@ -55,8 +55,7 @@ def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe",
 def tape_grads(net, x, y, masks=None, lam=0.0, reduction="mean"):
     """Parameter gradients (views into one flat vector) and the input gradient."""
     flat = np.zeros(net.arena.size)
-    tape = Tape(net, x, y, masks, need_dual=lam > 0, reduction=reduction)
-    dx = tape.backward(lam, net.layer_views(flat))
+    dx = Tape(net, x, y, masks, lam, reduction).backward(net.layer_views(flat))
     return net.arena.views(flat), dx
 
 
@@ -65,11 +64,11 @@ def fd_check(net, x, y, masks=None, lam=0.0, names=None, reduction="mean", check
     ``check_x``, of the input, against central differences."""
     cfg = TrainConfig(lambda_dreg=lam)
     if reduction == "sum":
-        oracle = lambda: cross_entropy(predict_logits(net, x), y, reduction="sum")
+        oracle = lambda: x.shape[0] * cross_entropy(predict_logits(net, x), y)
     elif masks is None:
         oracle = lambda: objective_value(net, x, y, cfg)
     else:
-        oracle = lambda: float(Tape(net, x, y, masks, need_dual=lam > 0).loss(lam))
+        oracle = lambda: float(Tape(net, x, y, masks, lam).loss)
     grads, dx = tape_grads(net, x, y, masks, lam, reduction)
     params = net.parameters()
     for name in names if names is not None else params:
@@ -145,7 +144,7 @@ class TestPrimitiveVjps:
         # The penalty alone: its value and its gradient, the difference
         # of the lambda = 1 and lambda = 0 gradients.
         net, x, y, _ = probe()
-        tape = Tape(net, x, y, need_dual=True)
+        tape = Tape(net, x, y, lam=1.0)
         assert abs(float(tape.penalty) - measure_penalty(net, x)) < 1e-12
         with_pen, with_dx = tape_grads(net, x, y, lam=1.0)
         plain, plain_dx = tape_grads(net, x, y)
@@ -167,11 +166,11 @@ class TestPrimitiveVjps:
         # loss = task + lambda * mean over the L hidden-layer blocks.
         net, x, y, _ = probe()
         cfg = TrainConfig(lambda_dreg=0.7)
-        tape = Tape(net, x, y, need_dual=True)
+        tape = Tape(net, x, y, lam=0.7)
         blocks = [node[4] for node in tape.nodes]
         assert len(blocks) == len(net.layers)
         assert abs(float(tape.penalty) - dreg_penalty(blocks)) < 1e-12
-        assert abs(float(tape.loss(0.7)) - objective_value(net, x, y, cfg)) < 1e-12
+        assert abs(float(tape.loss) - objective_value(net, x, y, cfg)) < 1e-12
         fd_check(net, x, y, lam=0.7, names=["layer0.W", "layer0.c2", "head.W"])
 
     def test_gradient_accumulation_over_shared_leaf(self):
@@ -189,25 +188,48 @@ class TestTapeMechanics:
         assert abs(float(tape.task) - cross_entropy(predict_logits(net, x), y)) < 1e-12
         np.testing.assert_array_equal(tape.logits, predict_logits(net, x))
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_zero_lam_records_no_stream(self, activation, masked):
+        net, x, y, masks = probe(activation, masked)
+        tape = Tape(net, x, y, masks)
+        for _, _, _, S_in, S, WS in tape.nodes:
+            assert S_in is None and S is None and WS is None
+        assert tape.penalty is None
+        assert tape.loss.tobytes() == tape.task.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_loss_weighs_penalty_by_lam(self, activation, masked, lam):
+        net, x, y, masks = probe(activation, masked)
+        tape = Tape(net, x, y, masks, lam)
+        assert tape.penalty is not None
+        assert tape.loss.tobytes() == np.float64(tape.task + lam * tape.penalty).tobytes()
+
     def test_unknown_reduction_rejected(self):
         net, x, y, _ = probe()
         with pytest.raises(ValueError, match="reduction"):
             Tape(net, x, y, reduction="max")
 
     def test_grad_out_receives_gradients_in_place(self):
-        net, x, y, _ = probe()
         cfg = TrainConfig(lambda_dreg=0.5)
-        flat = np.full(net.arena.size, 7.0)  # stale contents must not leak into the result
-        Tape(net, x, y, need_dual=True).backward(0.5, net.layer_views(flat))
-        np.testing.assert_array_equal(flat, loss_and_grads(net, x, y, cfg).grad)
+        for activation, masked in (("poly", False), ("relu", False), ("relu", True)):
+            net, x, y, _ = probe(activation, masked)
+            # loss_and_grads draws the same masks from an equal generator.
+            masks = dropout_masks(net, x.shape[0], Rng(5).spawn("d")) if masked else None
+            flat = np.full(net.arena.size, 7.0)  # stale contents must not leak into the result
+            Tape(net, x, y, masks, lam=0.5).backward(net.layer_views(flat))
+            want = loss_and_grads(net, x, y, cfg, Rng(5).spawn("d") if masked else None).grad
+            np.testing.assert_array_equal(flat, want, err_msg=f"{activation} masked={masked}")
 
     def test_backward_clears_stale_gradients(self):
         net, x, y, masks = probe(masked=True)
-        tape = Tape(net, x, y, masks, need_dual=True)
+        tape = Tape(net, x, y, masks, lam=0.5)
         flat = np.zeros(net.arena.size)
-        first_dx = tape.backward(0.5, net.layer_views(flat))
+        first_dx = tape.backward(net.layer_views(flat))
         first = flat.copy()
-        second_dx = tape.backward(0.5, net.layer_views(flat))  # overwrites, never accumulates
+        second_dx = tape.backward(net.layer_views(flat))  # overwrites, never accumulates
         np.testing.assert_array_equal(flat, first)
         np.testing.assert_array_equal(second_dx, first_dx)
 
