@@ -19,6 +19,7 @@ sweep without resume first removes every output an earlier run left.
 from __future__ import annotations
 
 import copy
+import functools
 import glob
 import json
 import logging
@@ -347,17 +348,11 @@ def matched_capacity(input_dim: int, poly_widths: list[int], num_classes: int) -
     Searches uniform scalings of the polynomial widths at equal depth, so
     comparisons are about the activation substrate rather than model size.
     An infeasible match (gap beyond 5%, e.g. tiny widths) is logged and
-    the nearest width is returned so the run can proceed.
+    the nearest width is returned so the run can proceed. The search is
+    memoized; every call logs and returns its own ``CapacityMatch``.
     """
-    target = param_count(input_dim, poly_widths, num_classes, "poly")
-    best: CapacityMatch | None = None
-    max_width = max(poly_widths) * 2 + 8
-    for delta in range(-max(poly_widths) + 1, max_width):
-        widths = [max(1, w + delta) for w in poly_widths]
-        count = param_count(input_dim, widths, num_classes, "relu")
-        match = CapacityMatch(widths, count, target)
-        if best is None or abs(match.relative_gap) < abs(best.relative_gap):
-            best = match
+    best = _search_capacity(input_dim, tuple(poly_widths), num_classes)
+    best = replace(best, widths=list(best.widths))
     if abs(best.relative_gap) > 0.05:
         log.warning(
             "capacity match infeasible: baseline widths %s give %d params vs "
@@ -367,6 +362,20 @@ def matched_capacity(input_dim: int, poly_widths: list[int], num_classes: int) -
             best.poly_params,
             100.0 * best.relative_gap,
         )
+    return best
+
+
+@functools.lru_cache(maxsize=64)
+def _search_capacity(input_dim: int, poly_widths: tuple[int, ...], num_classes: int) -> CapacityMatch:
+    target = param_count(input_dim, list(poly_widths), num_classes, "poly")
+    best: CapacityMatch | None = None
+    max_width = max(poly_widths) * 2 + 8
+    for delta in range(-max(poly_widths) + 1, max_width):
+        widths = [max(1, w + delta) for w in poly_widths]
+        count = param_count(input_dim, widths, num_classes, "relu")
+        match = CapacityMatch(widths, count, target)
+        if best is None or abs(match.relative_gap) < abs(best.relative_gap):
+            best = match
     return best
 
 

@@ -6,6 +6,7 @@ propagating NaN silently.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -32,11 +33,15 @@ class Rng:
     constructed from numpy's PCG64 bit generator, whose output stream
     for a given 64-bit seed is documented and platform-independent.
     Instances are single-owner; never share one across concurrent tasks.
+    The generator is built on the first draw; a spawn-only one builds none.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, *labels) -> "Rng":
         """Independent child generator, deterministic in (seed, labels)."""
@@ -54,6 +59,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive ``permutation(n)`` draws as rows, in one call."""
+        rows = np.tile(np.arange(n), (count, 1))
+        return self._gen.permuted(rows, axis=1, out=rows)
 
 
 def quantile(values, q: float) -> float:

@@ -298,5 +298,5 @@ def dreg_penalty(blocks: list[np.ndarray]) -> float:
     and depth.
     """
     batch = blocks[0].shape[0]
-    total = sum(float(np.sum(S * S)) for S in blocks)
+    total = sum(float(np.add.reduce(S * S, axis=None)) for S in blocks)
     return total / (batch * len(blocks))

@@ -22,7 +22,7 @@ Every array receives at most two gradient contributions (a weight from
 its linear map and its Jacobian block; a pre-activation and the cubic
 coefficients from the value and the slope; a block from its own penalty
 term and the next layer), so the sums do not depend on the order they
-are formed in.
+are formed in. Sums call ``np.add.reduce``, which ``np.sum`` only wraps.
 
 The block adjoint ``W.T @ dt`` of the layers past the first,
 ``einsum("wk,bwd->bkd")``, forms each output as one multiply-add chain
@@ -36,6 +36,8 @@ sums have no longer-row form with the same bits, so they stay as written.
 from __future__ import annotations
 
 import numpy as np
+
+from .polynet import _check_dual_budget
 
 __all__ = ["Tape"]
 
@@ -57,6 +59,7 @@ def _contract_w(W: np.ndarray, dt: np.ndarray) -> np.ndarray:
 class Tape:
     """One batch's forward record: logits, task loss and, when ``lam`` is
     nonzero, the Jacobian blocks, their penalty and the loss they weigh into.
+    Blocks that would exceed ``polynet.MAX_DUAL_BYTES`` raise ``MemoryBudgetError`` first.
 
     ``masks`` are per-layer dropout masks, already scaled. ``reduction``
     "mean" averages the cross-entropy over the batch; "sum" totals it,
@@ -73,6 +76,8 @@ class Tape:
         self.nodes: list[tuple] = []
         dual = lam != 0.0
         h = np.asarray(x, dtype=np.float64)
+        if dual:
+            _check_dual_budget(net, h.shape[0], sum(net.widths))
         S = WS = None
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
@@ -99,7 +104,7 @@ class Tape:
         top = lv.max(axis=1, keepdims=True)
         # exp(lv - max) and its row sums serve the loss here and the softmax in backward.
         self.exp = np.exp(lv - top)
-        self.exp_sum = self.exp.sum(axis=1, keepdims=True)
+        self.exp_sum = np.add.reduce(self.exp, axis=1, keepdims=True)
         lse = np.log(self.exp_sum[:, 0]) + top[:, 0]
         losses = lse - lv[self.rows, self.labels]
         # losses.sum() / batch is exactly what losses.mean() computes.
@@ -108,7 +113,7 @@ class Tape:
         self.penalty = None
         self.loss = self.task
         if dual:
-            frobs = [np.float64(np.sum(node[4] * node[4]) / batch) for node in self.nodes]
+            frobs = [np.float64(np.add.reduce(node[4] * node[4], axis=None) / batch) for node in self.nodes]
             self.penalty = np.float64(sum(frobs) / len(frobs))
             self.loss = np.float64(self.task + lam * self.penalty)
 
@@ -128,7 +133,7 @@ class Tape:
         if grads is not None:
             grad_layers, grad_head_w, grad_head_b = grads
             np.matmul(g.T, self.h_out, out=grad_head_w)
-            g.sum(axis=0, out=grad_head_b)
+            np.add.reduce(g, axis=0, out=grad_head_b)
 
         dS = None
         if self.penalty is not None:
@@ -153,7 +158,7 @@ class Tape:
                     dW_jac = np.einsum("bw,bwd->wd", slope, dS)
             elif dS is not None:
                 if c is not None:
-                    dslope = (dS * WS).sum(axis=2)
+                    dslope = np.add.reduce(dS * WS, axis=2)
                 dt = slope[:, :, None] * dS
                 if grads is not None:
                     dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)
@@ -170,18 +175,18 @@ class Tape:
                     # dh * z**k and dslope * z**k as left-to-right products.
                     dhz = dh * z
                     dhz2 = dhz * z
-                    dh.sum(axis=0, out=gc[0])
-                    dhz.sum(axis=0, out=gc[1])
-                    dhz2.sum(axis=0, out=gc[2])
-                    (dhz2 * z).sum(axis=0, out=gc[3])
+                    np.add.reduce(dh, axis=0, out=gc[0])
+                    np.add.reduce(dhz, axis=0, out=gc[1])
+                    np.add.reduce(dhz2, axis=0, out=gc[2])
+                    np.add.reduce(dhz2 * z, axis=0, out=gc[3])
                     if dslope is not None:
                         dsz = dslope * z
-                        gc[1] += dslope.sum(axis=0)
-                        gc[2] += 2.0 * dsz.sum(axis=0)
-                        gc[3] += 3.0 * (dsz * z).sum(axis=0)
+                        gc[1] += np.add.reduce(dslope, axis=0)
+                        gc[2] += 2.0 * np.add.reduce(dsz, axis=0)
+                        gc[3] += 3.0 * np.add.reduce(dsz * z, axis=0)
                 np.matmul(dz.T, h_in, out=gW)
                 if dW_jac is not None:
                     gW += dW_jac
-                dz.sum(axis=0, out=gb)
+                np.add.reduce(dz, axis=0, out=gb)
             dh = dz @ W
         return dh

@@ -24,6 +24,8 @@ from .linalg import Rng
 from .polynet import Net, dreg_penalty, forward_values, jacobian_stream
 from .tape import Tape
 
+SHUFFLE_BLOCK = 1 << 16  # most indices one block of epoch orders holds
+
 __all__ = [
     "TrainConfig",
     "LossBundle",
@@ -203,11 +205,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    step: np.ndarray  # scratch for the step's temporaries, as is denom
+    denom: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
+        return cls(*(np.zeros_like(params) for _ in range(4)))
 
 
 def step_adam(
@@ -217,19 +221,21 @@ def step_adam(
     cfg: TrainConfig,
     n_decayed: int,
 ) -> None:
-    """In-place Adam step (bias-corrected) with decoupled weight decay."""
+    """In-place Adam step (bias-corrected) with decoupled weight decay; no temporaries."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    m, v = state.m, state.v
+    m, v, step, denom = state.m, state.v, state.step, state.denom
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=step), grad, out=step)
+    np.multiply(np.divide(m, bc1, out=step), cfg.learning_rate, out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+    params -= np.divide(step, denom, out=step)
     if cfg.weight_decay > 0.0:
         decayed = params[:n_decayed]
-        decayed -= cfg.learning_rate * cfg.weight_decay * decayed
+        decayed -= np.multiply(decayed, cfg.learning_rate * cfg.weight_decay, out=step[:n_decayed])
 
 
 # -- training loop ---------------------------------------------------------
@@ -265,6 +271,10 @@ def train(
     so the parameters and the last epoch's stats are bitwise the same
     either way. The skipped eval forward is a divergence check, so a
     net that overflows mid-run fails at the next training batch instead.
+
+    Epoch orders come in blocks of up to ``SHUFFLE_BLOCK`` indices, and
+    each batch is a row slice of its epoch's one gather: the draws and
+    the bits of one ``permutation`` and one gather per batch.
     """
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn("shuffle")
@@ -277,17 +287,21 @@ def train(
     grad_out = grad, net.layer_views(grad)
 
     n = train_x.shape[0]
+    block = max(1, SHUFFLE_BLOCK // max(n, 1))
     log_out: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         logged = trajectory or epoch == cfg.epochs - 1
-        order = shuffle_rng.permutation(n)
+        if epoch % block == 0:
+            orders = shuffle_rng.permutations(n, min(block, cfg.epochs - epoch))
+        order = orders[epoch % block]
+        epoch_x, epoch_y = train_x[order], train_y[order]
         task_losses = []
         penalties = []
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+            stop = start + cfg.batch_size
             try:
                 bundle = loss_and_grads(
-                    net, train_x[idx], train_y[idx], cfg, dropout_rng, logged, grad_out
+                    net, epoch_x[start:stop], epoch_y[start:stop], cfg, dropout_rng, logged, grad_out
                 )
             except NumericOverflowError as err:
                 raise NumericOverflowError(

@@ -212,3 +212,12 @@ class TestMatchedCapacity:
         assert m.widths == [2]
         assert abs(m.relative_gap) > 0.05
         assert any("infeasible" in r.message for r in caplog.records)
+
+    def test_memoized_search_warns_and_returns_a_fresh_match_each_call(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            first = matched_capacity(2, [1], 2)
+            first.widths.append(7)
+            second = matched_capacity(2, [1], 2)
+        assert sum("infeasible" in r.message for r in caplog.records) == 2
+        assert second is not first
+        assert second.widths == [2]

@@ -54,3 +54,35 @@ def test_regression_within_bound():
     out = bench_pair.summarize(pairs([1.00, 1.02, 0.98], [1.20, 1.21, 1.19]), METRICS)
     assert out["wall_s"]["worse_than_bound"] is False
     assert out["steps_per_s"]["worse_than_bound"] is False
+
+
+def test_claim_rule_ten_of_ten():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.02, 0.98, 1.01, 0.99]
+    out = bench_pair.summarize(pairs(parent, [w - 0.1 for w in parent]), METRICS)
+    for name in ("wall_s", "steps_per_s"):
+        assert out[name]["change_wins"] == 10
+        assert out[name]["meets_claim_rule"] is True
+
+
+def test_claim_rule_eight_of_ten():
+    # Two pairs lose, so 8/10 falls short of 9/10 though the median gain beats the parent's IQR.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.02, 0.98, 1.01, 0.99]
+    change = [w - 0.1 for w in parent[:8]] + [1.10, 1.10]
+    out = bench_pair.summarize(pairs(parent, change), METRICS)
+    for name in ("wall_s", "steps_per_s"):
+        assert out[name]["change_wins"] == 8
+        assert out[name]["beats_parent_iqr"] is True
+        assert out[name]["meets_claim_rule"] is False
+
+
+@pytest.mark.parametrize("ties, meets", [(1, True), (2, False)])
+def test_claim_rule_ties_count_for_neither_side(ties, meets):
+    # 10 - ties wins and `ties` ties: a tie is no win, and still counts among the pairs.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.02, 0.98, 1.01, 0.99]
+    change = parent[:ties] + [w - 0.1 for w in parent[ties:]]
+    out = bench_pair.summarize(pairs(parent, change), METRICS)
+    for name in ("wall_s", "steps_per_s"):
+        assert out[name]["change_wins"] == 10 - ties
+        assert out[name]["pairs"] == 10
+        assert out[name]["beats_parent_iqr"] is True
+        assert out[name]["meets_claim_rule"] is meets

@@ -54,6 +54,26 @@ class TestRng:
         p = Rng(3).permutation(50)
         assert sorted(p.tolist()) == list(range(50))
 
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 614])
+    @pytest.mark.parametrize("count", [1, 3, 80])
+    def test_permutations_equal_successive_permutation_calls(self, n, count):
+        block, single = Rng(11), Rng(11)
+        rows = block.permutations(n, count)
+        expected = np.stack([single.permutation(n) for _ in range(count)])
+        assert rows.shape == expected.shape and rows.dtype == expected.dtype
+        assert rows.tobytes() == expected.tobytes()
+        # Both generators are left in the same state: the next draws agree.
+        assert block.permutation(n).tobytes() == single.permutation(n).tobytes()
+        assert block.uniform(5).tobytes() == single.uniform(5).tobytes()
+
+    def test_spawn_only_rng_builds_no_generator(self):
+        root = Rng(9)
+        child = root.spawn("a")
+        leaf = child.spawn("b")
+        leaf.uniform(1)
+        assert "_gen" not in vars(root) and "_gen" not in vars(child)
+        assert "_gen" in vars(leaf)
+
     def test_uniform_range(self):
         u = Rng(3).uniform(1000)
         assert u.shape == (1000,)

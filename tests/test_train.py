@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 
 import numpy as np
@@ -14,6 +15,9 @@ from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import Net, dreg_penalty, forward_dual, forward_values
 from polygrad.tape import Tape
 from polygrad.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     accuracy,
@@ -270,6 +274,38 @@ class TestOptimizers:
         assert params["layer0.c3"][0] == 2.0
 
 
+    @staticmethod
+    def adam_oracle(params, grad, state, cfg, n_decayed):
+        """The Adam step as one expression per update, with fresh temporaries."""
+        state.t += 1
+        bc1 = 1.0 - ADAM_BETA1**state.t
+        bc2 = 1.0 - ADAM_BETA2**state.t
+        state.m *= ADAM_BETA1
+        state.m += (1.0 - ADAM_BETA1) * grad
+        state.v *= ADAM_BETA2
+        state.v += (1.0 - ADAM_BETA2) * grad * grad
+        params -= cfg.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+        if cfg.weight_decay > 0.0:
+            decayed = params[:n_decayed]
+            decayed -= cfg.learning_rate * cfg.weight_decay * decayed
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    def test_scratch_step_matches_plain_formula_bit_for_bit(self, weight_decay):
+        rng = Rng(derive_seed("adam-oracle", weight_decay))
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=weight_decay)
+        params = rng.spawn("p").standard_normal(41)
+        ref = params.copy()
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+        for step in range(5):
+            grad = rng.spawn("g", step).standard_normal(41) * 10.0 ** rng.spawn("e", step).integers(-6, 4, size=41)
+            step_adam(params, grad, state, cfg, n_decayed=29)
+            self.adam_oracle(ref, grad, ref_state, cfg, n_decayed=29)
+            assert params.tobytes() == ref.tobytes()
+            assert state.m.tobytes() == ref_state.m.tobytes()
+            assert state.v.tobytes() == ref_state.v.tobytes()
+            assert state.t == ref_state.t
+
+
 class TestParamArena:
     def test_decayed_slice_is_exactly_affine_and_head_entries(self):
         net = poly_net("arena-decay", d=3, widths=(4, 3), classes=2)
@@ -429,6 +465,47 @@ class TestTrainingLoop:
                 train(net, tx, ty, ex, ey, cfg)
         assert str(exc.value) == "training diverged: non-finite training loss"
         assert (exc.value.epoch, exc.value.batch) == (0, 2)
+
+    @pytest.mark.parametrize("activation, lam, rate", [("poly", 0.1, 0.0), ("relu", 0.0, 0.3)])
+    def test_block_shuffles_match_per_epoch_draws(self, monkeypatch, activation, lam, rate):
+        train_module = importlib.import_module("polygrad.train")
+        tx, ty, ex, ey, ds = blob_split()
+        cfg = TrainConfig(lambda_dreg=lam, batch_size=24, epochs=7, seed=4)  # 160 rows: a short last batch
+
+        def run(block_indices):
+            monkeypatch.setattr(train_module, "SHUFFLE_BLOCK", block_indices)
+            net = Net.build(Rng(derive_seed("blocks")), ds.d, [5, 4], ds.class_count, activation=activation,
+                            dropout_rate=rate)
+            log = train(net, tx, ty, ex, ey, cfg)
+            return net.arena.flat.tobytes(), log
+
+        blocks = run(3 * tx.shape[0])  # epochs in blocks of 3, 3 and 1
+        whole = run(1 << 16)  # one block
+
+        def per_call(self, n, count):
+            return np.stack([self.permutation(n) for _ in range(count)])
+
+        # One permutation(n) call per epoch, as the loop drew before blocks.
+        monkeypatch.setattr(Rng, "permutations", per_call)
+        per_epoch = run(1)
+        assert blocks == per_epoch
+        assert whole == per_epoch
+
+    def test_penalized_training_tape_checks_the_dual_budget(self, monkeypatch):
+        tx, ty, ex, ey, ds = blob_split()
+        widths = [6, 5]
+        # One byte short of a batch's blocks, so no large array is ever built.
+        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", 8 * 32 * ds.d * sum(widths) - 1)
+        net = Net.build(Rng(derive_seed("dual-budget")), ds.d, widths, ds.class_count)
+        start = net.arena.flat.tobytes()
+        with pytest.raises(MemoryBudgetError):
+            train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=0.1, epochs=1, seed=0))
+        assert net.arena.flat.tobytes() == start  # refused before the first step
+        # A lambda = 0 step builds no blocks, so the same shapes train; only its
+        # penalty log builds them, and that was checked before.
+        loss_and_grads(net, tx[:32], ty[:32], TrainConfig(), log_penalty=False)
+        with pytest.raises(MemoryBudgetError):
+            loss_and_grads(net, tx[:32], ty[:32], TrainConfig())
 
     def test_epoch_log_fields(self):
         tx, ty, ex, ey, ds = blob_split()

@@ -20,7 +20,10 @@ file holds every run; per workload, whether every run (the traced ones
 too) read correct with no failed operation; and per workload and
 end-to-end metric the per-side median and quartiles, the number of
 pairs the change wins, whether the change's median beats the parent's
-by more than the parent's interquartile range, and whether it is worse
+by more than the parent's interquartile range, whether the two together
+meet the claim rule (the change wins at least 9 in 10 of all pairs, a
+tie counting for neither side, and beats the parent's IQR:
+``meets_claim_rule``), and whether it is worse
 than the parent's by more than the metric's relative ``bound`` in
 ``BENCHMARK.json`` (``worse_than_bound``). It also
 records, per side, the code it measured: the sha256 of
@@ -101,7 +104,7 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, pair wins, the claim
-    test, and whether the change's median is worse than the parent's by
+    rule, and whether the change's median is worse than the parent's by
     more than the metric's relative ``bound``."""
     out = {}
     for spec in metrics:
@@ -111,6 +114,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         sign = -1.0 if lower else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        beats_iqr = gain > stats["parent"]["iqr"]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -118,7 +122,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_change_rel": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-            "beats_parent_iqr": gain > stats["parent"]["iqr"],
+            "beats_parent_iqr": beats_iqr,
+            "meets_claim_rule": 10 * wins >= 9 * len(pairs) and beats_iqr,
             "worse_than_bound": -gain > spec["bound"] * abs(stats["parent"]["median"]),
         }
     return out
@@ -183,7 +188,8 @@ def main(argv=None) -> int:
                 f"{workload} {name:14s} parent {m['parent']['median']:.4g} "
                 f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} "
                 f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]  wins {m['change_wins']}/{m['pairs']}  "
-                f"beats parent IQR: {m['beats_parent_iqr']}  worse than bound: {m['worse_than_bound']}",
+                f"beats parent IQR: {m['beats_parent_iqr']}  meets claim rule: {m['meets_claim_rule']}  "
+                f"worse than bound: {m['worse_than_bound']}",
                 flush=True,
             )
         with open(args.out, "w", encoding="utf-8") as fh:  # rewritten after each workload
