@@ -85,8 +85,12 @@ def _eval_view(bundle, ds):
     """Re-derive the training-time eval split and apply stored preprocessing to it.
 
     Only the eval rows are transformed; the transform works row by row,
-    so this equals transforming every row and then indexing.
+    so this equals transforming every row and then indexing. A dataset
+    with more classes than the checkpoint is refused; one with fewer
+    cannot be told apart, since a checkpoint stores no label values.
     """
+    if ds.class_count > bundle.net.num_classes:
+        raise ShapeError(f"dataset has {ds.class_count} classes, more than the checkpoint's {bundle.net.num_classes}")
     if bundle.preprocess is not None:
         if list(ds.feature_names) != list(bundle.preprocess.feature_names):
             raise ShapeError(

@@ -87,7 +87,8 @@ class Dataset:
 
 
 def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
-    """Read a comma-delimited numeric table with a header row.
+    """Read a comma-delimited numeric table with a header row (a leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped).
 
     Error messages number rows by csv record: the header is row 0 and
     blank records count. Labels may be any integers that fit an int64;
@@ -101,7 +102,7 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     equals ``float(cell)`` and every rejection names the row loop's row
     and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -122,7 +123,7 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
     refused = non_integer | ~in_range
     if refused.any():
         index = int(np.flatnonzero(refused)[0])
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             bad = next(itertools.islice(_records(fh), index, None))[0]
         what = "non-integer label" if non_integer[index] else "label outside the int64 range"
         raise CsvParseError(
@@ -169,7 +170,7 @@ def _records(fh):
 def _parse_rows(path, header: list[str]) -> np.ndarray:
     """Row-by-row parse; skips blank records and raises the exact CsvParseError."""
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row_num, cells in _records(fh):
             if len(cells) != len(header):
                 raise CsvParseError(

@@ -6,11 +6,10 @@ class ShapeError(ValueError):
 
 
 class NumericOverflowError(ArithmeticError):
-    """A computation produced NaN or Inf. Carries location context."""
+    """A computation produced NaN or Inf. Carries the epoch and batch when known."""
 
-    def __init__(self, message, layer=None, epoch=None, batch=None):
+    def __init__(self, message, epoch=None, batch=None):
         super().__init__(message)
-        self.layer = layer
         self.epoch = epoch
         self.batch = batch
 

@@ -406,13 +406,12 @@ class CellOutput:
     preprocess: object
     log: list[EpochStats]
     tail: object
-    eval_accuracy: float
 
     def metrics(self) -> dict:
         """The six metrics a cell reports, as results rows and ``polygrad train``'s summary hold them."""
-        final = self.log[-1]
+        final = self.log[-1]  # its accuracy evaluated the final parameters on the eval rows
         return {
-            "eval_accuracy": self.eval_accuracy,
+            "eval_accuracy": final.eval_accuracy,
             "tau": self.tail.tau,
             "mean_norm": self.tail.mean,
             "p99_norm": self.tail.p99,
@@ -446,9 +445,7 @@ def train_cell(
 
     train_log = train(net, X[active], ds.labels[active], X[eval_idx], ds.labels[eval_idx], cfg, trajectory)
     norms = input_grad_norms(net, X[eval_idx], ds.labels[eval_idx])
-    report = tail_ratio(norms)
-    acc = train_log[-1].eval_accuracy  # the last epoch evaluated these parameters on these rows
-    return CellOutput(net, stats, train_log, report, acc)
+    return CellOutput(net, stats, train_log, tail_ratio(norms))
 
 
 def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed: int) -> dict:

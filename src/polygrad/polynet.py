@@ -44,6 +44,8 @@ __all__ = [
 # Cap on the per-call Jacobian-stream allocation: a (batch, rows, d) block of
 # doubles per layer, counted over the blocks a call builds before any is built.
 MAX_DUAL_BYTES = 1 << 29  # 512 MiB
+# Scale of the curvature terms c2, c3 in a fresh cubic layer (see Net.build).
+COEFF_NOISE = 0.01
 
 
 class Layer(NamedTuple):
@@ -162,15 +164,13 @@ class Net:
         num_classes: int,
         activation: str = "poly",
         dropout_rate: float = 0.0,
-        coeff_noise: float = 0.01,
     ) -> "Net":
         """Fresh network: W ~ N(0, 1/fan_in), zero bias, and near-identity
         cubics (``activation="poly"``) or ReLU (``activation="relu"``).
 
         A cubic explodes quickly for |z| > 1, so training starts from
-        phi(z) = z plus ``coeff_noise`` on the curvature terms and lets
-        training grow them. ``coeff_noise`` stays for the finite-difference
-        gates, which raise it to 0.05 so the curvature terms are exercised.
+        phi(z) = z plus noise of scale ``COEFF_NOISE`` on the curvature
+        terms and lets training grow them.
         """
         net = cls(activation, input_dim, widths, num_classes, dropout_rate)
         for i, (W, _, coeffs) in enumerate(net.layers):
@@ -178,8 +178,8 @@ class Net:
             if coeffs is not None:
                 draw = rng.spawn("coeffs", i)
                 coeffs[1] = 1.0
-                coeffs[2] = coeff_noise * draw.standard_normal(w)
-                coeffs[3] = coeff_noise * draw.standard_normal(w)
+                coeffs[2] = COEFF_NOISE * draw.standard_normal(w)
+                coeffs[3] = COEFF_NOISE * draw.standard_normal(w)
             W[...] = (1.0 / np.sqrt(fan_in)) * rng.spawn("W", i).standard_normal(w, fan_in)
         classes, fan_in = net.head_weights.shape
         net.head_weights[...] = (1.0 / np.sqrt(fan_in)) * rng.spawn("head").standard_normal(classes, fan_in)
@@ -224,7 +224,7 @@ PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test ne
 
 def _check_finite(arr: np.ndarray, where: str):
     if not np.all(np.isfinite(arr)):
-        raise NumericOverflowError(f"non-finite values in {where}", layer=where)
+        raise NumericOverflowError(f"non-finite values in {where}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead

@@ -57,3 +57,15 @@ def make_net(layers, head_weights, head_bias, dropout_rate=0.0):
 def identity_coeffs(width: int) -> np.ndarray:
     """The (4, width) coefficient block of phi(z) = z."""
     return np.repeat([[0.0], [1.0], [0.0], [0.0]], width, axis=1)
+
+
+def curved(net):
+    """``net`` with its cubic curvature rows c2, c3 scaled from ``polynet.COEFF_NOISE``
+    to 0.05, so finite-difference gates exercise the curvature terms. A ReLU net is
+    returned unchanged."""
+    from polygrad.polynet import COEFF_NOISE
+
+    for layer in net.layers:
+        if layer.coeffs is not None:
+            layer.coeffs[2:] *= 0.05 / COEFF_NOISE
+    return net

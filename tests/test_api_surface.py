@@ -2,11 +2,12 @@
 
 A static scan that imports nothing from polygrad. Each name in a
 ``polygrad`` module's ``__all__`` must be read by the library itself: by
-another module under ``src/polygrad`` (a re-export from ``__init__`` is
-not a use), by its own module's code, or by ``perfbench/*.py`` (as an
-identifier, or as a traced span name such as ``"train.measure_penalty"``,
-which the tracer finds through ``__all__``). A name only tests reach is
-deleted, or listed in ``KEEP`` with the reason it stays.
+another module under ``src/polygrad``, by its own module's code, or by
+``perfbench/*.py`` (as an identifier, or as a traced span name such as
+``"train.measure_penalty"``, which the tracer finds through ``__all__``).
+A name only tests reach is deleted, or listed in ``KEEP`` with the
+reason it stays. The package root ``__init__`` holds only its docstring,
+so each name has one import path: its module.
 """
 
 import ast
@@ -82,3 +83,9 @@ def test_keep_lists_only_test_only_names():
     unused = {name for module in MODULES for name in _unused_exports(module)}
     stale = sorted(set(KEEP) - unused)
     assert stale == [], f"KEEP names an export that is gone or now has a library caller: {stale}"
+
+
+def test_package_root_exports_nothing():
+    module = _tree(SRC / "__init__.py")
+    extra = [f"line {node.lineno}: {ast.unparse(node)[:60]}" for node in module.body[1:]]
+    assert ast.get_docstring(module) and extra == [], f"the package root holds more than its docstring: {extra}"

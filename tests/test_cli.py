@@ -101,6 +101,20 @@ class TestEval:
         assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "tailratio"])
+def test_more_classes_than_checkpoint_refused(trained, tmp_path, capsys, command):
+    out, _ = trained
+    lines = (out / "dataset.csv").read_text().splitlines()
+    for i in range(1, 6):  # blobs_smoke has 3 classes; a fourth label appears
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",5"
+    extra = tmp_path / "extra.csv"
+    extra.write_text("\n".join(lines) + "\n")
+    argv = [command, "--checkpoint", str(out / "checkpoint.json"), "--data", str(extra)]
+    code = main(argv + (["--out", str(tmp_path / "tr")] if command == "tailratio" else []))
+    assert code == 1
+    assert "4 classes, more than the checkpoint's 3" in capsys.readouterr().err
+
+
 class TestEvalView:
     @pytest.mark.parametrize("with_preprocess, provenance", [
         (True, {"seed": 3, "eval_fraction": 0.25}),

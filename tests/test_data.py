@@ -164,6 +164,41 @@ class TestCsvRoundTrip:
             load_csv(p)
         assert exc.value.row == 2
 
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    def test_byte_order_mark_before_label_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\ufeffoutcome,glucose\n0,1\n1,2\n", encoding="utf-8")
+        ds = load_csv(p)
+        assert ds.feature_names == ["glucose"]
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
+    def test_byte_order_mark_before_feature_keeps_imputation(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\ufeffglucose,bmi,outcome\n0,0,0\n2,28,1\n4,28,0\n", encoding="utf-8")
+        ds = load_csv(p)
+        assert ds.feature_names == ["glucose", "bmi"]
+        stats = fit_preprocess(ds.features, ds.feature_names, np.arange(ds.n))
+        assert stats.impute_values == {"glucose": 3.0, "bmi": 28.0}
+
+    @pytest.mark.parametrize("text", [
+        "a,b,outcome\n1,2,0\n3,4,1\n",  # numpy's bulk reader
+        "a,b,outcome\n1,2,0\n\x1c3,4,1\n",  # the row loop, and its error in the first column
+        "outcome,a\n0,1\n0.5,2\n",  # the re-read that names a refused label's row
+    ], ids=["bulk", "row-loop", "refused-label"])
+    def test_byte_order_mark_changes_nothing(self, tmp_path, text):
+        def outcome(path):
+            try:
+                ds = load_csv(path)
+            except CsvParseError as err:
+                return err.row, err.column, str(err).replace(str(path), "<path>")
+            return ds.features.tobytes(), ds.labels.tolist(), ds.feature_names
+
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8", newline="")
+        marked.write_text(text, encoding="utf-8-sig", newline="")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert outcome(marked) == outcome(plain)
+
 
 def _oracle(path, header):
     """csv.reader + float(): the parsed table, or the first (row, column, message) error."""

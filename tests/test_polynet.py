@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, identity_coeffs, make_net, rel_err
+from conftest import curved, fd_gradient, identity_coeffs, make_net, rel_err
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
@@ -21,7 +21,7 @@ from polygrad.train import dropout_masks
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
     rng = Rng(derive_seed(seed))
-    return Net.build(rng, d, list(widths), classes, coeff_noise=0.05)
+    return curved(Net.build(rng, d, list(widths), classes))
 
 
 def cubic(coeffs):
@@ -65,7 +65,7 @@ class TestActivationCoeffs:
         np.testing.assert_array_equal(cubic(c).activate(z), z)
 
     def test_near_identity_structure(self):
-        c = Net.build(Rng(1), 3, [8], 2, coeff_noise=0.01).layers[0].coeffs
+        c = Net.build(Rng(1), 3, [8], 2).layers[0].coeffs
         np.testing.assert_array_equal(c[0], np.zeros(8))
         np.testing.assert_array_equal(c[1], np.ones(8))
         assert float(np.abs(c[2]).max()) < 0.1
@@ -127,7 +127,7 @@ class TestPolyEvalAndDeriv:
     def test_stacked_preactivations_match_per_slice(self, activation):
         # A (K, batch, width) stack of pre-activations is one call whose
         # every slice is bit for bit the call on that slice alone.
-        layer = Net.build(Rng(derive_seed("stacked")), 3, [6], 2, activation=activation, coeff_noise=0.05).layers[0]
+        layer = curved(Net.build(Rng(derive_seed("stacked")), 3, [6], 2, activation=activation)).layers[0]
         z = Rng(derive_seed("stacked-z")).standard_normal(3, 5, 6)
         z[0, 0, :2] = 0.0  # the ReLU kink
         for fn in (layer.activate, layer.slope):
@@ -377,8 +377,7 @@ class TestOneForwardPath:
         rng = Rng(derive_seed("one-forward", case))
         activation = "poly" if case == "cubic" else "relu"
         rate = 0.3 if case == "relu-dropout" else 0.0
-        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, dropout_rate=rate,
-                        coeff_noise=0.05)
+        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, dropout_rate=rate))
         x = rng.spawn("x").standard_normal(7, 4)
         # Unit masks put the mask and Jacobian-mask nodes on the tape; they
         # must not change a bit of either stream.

@@ -18,7 +18,7 @@ import pytest
 
 import polygrad.tape
 
-from conftest import fd_gradient, rel_err
+from conftest import curved, fd_gradient, rel_err
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import Net, dreg_penalty, forward_values
 from polygrad.tape import Tape, _contract_w
@@ -39,8 +39,8 @@ STEP = 1e-6  # the cubic's third-order terms put a 1e-5 step's truncation error 
 def probe(activation="poly", masked=False, widths=(5, 4), batch=5, seed="probe", input_dim=4):
     """A small net, a batch, labels and (when ``masked``) fixed dropout masks."""
     rng = Rng(derive_seed("tape", activation, seed))
-    net = Net.build(rng.spawn("net"), input_dim, list(widths), 3, activation=activation,
-                    dropout_rate=0.3 if masked else 0.0, coeff_noise=0.05)
+    net = curved(Net.build(rng.spawn("net"), input_dim, list(widths), 3, activation=activation,
+                           dropout_rate=0.3 if masked else 0.0))
     for i, layer in enumerate(net.layers):  # nonzero biases keep ReLU rows off the kink
         layer.bias[:] = 0.1 * rng.spawn("b", i).standard_normal(layer.bias.size)
     x = rng.spawn("x").standard_normal(batch, input_dim)

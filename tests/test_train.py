@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, make_net, rel_err
+from conftest import curved, fd_gradient, make_net, rel_err
 from polygrad import polynet
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
@@ -33,7 +33,7 @@ from polygrad.train import (
 
 
 def poly_net(seed="train-poly", d=3, widths=(4,), classes=2):
-    return Net.build(Rng(derive_seed(seed)), d, list(widths), classes, coeff_noise=0.05)
+    return curved(Net.build(Rng(derive_seed(seed)), d, list(widths), classes))
 
 
 def batch(seed, n, d, classes):
@@ -159,8 +159,7 @@ class TestLeanStep:
     ])
     def test_garbage_buffer_matches_fresh_over_steps(self, activation, lam, rate):
         rng = Rng(derive_seed("lean", activation, lam, rate))
-        reused = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation,
-                           dropout_rate=rate, coeff_noise=0.05)
+        reused = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, dropout_rate=rate))
         fresh = copy.deepcopy(reused)
         cfg = TrainConfig(lambda_dreg=lam)
         rng_a, rng_b = rng.spawn("drop"), rng.spawn("drop")
@@ -195,14 +194,14 @@ class TestLeanStep:
     @pytest.mark.parametrize("activation", ["poly", "relu"])
     def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation):
         rng = Rng(derive_seed("lam0-log", activation))
-        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, coeff_noise=0.05)
+        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation))
         x = rng.spawn("x").standard_normal(9, 4)
         bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig())
         assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x)).tobytes()
 
     def test_measure_penalty_budget_counts_hidden_blocks_only(self, monkeypatch):
         rng = Rng(derive_seed("penalty-budget"))
-        net = Net.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
+        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3))
         x = rng.spawn("x").standard_normal(9, 4)
         expected = dreg_penalty(forward_dual(net, x)[1][:-1])
         hidden_bytes = 8 * 9 * 4 * (6 + 5)
@@ -400,7 +399,7 @@ class TestPenaltyLogging:
         x = rng.spawn("x").standard_normal(16, 4)
         y = np.asarray(rng.spawn("y").integers(0, 3, size=16))
         if model == "poly":
-            net = Net.build(rng.spawn("net"), 4, [6, 5], 3, coeff_noise=0.05)
+            net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3))
         else:
             rate = 0.3 if model == "dropout" else 0.0
             net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu", dropout_rate=rate)
