@@ -103,7 +103,7 @@ def parse_config(text: str, source: str = "<memory>") -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_config(fh.read(), source=str(path))
 
 

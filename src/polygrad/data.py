@@ -193,12 +193,22 @@ def _parse_rows(path, header: list[str]) -> np.ndarray:
 
 
 def save_csv(path, ds: Dataset, label_column: str = PIMA_LABEL) -> None:
-    """Write the dataset back out with shortest-round-trip float text."""
+    """Write the dataset back out with shortest-round-trip float text.
+
+    Each feature is ``repr`` of its float with a trailing ``.0`` dropped
+    (``36.4``, ``1e-05``, ``2``, ``-0``), so ``float()`` of every cell
+    gives the value's exact bits back.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.feature_names + [label_column])
         for row, label in zip(ds.features, ds.labels):
-            writer.writerow([format(v, ".17g") for v in row] + [int(label)])
+            writer.writerow([_float_text(v) for v in row.tolist()] + [int(label)])
+
+
+def _float_text(v: float) -> str:
+    text = repr(v)
+    return text[:-2] if text.endswith(".0") else text
 
 
 # -- preprocessing ---------------------------------------------------------

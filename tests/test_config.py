@@ -55,6 +55,17 @@ class TestGrammar:
         assert cfg.source == str(p)
         assert cfg.values["epochz"] == "3"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = (Path(__file__).resolve().parent.parent / "plans" / "blobs_smoke.txt").read_text()
+        plain = tmp_path / "plain.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        plain_plan = plan_from_config(load_config(plain))
+        marked_plan = plan_from_config(load_config(marked))
+        assert marked_plan.plan_hash == plain_plan.plan_hash
+
 
 class TestTypedGetters:
     def test_int_float(self):

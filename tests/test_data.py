@@ -112,6 +112,44 @@ class TestCsvRoundTrip:
         save_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    EDGE_VALUES = [
+        -0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        2.0**53 + 2,
+        1e16,
+        1e22,
+        0.1 + 0.2,
+        -1e-5,
+    ]
+
+    def edge_dataset(self):
+        rows = np.array([self.EDGE_VALUES, self.EDGE_VALUES[::-1], [-v for v in self.EDGE_VALUES]])
+        names = [f"f{i}" for i in range(len(self.EDGE_VALUES))]
+        return Dataset(rows, np.array([0, 1, 0]), names, 2)
+
+    def test_edge_values_keep_their_bits(self, tmp_path):
+        ds = self.edge_dataset()
+        p = tmp_path / "edge.csv"
+        save_csv(p, ds)
+        back = load_csv(p)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_cells_are_shortest_repr(self, tmp_path):
+        for name, ds in [("edge", self.edge_dataset()), ("pima", make_pima_like(seed=7, n_samples=64))]:
+            p = tmp_path / f"{name}.csv"
+            save_csv(p, ds)
+            with open(p, newline="") as fh:
+                header, *records = csv.reader(fh)
+            assert header == ds.feature_names + ["outcome"]
+            for record, row, label in zip(records, ds.features.tolist(), ds.labels.tolist()):
+                expected = [repr(v)[:-2] if repr(v).endswith(".0") else repr(v) for v in row]
+                assert record == expected + [str(label)]
+        first_row = (tmp_path / "pima.csv").read_text().splitlines()[1]
+        assert first_row.startswith("3,114,55,25,283,40.2,0.173,27,")
+
     def test_labels_remapped_sorted(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,outcome\n1,2,7\n3,4,3\n5,6,7\n")

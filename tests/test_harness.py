@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from polygrad import harness
 from polygrad import train as train_mod
 from polygrad.config import load_config, parse_config
+from polygrad.data import save_csv
 from polygrad.harness import (
     RESULT_FIELDS,
     ModelSpec,
@@ -66,6 +68,25 @@ class TestResolveDataset:
         assert csv_path.read_bytes() == first_bytes
         np.testing.assert_array_equal(ds1.features, ds2.features)
         np.testing.assert_array_equal(ds1.labels, ds2.labels)
+
+    def test_old_17_digit_dataset_csv_still_resumes(self, tmp_path):
+        plan = smoke_plan()
+        ds = resolve_dataset(plan)
+        csv_path = tmp_path / "dataset.csv"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ds.feature_names + [plan.label_column])
+            for row, label in zip(ds.features, ds.labels):
+                writer.writerow([format(v, ".17g") for v in row] + [int(label)])
+        old_bytes = csv_path.read_bytes()
+        save_csv(tmp_path / "new.csv", ds, label_column=plan.label_column)
+        assert (tmp_path / "new.csv").read_bytes() != old_bytes
+        stored = resolve_dataset(plan, str(tmp_path))
+        assert csv_path.read_bytes() == old_bytes
+        assert stored.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(stored.labels, ds.labels)
+        assert stored.feature_names == ds.feature_names
+        assert stored.class_count == ds.class_count
 
     def test_without_out_dir_returns_in_memory(self):
         ds = resolve_dataset(smoke_plan())
