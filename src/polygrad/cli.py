@@ -14,7 +14,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, load_config
 from .data import PIMA_LABEL, load_csv, stratified_split
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .harness import (
     KEYS,
     _fraction_text,
@@ -87,7 +87,9 @@ def _eval_view(bundle, ds):
     Only the eval rows are transformed; the transform works row by row,
     so this equals transforming every row and then indexing. A dataset
     with more classes than the checkpoint is refused; one with fewer
-    cannot be told apart, since a checkpoint stores no label values.
+    cannot be told apart, since a checkpoint stores no label values. A
+    provenance seed that is not an integer, or an eval fraction that is
+    not a number in (0, 1), is refused rather than coerced.
     """
     if ds.class_count > bundle.net.num_classes:
         raise ShapeError(f"dataset has {ds.class_count} classes, more than the checkpoint's {bundle.net.num_classes}")
@@ -102,7 +104,14 @@ def _eval_view(bundle, ds):
     if seed is None:
         X, y, eval_idx = ds.features, ds.labels, np.arange(ds.n)
     else:
-        _, eval_idx = stratified_split(ds.labels, eval_fraction, int(seed))
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"checkpoint provenance.seed must be an integer, got {seed!r}", key="provenance.seed")
+        if not isinstance(eval_fraction, (int, float)) or not 0.0 < eval_fraction < 1.0:
+            raise ConfigError(
+                f"checkpoint provenance.eval_fraction must be a number in (0, 1), got {eval_fraction!r}",
+                key="provenance.eval_fraction",
+            )
+        _, eval_idx = stratified_split(ds.labels, eval_fraction, seed)
         X, y = ds.features[eval_idx], ds.labels[eval_idx]
     if bundle.preprocess is not None:
         X = bundle.preprocess.transform(X)

@@ -1,4 +1,4 @@
-"""One network type, cubic or ReLU, and its tape-free forward passes.
+"""One network type, cubic or ReLU, and its tape-free value forward.
 
 A network is a stack of fully connected layers followed by a linear
 head. Every layer's per-neuron activation is either a learnable cubic
@@ -6,16 +6,9 @@ phi(z) = c0 + c1 z + c2 z^2 + c3 z^3 or the fixed ReLU max(0, z), whose
 slope phi' is the subgradient 1[z > 0]. A ``Net`` is built from its
 shapes: ``param_shapes`` names every trainable array once, and each is a
 view into one flat vector (``Net.arena``). ``forward_values`` runs the
-ordinary value stream; ``forward_dual`` additionally propagates, per
-sample, the cumulative Jacobian of each layer's output with respect to
-the network input, updated analytically layer by layer:
-
-    S1 = diag(phi'(z1)) @ W1
-    Sl = diag(phi'(zl)) @ Wl @ S(l-1)          for l >= 2
-    head Jacobian = W_head @ SL
-
-No backward pass and no second-order graph is involved; the extra cost
-is one (width x width) @ (width x d) product per layer per sample.
+ordinary value stream for inference, checking every layer for overflow.
+The per-sample input-Jacobian stream and the DREG penalty are recorded
+by ``tape.Tape``, alongside the value stream it trains on.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arena import ParamArena
-from .errors import MemoryBudgetError, NumericOverflowError, ShapeError
+from .errors import NumericOverflowError, ShapeError
 from .linalg import Rng
 
 __all__ = [
@@ -36,14 +29,8 @@ __all__ = [
     "param_shapes",
     "param_count",
     "forward_values",
-    "forward_dual",
-    "jacobian_stream",
-    "dreg_penalty",
 ]
 
-# Cap on the per-call Jacobian-stream allocation: a (batch, rows, d) block of
-# doubles per layer, counted over the blocks a call builds before any is built.
-MAX_DUAL_BYTES = 1 << 29  # 512 MiB
 # Scale of the curvature terms c2, c3 in a fresh cubic layer (see Net.build).
 COEFF_NOISE = 0.01
 
@@ -242,61 +229,3 @@ def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     logits = h @ net.head_weights.T + net.head_bias
     _check_finite(logits, "head")
     return logits, preacts
-
-
-def _check_dual_budget(net: Net, batch: int, rows: int) -> None:
-    """MemoryBudgetError unless ``rows`` Jacobian rows of ``batch`` samples fit ``MAX_DUAL_BYTES``."""
-    need = 8 * batch * net.input_dim * rows
-    if need > MAX_DUAL_BYTES:
-        raise MemoryBudgetError(
-            f"dual stream needs {need} bytes for batch={batch}, d={net.input_dim}, "
-            f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
-        )
-
-
-def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value stream plus per-sample cumulative input-Jacobians.
-
-    Returns the logits and the Jacobian blocks: one (batch, width_l, d)
-    block per hidden layer (see ``jacobian_stream``), then the head's
-    (batch, num_classes, d) block ``head_weights @ blocks[-2]``. A batch
-    whose blocks would exceed ``MAX_DUAL_BYTES`` is rejected up front.
-    """
-    x = net.check_input(x)
-    _check_dual_budget(net, x.shape[0], sum(net.widths) + net.num_classes)
-    logits, preacts = forward_values(net, x)
-    blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)])
-    blocks.append(net.head_weights @ blocks[-1])
-    return logits, blocks
-
-
-def jacobian_stream(net: Net, slopes: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-sample cumulative input-Jacobians from each layer's slope
-    phi'(z), (batch, width).
-
-    Returns one (batch, width_l, d) block per layer:
-    S1 = diag(phi'(z1)) @ W1 and Sl = diag(phi'(zl)) @ Wl @ S(l-1).
-    Blocks that would exceed ``MAX_DUAL_BYTES`` are rejected before any
-    is built.
-    """
-    _check_dual_budget(net, slopes[0].shape[0], sum(net.widths))
-    blocks = []
-    S = None  # layer-0 value is the implicit identity
-    for layer, slope in zip(net.layers, slopes):
-        if S is None:
-            S = slope[:, :, None] * layer.weights[None, :, :]
-        else:
-            S = slope[:, :, None] * (layer.weights @ S)
-        blocks.append(S)
-    return blocks
-
-
-def dreg_penalty(blocks: list[np.ndarray]) -> float:
-    """Mean over the given Jacobian blocks and the batch of ||S||_F^2.
-
-    The double mean keeps the penalty weight scale-free in batch size
-    and depth.
-    """
-    batch = blocks[0].shape[0]
-    total = sum(float(np.add.reduce(S * S, axis=None)) for S in blocks)
-    return total / (batch * len(blocks))

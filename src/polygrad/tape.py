@@ -1,4 +1,4 @@
-"""The network's recorded forward pass and its hand-written adjoint.
+"""The network's recorded forward pass, its Jacobian stream and its hand-written adjoint.
 
 ``Tape`` runs the value stream of a ``Net`` on one batch and, when the
 penalty weight ``lam`` is nonzero, the per-sample Jacobian stream the
@@ -7,16 +7,20 @@ DREG penalty is built from:
     S1 = diag(phi'(z1)) @ W1,    Sl = diag(phi'(zl)) @ Wl @ S(l-1)
 
 with optional dropout masks scaling each layer's output rows (and, in
-step, its Jacobian rows). It keeps one record ``(h_in, z, slope, S_in, S,
-W @ S_in)`` per layer in ``nodes``, plus the softmax's ``exp(logits -
-max)`` and row sums. ``loss`` is the task loss plus ``lam``
-times the penalty. ``backward`` is the adjoint of exactly that
-recurrence plus the softmax cross-entropy and the penalty's Frobenius
-terms, applied in reverse layer order: the penalty reaches every
-parameter class through the Jacobian stream, second activation
-derivatives included. It reuses what the forward recorded instead of
-forming it again, and writes parameter gradients straight into the
-caller's views.
+step, its Jacobian rows). It is the package's only code that builds
+Jacobian blocks, and it holds the one penalty formula, the mean over
+layers of sum_b ||S_(l,b)||_F^2 / B; ``unmasked_penalty`` gives a
+lambda = 0 or masked tape the penalty of its unmasked stream for the
+training log. It
+keeps one record ``(h_in, z, slope, S_in, S, W @ S_in)`` per layer in
+``nodes``, plus the softmax's ``exp(logits - max)`` and row sums.
+``loss`` is the task loss plus ``lam`` times the penalty. ``backward``
+is the adjoint of exactly that recurrence plus the softmax
+cross-entropy and the penalty's Frobenius terms, applied in reverse
+layer order: the penalty reaches every parameter class through the
+Jacobian stream, second activation derivatives included. It reuses what
+the forward recorded instead of forming it again, and writes parameter
+gradients straight into the caller's views.
 
 Every array receives at most two gradient contributions (a weight from
 its linear map and its Jacobian block; a pre-activation and the cubic
@@ -37,9 +41,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polynet import _check_dual_budget
+from .errors import MemoryBudgetError
 
 __all__ = ["Tape"]
+
+# Cap on the Jacobian stream's allocation: a (batch, width, d) block of
+# doubles per layer, counted over the blocks a stream builds before any is built.
+MAX_DUAL_BYTES = 1 << 29  # 512 MiB
+
+
+def _check_dual_budget(net, batch: int, rows: int) -> None:
+    """MemoryBudgetError unless ``rows`` Jacobian rows of ``batch`` samples fit ``MAX_DUAL_BYTES``."""
+    need = 8 * batch * net.input_dim * rows
+    if need > MAX_DUAL_BYTES:
+        raise MemoryBudgetError(
+            f"dual stream needs {need} bytes for batch={batch}, d={net.input_dim}, "
+            f"widths={net.widths}; cap is {MAX_DUAL_BYTES}"
+        )
+
+
+def _stream(net, nodes: list[tuple], masks=None) -> list[tuple]:
+    """The layer records ``nodes`` with their Jacobian entries
+    ``(S_in, S, W @ S_in)`` filled in: each block from its layer's slope
+    phi'(z), (batch, width), its rows scaled by the layer's mask when
+    ``masks`` is given. Layer 0 has no ``S_in``; its ``W @ S_in`` is W
+    itself. Blocks over ``MAX_DUAL_BYTES`` raise before any is built.
+    """
+    _check_dual_budget(net, nodes[0][0].shape[0], sum(net.widths))
+    out = []
+    S = None
+    for i, (layer, node) in enumerate(zip(net.layers, nodes)):
+        h, z, slope = node[:3]
+        S_in = S
+        W = layer.weights
+        WS = W[None, :, :] if S_in is None else W @ S_in
+        S = slope[:, :, None] * WS
+        if masks is not None:
+            S *= masks[i][:, :, None]
+        out.append((h, z, slope, S_in, S, WS))
+    return out
+
+
+def _penalty(nodes: list[tuple]) -> np.float64:
+    """The DREG penalty: the mean over layers of sum_b ||S_b||_F^2 / batch."""
+    batch = nodes[0][0].shape[0]
+    frobs = [np.float64(np.add.reduce(node[4] * node[4], axis=None) / batch) for node in nodes]
+    return np.float64(sum(frobs) / len(frobs))
 
 
 def _contract_w(W: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -59,7 +106,7 @@ def _contract_w(W: np.ndarray, dt: np.ndarray) -> np.ndarray:
 class Tape:
     """One batch's forward record: logits, task loss and, when ``lam`` is
     nonzero, the Jacobian blocks, their penalty and the loss they weigh into.
-    Blocks that would exceed ``polynet.MAX_DUAL_BYTES`` raise ``MemoryBudgetError`` first.
+    Blocks that would exceed ``MAX_DUAL_BYTES`` raise ``MemoryBudgetError`` before any is built.
 
     ``masks`` are per-layer dropout masks, already scaled. ``reduction``
     "mean" averages the cross-entropy over the batch; "sum" totals it,
@@ -73,26 +120,15 @@ class Tape:
         self.masks = masks
         self.lam = lam
         self.reduction = reduction
-        self.nodes: list[tuple] = []
-        dual = lam != 0.0
+        nodes = []
         h = np.asarray(x, dtype=np.float64)
-        if dual:
-            _check_dual_budget(net, h.shape[0], sum(net.widths))
-        S = WS = None
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
             slope = layer.slope(z)
             out = layer.activate(z)
-            S_in = S
-            if dual:
-                W = layer.weights
-                WS = W[None, :, :] if S_in is None else W @ S_in
-                S = slope[:, :, None] * WS
             if masks is not None:
                 out *= masks[i]
-                if dual:
-                    S *= masks[i][:, :, None]
-            self.nodes.append((h, z, slope, S_in, S, WS))
+            nodes.append((h, z, slope, None, None, None))
             h = out
         self.h_out = h
         self.logits = h @ net.head_weights.T + net.head_bias
@@ -112,10 +148,24 @@ class Tape:
 
         self.penalty = None
         self.loss = self.task
-        if dual:
-            frobs = [np.float64(np.add.reduce(node[4] * node[4], axis=None) / batch) for node in self.nodes]
-            self.penalty = np.float64(sum(frobs) / len(frobs))
+        if lam != 0.0:
+            nodes = _stream(net, nodes, masks)
+            self.penalty = _penalty(nodes)
             self.loss = np.float64(self.task + lam * self.penalty)
+        self.nodes = nodes
+
+    def unmasked_penalty(self) -> np.float64:
+        """The penalty of this batch's unmasked Jacobian stream, whatever
+        ``lam``: bit for bit ``Tape(net, x, labels, lam=1.0).penalty``.
+
+        Without masks the recorded slopes are the unmasked ones, so the
+        stream is built from them, with no second forward. Masked layers
+        feed masked values forward, so a masked tape records the batch once
+        more without masks, with no backward.
+        """
+        if self.masks is not None:
+            return Tape(self.net, self.nodes[0][0], self.labels, lam=1.0).penalty
+        return _penalty(_stream(self.net, self.nodes))
 
     def backward(self, grads: tuple | None = None) -> np.ndarray:
         """Gradient of ``loss``; returns the input gradient.

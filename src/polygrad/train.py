@@ -1,14 +1,15 @@
 """Composite objective, exact gradients, the Adam step, and the training loop.
 
-The objective is mean softmax cross-entropy plus lambda times the
-layer-mean squared Frobenius norm of the per-sample input-Jacobian
-blocks. ``loss_and_grads`` gives lambda once to a ``tape.Tape``, which
-records the batch (the value stream, the dropout masks and, when lambda
-is nonzero, the Jacobian stream), and runs its hand-written adjoint
-once, so every parameter class (weights, biases, activation
-coefficients) is differentiated through the Jacobian stream itself,
-second activation derivatives included. ``train`` returns its per-epoch
-``EpochStats`` as a plain list.
+The objective is mean softmax cross-entropy plus lambda times the DREG
+penalty, the mean over layers of sum_b ||S_(l,b)||_F^2 / B over the
+per-sample input-Jacobian blocks. ``loss_and_grads`` gives lambda once
+to a ``tape.Tape``, which records the batch (the value stream, the
+dropout masks and, when lambda is nonzero, the Jacobian stream), and
+runs its hand-written adjoint once, so every parameter class (weights,
+biases, activation coefficients) is differentiated through the Jacobian
+stream itself, second activation derivatives included. A lambda = 0
+step logs the tape's penalty of its unmasked stream. ``train`` returns
+its per-epoch ``EpochStats`` as a plain list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .arena import ParamArena
 from .errors import ConfigError, NumericOverflowError
 from .linalg import Rng
-from .polynet import Net, dreg_penalty, forward_values, jacobian_stream
+from .polynet import Net, forward_values
 from .tape import Tape
 
 SHUFFLE_BLOCK = 1 << 16  # most indices one block of epoch orders holds
@@ -30,8 +31,6 @@ __all__ = [
     "TrainConfig",
     "LossBundle",
     "loss_and_grads",
-    "objective_value",
-    "measure_penalty",
     "predict_logits",
     "accuracy",
     "evaluate_accuracy",
@@ -93,13 +92,6 @@ class LossBundle:
         return self.arena.views(self.grad)
 
 
-def measure_penalty(net: Net, x: np.ndarray) -> float:
-    """Report-only penalty value from a plain forward pass and the hidden
-    layers' Jacobian blocks; no head block is built."""
-    _, preacts = forward_values(net, x)
-    return dreg_penalty(jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)]))
-
-
 def loss_and_grads(
     net: Net,
     x: np.ndarray,
@@ -112,12 +104,10 @@ def loss_and_grads(
     """Exact gradients of the composite objective for one batch.
 
     When the penalty weight is zero the objective is exactly the task
-    loss; with ``log_penalty`` the penalty value is still measured
-    (outside the tape) so training logs stay comparable across models.
-    It equals ``measure_penalty(net, x)``: without dropout it is built
-    from the slopes the tape already holds; under dropout the tape's
-    stream is masked, so an unmasked dual pass measures it. Without
-    ``log_penalty`` a lambda = 0 bundle's penalty is None.
+    loss; with ``log_penalty`` the tape still reports the penalty of the
+    batch's unmasked stream (``Tape.unmasked_penalty``), by the same
+    formula as a penalized tape, so training logs stay comparable across
+    models. Without ``log_penalty`` a lambda = 0 bundle's penalty is None.
 
     ``out`` is a flat gradient vector and its ``net.layer_views``, which
     ``train`` reuses across steps; every entry is overwritten. Without it
@@ -139,31 +129,11 @@ def loss_and_grads(
     tape.backward(grad_views)
     if tape.penalty is not None:
         penalty = float(tape.penalty)
-    elif not log_penalty:
-        penalty = None
-    elif masks is not None:
-        penalty = measure_penalty(net, x)
+    elif log_penalty:
+        penalty = float(tape.unmasked_penalty())
     else:
-        penalty = dreg_penalty(jacobian_stream(net, [node[2] for node in tape.nodes]))
+        penalty = None
     return LossBundle(loss, float(tape.task), penalty, grad, net.arena)
-
-
-def objective_value(
-    net: Net,
-    x: np.ndarray,
-    labels: np.ndarray,
-    cfg: TrainConfig,
-) -> float:
-    """Plain (tape-free) evaluation of the composite objective.
-
-    Kept as the finite-difference gates' oracle: it shares no code with
-    the tape path those gates check.
-    """
-    logits = predict_logits(net, x)
-    task = cross_entropy(logits, labels)
-    if cfg.lambda_dreg == 0.0:
-        return task
-    return task + cfg.lambda_dreg * measure_penalty(net, x)
 
 
 # -- plain inference helpers ----------------------------------------------

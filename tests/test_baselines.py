@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, make_net, rel_err
+from oracle import forward_dual
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ShapeError
 from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
-from polygrad.polynet import Net, forward_dual, forward_values, param_count
+from polygrad.polynet import Net, forward_values, param_count
 from polygrad.tape import Tape
 from polygrad.train import TrainConfig, dropout_masks, loss_and_grads
 

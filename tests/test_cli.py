@@ -378,6 +378,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'widths'" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", [1]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "1"),
+        ("eval_fraction", "abc"),
+        ("eval_fraction", None),
+        ("eval_fraction", 1.5),
+        ("eval_fraction", 0),
+    ], ids=["seed-list", "seed-float", "seed-bool", "seed-str", "fraction-str", "fraction-null", "fraction-1.5",
+            "fraction-0"])
+    @pytest.mark.parametrize("command", ["eval", "tailratio"])
+    def test_malformed_provenance_refused(self, trained, tmp_path, capsys, command, field, value):
+        out, _ = trained
+        obj = json.loads((out / "checkpoint.json").read_text())
+        obj["provenance"][field] = value
+        ck = tmp_path / "provenance.json"
+        ck.write_text(json.dumps(obj))
+        argv = [command, "--checkpoint", str(ck), "--data", str(out / "dataset.csv")]
+        code = main(argv + (["--out", str(tmp_path / "tr")] if command == "tailratio" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"provenance.{field}" in err
+
     @pytest.mark.parametrize("line, key", [
         ("train.learning_rate = nan", "train.learning_rate"),
         ("data.eval_fraction = 1.5", "data.eval_fraction"),

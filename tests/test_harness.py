@@ -32,6 +32,7 @@ from polygrad.errors import NumericOverflowError
 from polygrad.linalg import derive_seed
 from polygrad.metrics import paired_t_one_sided, wilcoxon_signed_rank
 from polygrad.polynet import Net
+from polygrad.tape import Tape
 from polygrad.train import TrainConfig
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"
@@ -233,7 +234,7 @@ class TestTrajectorySwitch:
             return wrapper
 
         monkeypatch.setattr(train_mod, "evaluate_accuracy", counted("eval", train_mod.evaluate_accuracy))
-        monkeypatch.setattr(train_mod, "measure_penalty", counted("penalty", train_mod.measure_penalty))
+        monkeypatch.setattr(Tape, "unmasked_penalty", counted("penalty", Tape.unmasked_penalty))
         monkeypatch.setattr(train_mod, "loss_and_grads", counted("steps", train_mod.loss_and_grads))
         seen = record_training_rows(monkeypatch)
         train_cell(ds, plan, "dropout", 1.0, 0, trajectory=True)

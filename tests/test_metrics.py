@@ -124,7 +124,7 @@ class TestInputGradNorms:
 
     def test_cubic_batch_beyond_dual_stream_cap(self):
         # 8,100 rows at d = 64, widths [64, 64] would need 539 MB of
-        # Jacobian blocks, over forward_dual's 512 MiB cap; the norms
+        # Jacobian blocks, over the tape's 512 MiB dual-stream cap; the norms
         # need none of them.
         rng = Rng(derive_seed("metrics-big"))
         net = Net.build(rng.spawn("net"), 64, [64, 64], 2)

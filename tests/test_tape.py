@@ -3,7 +3,7 @@
 ``test_gradients_match_finite_differences`` covers every parameter class
 and the input gradient for cubic and ReLU nets, with and without the
 penalty and dropout masks. The oracle is the tape-free
-``objective_value`` without masks, and ``Tape.loss`` under fixed masks
+``oracle.objective_value`` without masks, and ``Tape.loss`` under fixed masks
 (the masks make the objective a different function of the parameters).
 The tests in ``TestPrimitiveVjps`` each pin one piece of the adjoint in
 the configuration that exercises it. ``TestBlockContraction`` holds the
@@ -19,16 +19,15 @@ import pytest
 import polygrad.tape
 
 from conftest import curved, fd_gradient, rel_err
+from oracle import dreg_penalty, measure_penalty, objective_value
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, dreg_penalty, forward_values
+from polygrad.polynet import Net, forward_values
 from polygrad.tape import Tape, _contract_w
 from polygrad.train import (
     TrainConfig,
     cross_entropy,
     dropout_masks,
     loss_and_grads,
-    measure_penalty,
-    objective_value,
     predict_logits,
 )
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import curved, fd_gradient, make_net, rel_err
-from polygrad import polynet
+from oracle import measure_penalty, objective_value
+from polygrad import tape as tape_mod
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import MemoryBudgetError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, dreg_penalty, forward_dual, forward_values
+from polygrad.polynet import Net, forward_values
 from polygrad.tape import Tape
 from polygrad.train import (
     ADAM_BETA1,
@@ -25,8 +26,6 @@ from polygrad.train import (
     dropout_masks,
     evaluate_accuracy,
     loss_and_grads,
-    measure_penalty,
-    objective_value,
     step_adam,
     train,
 )
@@ -79,7 +78,7 @@ class TestObjective:
         x, y = batch("lam0", 5, 3, 2)
         bundle = loss_and_grads(net, x, y, TrainConfig(lambda_dreg=0.0))
         assert bundle.loss == bundle.task_loss
-        assert bundle.penalty > 0.0  # measured outside the tape for logging
+        assert bundle.penalty > 0.0  # the tape's unmasked penalty, logged only
 
     def test_gradients_match_finite_differences_poly(self):
         net = poly_net("fd-poly", d=3, widths=(4,), classes=2)
@@ -191,27 +190,22 @@ class TestLeanStep:
             for m, e in zip(masks, expect):
                 assert m.tobytes() == e.tobytes()
 
-    @pytest.mark.parametrize("activation", ["poly", "relu"])
-    def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation):
-        rng = Rng(derive_seed("lam0-log", activation))
-        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation))
-        x = rng.spawn("x").standard_normal(9, 4)
-        bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig())
-        assert np.float64(bundle.penalty).tobytes() == np.float64(measure_penalty(net, x)).tobytes()
-
     def test_measure_penalty_budget_counts_hidden_blocks_only(self, monkeypatch):
-        rng = Rng(derive_seed("penalty-budget"))
-        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3))
-        x = rng.spawn("x").standard_normal(9, 4)
-        expected = dreg_penalty(forward_dual(net, x)[1][:-1])
+        # The lambda = 0 penalty log builds the hidden layers' blocks only,
+        # with and without dropout.
         hidden_bytes = 8 * 9 * 4 * (6 + 5)
-        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", hidden_bytes)
-        assert np.float64(measure_penalty(net, x)).tobytes() == np.float64(expected).tobytes()
-        with pytest.raises(MemoryBudgetError):  # the head block counts here
-            forward_dual(net, x)
-        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", hidden_bytes - 1)
-        with pytest.raises(MemoryBudgetError):
-            measure_penalty(net, x)
+        for rate in (0.0, 0.3):
+            rng = Rng(derive_seed("penalty-budget", rate))
+            net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, dropout_rate=rate))
+            x = rng.spawn("x").standard_normal(9, 4)
+            y = np.arange(9) % 3
+            monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", hidden_bytes)
+            expected = Tape(net, x, y, lam=1.0).penalty
+            bundle = loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
+            assert np.float64(bundle.penalty).tobytes() == expected.tobytes()
+            monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", hidden_bytes - 1)
+            with pytest.raises(MemoryBudgetError):
+                loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
 
 
 class TestInferenceHelpers:
@@ -391,13 +385,16 @@ class TestParamArena:
 
 
 class TestPenaltyLogging:
-    """With lambda = 0 the logged penalty equals measure_penalty bitwise."""
+    """With lambda = 0 the logged penalty is, bit for bit, the penalty an
+    unmasked lambda != 0 tape records for the same batch, and within 1e-12
+    of the tape-free ``measure_penalty``, whose summation order differs."""
+
+    # Batches that are not powers of two are where the two orders part.
+    BATCHES = (6, 9, 13, 16, 22, 31, 32)
 
     @pytest.mark.parametrize("model", ["vanilla", "weight_decay", "dropout", "poly"])
     def test_logged_penalty_equals_measure_penalty(self, model):
         rng = Rng(derive_seed("penalty-log", model))
-        x = rng.spawn("x").standard_normal(16, 4)
-        y = np.asarray(rng.spawn("y").integers(0, 3, size=16))
         if model == "poly":
             net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3))
         else:
@@ -407,9 +404,13 @@ class TestPenaltyLogging:
             lambda_dreg=0.0,
             weight_decay=1e-4 if model == "weight_decay" else 0.0,
         )
-        expected = measure_penalty(net, x)
-        bundle = loss_and_grads(net, x, y, cfg, dropout_rng=rng.spawn("drop"))
-        assert bundle.penalty == expected
+        for batch in self.BATCHES:
+            x = rng.spawn("x", batch).standard_normal(batch, 4)
+            y = np.asarray(rng.spawn("y", batch).integers(0, 3, size=batch))
+            expected = Tape(net, x, y, lam=1.0).penalty
+            bundle = loss_and_grads(net, x, y, cfg, dropout_rng=rng.spawn("drop", batch))
+            assert np.float64(bundle.penalty).tobytes() == expected.tobytes(), batch
+            assert abs(bundle.penalty - measure_penalty(net, x)) < 1e-12, batch
 
 
 def blob_split(seed=0):
@@ -494,7 +495,7 @@ class TestTrainingLoop:
         tx, ty, ex, ey, ds = blob_split()
         widths = [6, 5]
         # One byte short of a batch's blocks, so no large array is ever built.
-        monkeypatch.setattr(polynet, "MAX_DUAL_BYTES", 8 * 32 * ds.d * sum(widths) - 1)
+        monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", 8 * 32 * ds.d * sum(widths) - 1)
         net = Net.build(Rng(derive_seed("dual-budget")), ds.d, widths, ds.class_count)
         start = net.arena.flat.tobytes()
         with pytest.raises(MemoryBudgetError):
@@ -505,6 +506,18 @@ class TestTrainingLoop:
         loss_and_grads(net, tx[:32], ty[:32], TrainConfig(), log_penalty=False)
         with pytest.raises(MemoryBudgetError):
             loss_and_grads(net, tx[:32], ty[:32], TrainConfig())
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=MemoryBudgetError,
+        reason="the lambda = 0 penalty log applies the dual budget to blocks no training step builds",
+    )
+    def test_unpenalized_training_over_the_dual_budget_trains(self, monkeypatch):
+        tx, ty, ex, ey, ds = blob_split()
+        widths = [6, 5]
+        monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", 8 * 32 * ds.d * sum(widths) - 1)
+        net = Net.build(Rng(derive_seed("dual-budget")), ds.d, widths, ds.class_count)
+        assert len(train(net, tx, ty, ex, ey, TrainConfig(epochs=1, seed=0))) == 1
 
     def test_epoch_log_fields(self):
         tx, ty, ex, ey, ds = blob_split()
