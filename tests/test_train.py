@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import curved, fd_gradient, make_net, rel_err
-from oracle import measure_penalty, objective_value
+from oracle import jacobian_stream, measure_penalty, objective_value
 from polygrad import tape as tape_mod
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
@@ -189,6 +189,21 @@ class TestLeanStep:
             assert [m.shape for m in masks] == [e.shape for e in expect]
             for m, e in zip(masks, expect):
                 assert m.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_zero_lambda_logged_penalty_equals_measure_penalty(self, activation):
+        # Bit for bit against a tape-free recomputation in the tape's
+        # summation order; within 1e-12 of ``measure_penalty``, whose order
+        # differs at batches that are not powers of two.
+        rng = Rng(derive_seed("lam0-log", activation))
+        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation))
+        x = rng.spawn("x").standard_normal(9, 4)
+        bundle = loss_and_grads(net, x, np.arange(9) % 3, TrainConfig())
+        _, preacts = forward_values(net, x)
+        blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, preacts)])
+        expected = sum(float(np.add.reduce(S * S, axis=None)) / 9 for S in blocks) / len(blocks)
+        assert np.float64(bundle.penalty).tobytes() == np.float64(expected).tobytes()
+        assert abs(bundle.penalty - measure_penalty(net, x)) < 1e-12
 
     def test_measure_penalty_budget_counts_hidden_blocks_only(self, monkeypatch):
         # The lambda = 0 penalty log builds the hidden layers' blocks only,
