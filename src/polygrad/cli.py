@@ -17,6 +17,7 @@ from .data import PIMA_LABEL, load_csv, stratified_split
 from .errors import ConfigError, ShapeError
 from .harness import (
     KEYS,
+    _STATS_FIELDS,
     _fraction_text,
     default_comparisons,
     plan_from_config,
@@ -152,7 +153,7 @@ def cmd_tailratio(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    rows = read_results(args.results)
+    rows = read_results(args.results, _STATS_FIELDS)
     if not rows:
         raise ValueError(f"{args.results}: no result rows")
     if args.plan:

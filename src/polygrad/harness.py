@@ -47,13 +47,7 @@ from .data import (
 )
 from .errors import ConfigError, DegenerateDistributionError, NumericOverflowError
 from .linalg import Rng, derive_seed
-from .metrics import (
-    bonferroni,
-    input_grad_norms,
-    paired_t_one_sided,
-    tail_ratio,
-    wilcoxon_signed_rank,
-)
+from .metrics import input_grad_norms, paired_t_one_sided, tail_ratio, wilcoxon_signed_rank
 from .polynet import Net, param_count
 from .train import EpochStats, TrainConfig, train
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test calls harness.evaluate_accuracy)
@@ -108,6 +102,8 @@ RESULT_FIELDS = (
     "final_penalty",
     "wall_time_seconds",
 )
+# The fields stats_report reads from an ok row.
+_STATS_FIELDS = ("model_id", "fraction", "seed", "eval_accuracy", "tau", "mean_norm", "p99_norm")
 
 _MODELS = ", ".join(ROSTER)
 _SOURCES = ("pima_like", "blobs", "csv")
@@ -482,20 +478,35 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
     return row
 
 
-def read_results(path) -> list[dict]:
-    """Parse a results file, tolerating a torn final line after a crash."""
+def read_results(path, fields=()) -> list[dict]:
+    """Parse a results file, tolerating a torn line after a crash.
+
+    A line that parses to something other than a JSON object, or an ``ok``
+    row whose ``fields`` are not all there as the reader needs them
+    (``model_id`` a string, the rest numbers), is a ConfigError naming
+    the file and the line.
+    """
     rows = []
     if not os.path.exists(path):
         return rows
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError:
                 log.warning("%s: skipping unparseable line (torn write?)", path)
+                continue
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}: line {n}: not a JSON object")
+            for key in fields if row.get("status") == "ok" else ():
+                value = row.get(key)
+                kind, want = (str, "a string") if key == "model_id" else ((int, float), "a number")
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ConfigError(f"{path}: line {n}: ok row needs {key!r} as {want}, got {value!r}", key=key)
+            rows.append(row)
     return rows
 
 
@@ -551,7 +562,7 @@ def sweep(
     aside = glob.glob(glob.escape(partial_path) + ".[0-9]*")
     done = {}
     if resume:
-        stored = [row for path in [results_path, partial_path, *aside] for row in read_results(path)]
+        stored = [row for path in [results_path, partial_path, *aside] for row in read_results(path, RESULT_FIELDS)]
         ok = [r for r in stored if r.get("status") == "ok"]
         done = {(r["model_id"], r["fraction"], r["seed"]): json.dumps(r, sort_keys=True) for r in ok}
         log.info("resume: reusing %d completed cells", len(done))
@@ -628,13 +639,23 @@ def _paired_values(by_cell: dict, a: str, b: str, fraction: float, seeds: list, 
     return np.asarray(b_vals), np.asarray(a_vals), missing
 
 
+def _run_test(testfn, x, y) -> dict:
+    """``testfn(x, y)`` as a report block: its statistic and p-value, or its error."""
+    try:
+        return testfn(x, y)._asdict()
+    except ValueError as err:
+        return {"error": str(err)}
+
+
 def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> dict:
     """Per-fraction summaries plus paired tests for each declared comparison.
 
     Tests are oriented so the alternative is "model_a is better": higher
     accuracy, lower tau; mean_gap > 0 favors model_a in both cases. The
-    Bonferroni family is all executed (comparison x fraction) instances,
-    applied per test type; the family size is recorded in the report.
+    Bonferroni correction is applied here, per test type: the family is
+    every executed (comparison x fraction) instance, and each test block
+    that has a p-value gets ``p_adjusted = min(1, m * p_value)`` and
+    ``bonferroni_m = m``. The pooled tests are not corrected.
     """
     ok = [r for r in rows if r.get("status") == "ok"]
     by_cell = {(r["model_id"], r["fraction"], r["seed"]): r for r in ok}
@@ -661,7 +682,6 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
 
     instances = []
     pooled = []
-    tested: dict[str, list] = {"t": [], "wilcoxon": []}  # (report block, result) per test type
     for a, b, metric in comparisons:
         xs, ys = [], []
         for f in fractions:
@@ -678,13 +698,8 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
             }
             if len(x) >= 2:
                 entry["mean_gap"] = float(np.mean(x - y))
-                for name, testfn in (("t", paired_t_one_sided), ("wilcoxon", wilcoxon_signed_rank)):
-                    try:
-                        res = testfn(x, y)
-                        entry[name] = {"statistic": res.statistic, "p_value": res.p_value}
-                        tested[name].append((entry[name], res))
-                    except ValueError as err:
-                        entry[name] = {"error": str(err)}
+                entry["t"] = _run_test(paired_t_one_sided, x, y)
+                entry["wilcoxon"] = _run_test(wilcoxon_signed_rank, x, y)
             else:
                 entry["error"] = "insufficient paired rows"
             instances.append(entry)
@@ -692,19 +707,14 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
         if len(xs) >= 2:
             xs_a, ys_a = np.asarray(xs), np.asarray(ys)
             entry["mean_gap"] = float(np.mean(xs_a - ys_a))
-            try:
-                res = paired_t_one_sided(xs_a, ys_a)
-                entry["t"] = {"statistic": res.statistic, "p_value": res.p_value}
-            except ValueError as err:
-                entry["t"] = {"error": str(err)}
+            entry["t"] = _run_test(paired_t_one_sided, xs_a, ys_a)
         pooled.append(entry)
 
-    # Family-wise correction per test type over the executed instances.
-    m_family = max(1, sum(1 for e in instances if "t" in e or "wilcoxon" in e))
-    for done in tested.values():
-        for (block, _), adj in zip(done, bonferroni([res for _, res in done], m_family)):
-            block["p_adjusted"] = adj.p_adjusted
-            block["bonferroni_m"] = m_family
+    executed = [e for e in instances if "t" in e]
+    m_family = max(1, len(executed))
+    for block in (e[name] for e in executed for name in ("t", "wilcoxon")):
+        if "p_value" in block:
+            block.update(p_adjusted=min(1.0, m_family * block["p_value"]), bonferroni_m=m_family)
 
     return {
         "format_version": FORMAT_VERSION,
@@ -721,7 +731,7 @@ def stats_report(rows: list[dict], comparisons: list[tuple[str, str, str]]) -> d
 def render_stats_text(report: dict) -> str:
     lines = ["== per-model summary (mean +/- std over seeds) =="]
     for m in report["models"]:
-        for f_key, block in report["summary"].get(m, {}).items():
+        for f_key, block in report["summary"][m].items():
             acc = block["eval_accuracy"]
             tau = block["tau"]
             lines.append(
@@ -737,10 +747,10 @@ def render_stats_text(report: dict) -> str:
             continue
         parts = [f"gap {e['mean_gap']:+.4f}", f"n={e['n_pairs']}"]
         for name in ("t", "wilcoxon"):
-            block = e.get(name, {})
+            block = e[name]
             if "error" in block:
                 parts.append(f"{name}: {block['error']}")
-            elif block:
+            else:
                 parts.append(f"{name} p={block['p_value']:.4g} adj={block['p_adjusted']:.4g}")
         lines.append(f"{head}: " + ", ".join(parts))
     lines.append("")
@@ -750,7 +760,7 @@ def render_stats_text(report: dict) -> str:
         if "mean_gap" not in e:
             lines.append(f"{head}: insufficient rows")
             continue
-        t = e.get("t", {})
+        t = e["t"]
         p_txt = f" t p={t['p_value']:.4g}" if "p_value" in t else ""
         lines.append(f"{head}: gap {e['mean_gap']:+.4f} over {e['n_pairs']} pairs{p_txt}")
     return "\n".join(lines) + "\n"

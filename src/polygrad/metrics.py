@@ -3,15 +3,17 @@
 The tail ratio tau = p99/mean of per-sample input-gradient L2 norms
 summarizes how heavy the upper tail of input sensitivity is: tau == 1
 for constant norms, and it grows with rare extreme-sensitivity samples.
-The test machinery (one-sided paired t, exact Wilcoxon signed-rank,
-Bonferroni) is self-contained so results do not depend on an external
-stats stack.
+The paired tests (one-sided t, exact Wilcoxon signed-rank) return a
+statistic and a p-value and are self-contained, so results do not
+depend on an external stats stack. ``harness.stats_report`` applies the
+Bonferroni correction over a report's family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,6 @@ __all__ = [
     "input_grad_norms",
     "paired_t_one_sided",
     "wilcoxon_signed_rank",
-    "bonferroni",
     "t_sf",
     "regularized_incomplete_beta",
 ]
@@ -74,18 +75,9 @@ def input_grad_norms(net: Net, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return norms
 
 
-@dataclass(frozen=True)
-class StatTestResult:
-    test: str
+class StatTestResult(NamedTuple):
     statistic: float
     p_value: float
-    n_pairs: int
-    bonferroni_m: int = 1
-    p_adjusted: float | None = None
-
-    def __post_init__(self):
-        if self.p_adjusted is None:
-            object.__setattr__(self, "p_adjusted", self.p_value)
 
 
 def _paired_diffs(a, b) -> np.ndarray:
@@ -110,7 +102,7 @@ def paired_t_one_sided(a, b) -> StatTestResult:
     if sd == 0.0:
         raise ValueError("zero variance in paired differences")
     t = float(d.mean()) / (sd / math.sqrt(n))
-    return StatTestResult("paired-t-one-sided", t, t_sf(t, n - 1), n)
+    return StatTestResult(t, t_sf(t, n - 1))
 
 
 def wilcoxon_signed_rank(a, b) -> StatTestResult:
@@ -128,7 +120,7 @@ def wilcoxon_signed_rank(a, b) -> StatTestResult:
     n = d.size
     if n == 0:
         raise ValueError("all paired differences are zero")
-    ranks = _average_ranks(np.abs(d))
+    ranks, tie_sizes = _average_ranks(np.abs(d))
     w = float(ranks[d > 0].sum())
 
     if n <= 20:
@@ -144,36 +136,18 @@ def wilcoxon_signed_rank(a, b) -> StatTestResult:
         p = tail / (1 << n)
     else:
         mu = n * (n + 1) / 4.0
-        tie_sizes = np.unique(np.abs(d), return_counts=True)[1]
         var = n * (n + 1) * (2 * n + 1) / 24.0 - float(((tie_sizes**3 - tie_sizes) / 48.0).sum())
         z = (w - mu - 0.5) / math.sqrt(var)
         p = 0.5 * math.erfc(z / math.sqrt(2.0))
-    return StatTestResult("wilcoxon-signed-rank", w, p, n)
+    return StatTestResult(w, p)
 
 
-def bonferroni(results: list[StatTestResult], m: int) -> list[StatTestResult]:
-    """Family-wise correction: p_adjusted = min(1, m * p)."""
-    if m < 1:
-        raise ValueError("bonferroni family size must be >= 1")
-    if m < len(results):
-        raise ValueError(f"family size {m} smaller than number of results {len(results)}")
-    return [
-        replace(r, bonferroni_m=m, p_adjusted=min(1.0, m * r.p_value)) for r in results
-    ]
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the mean rank of the tie group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties replaced by the mean rank of the tie group,
+    and the size of each tie group."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(sizes)  # rank of each group's last member
+    return (last - (sizes - 1) / 2.0)[group], sizes
 
 
 # -- Student-t survival function ------------------------------------------

@@ -482,6 +482,32 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, edit", [
+        ("stats", lambda row: [1, 2]),
+        ("stats", lambda row: {k: v for k, v in row.items() if k != "fraction"}),
+        ("stats", lambda row: {**row, "eval_accuracy": "abc"}),
+        ("resume", lambda row: {k: v for k, v in row.items() if k != "seed"}),
+        ("resume", lambda row: {k: v for k, v in row.items() if k != "final_task_loss"}),
+    ], ids=["stats-list", "stats-no-fraction", "stats-str-accuracy", "resume-no-seed", "resume-no-task-loss"])
+    def test_malformed_results_row_refused(self, smoke_run, tmp_path, capsys, command, edit):
+        out, _ = smoke_run
+        dest = TestResumeManifest.copy_run(out, tmp_path / "o")
+        results = dest / "results.jsonl"
+        lines = results.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])), sort_keys=True)
+        results.write_text("\n".join(lines) + "\n")
+        before = results.read_bytes()
+        if command == "stats":
+            argv = ["stats", "--results", str(results), "--out", str(tmp_path / "st")]
+        else:
+            argv = ["sweep", "--plan", str(PLAN), "--out", str(dest), "--resume"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {results}: line 3: ")
+        # Nothing is moved, rewritten or derived from the refused table.
+        assert results.read_bytes() == before
+        assert sorted(p.name for p in dest.iterdir()) == ["dataset.csv", "manifest.json", "results.jsonl"]
+        assert not (tmp_path / "st").exists()
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

@@ -568,12 +568,30 @@ class TestStatsReport:
 
     def test_bonferroni_family_covers_executed_instances(self):
         rows, _ = self.build_rows()
-        comparisons = [("cr", "vanilla", "accuracy"), ("cr", "vanilla", "tau")]
+        comparisons = [("cr", "vanilla", "accuracy"), ("cr", "vanilla", "tau"), ("vanilla", "cr", "tau"),
+                       ("cr", "dropout", "tau")]  # no dropout rows: never executed, so outside the family
         report = stats_report(rows, comparisons)
-        assert report["bonferroni_m"] == 2
-        for e in report["comparisons"]:
-            assert e["t"]["bonferroni_m"] == 2
-            assert math.isclose(e["t"]["p_adjusted"], min(1.0, 2 * e["t"]["p_value"]))
+        assert report["bonferroni_m"] == 3
+        *executed, skipped = report["comparisons"]
+        assert skipped["error"] == "insufficient paired rows" and "t" not in skipped
+        for e in executed:
+            for name in ("t", "wilcoxon"):
+                assert e[name]["bonferroni_m"] == 3
+                assert e[name]["p_adjusted"] == min(1.0, 3 * e[name]["p_value"])
+        # vanilla never beats cr on tau: every sign is negative, so p = 1 and 3 * p clamps to 1
+        assert executed[2]["wilcoxon"]["p_value"] == 1.0
+        assert executed[2]["wilcoxon"]["p_adjusted"] == 1.0
+        assert 3 * executed[2]["t"]["p_value"] > 1.0 and executed[2]["t"]["p_adjusted"] == 1.0
+
+    def test_failed_test_keeps_its_error_and_its_instance_in_the_family(self):
+        # tau gaps of exactly 1: the t-test has zero variance, the Wilcoxon test runs
+        rows = [fake_row(m, 1.0, s, 0.8, tau) for s in range(3) for m, tau in (("cr", 2.0), ("vanilla", 3.0))]
+        report = stats_report(rows, [("cr", "vanilla", "tau")])
+        entry = report["comparisons"][0]
+        assert report["bonferroni_m"] == 1
+        assert entry["t"] == {"error": "zero variance in paired differences"}
+        assert entry["wilcoxon"] == {"statistic": 6.0, "p_value": 0.125, "p_adjusted": 0.125, "bonferroni_m": 1}
+        assert "t: zero variance in paired differences, wilcoxon p=0.125 adj=0.125" in render_stats_text(report)
 
     def test_summary_block(self):
         rows, (cr_acc, _, _, _) = self.build_rows()
