@@ -30,7 +30,8 @@ from .harness import (
     write_stats_report,
 )
 from .metrics import input_grad_norms, tail_ratio
-from .train import accuracy, cross_entropy, predict_logits
+from .tape import Tape
+from .train import _check_finite, accuracy
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test reads cli.evaluate_accuracy)
 
 log = logging.getLogger(__name__)
@@ -177,11 +178,13 @@ def cmd_eval(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data, args.label_column)
     X, y, eval_idx = _eval_view(bundle, ds)
-    logits = predict_logits(bundle.net, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite raises instead
+        tape = Tape(bundle.net, bundle.net.check_input(X), y)
+    _check_finite(tape.logits, tape.nodes, tape.h_out)
     out = {
         "eval_rows": int(eval_idx.size),
-        "accuracy": accuracy(logits, y),
-        "task_loss": cross_entropy(logits, y),
+        "accuracy": accuracy(tape.logits, y),
+        "task_loss": float(tape.task),
     }
     print(json.dumps(out, sort_keys=True))
     return 0

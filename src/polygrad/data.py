@@ -108,6 +108,9 @@ def load_csv(path, label_column: str = PIMA_LABEL) -> Dataset:
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise CsvParseError(f"{path}: column {repeated!r} is named more than once", column=repeated)
         if label_column not in header:
             raise CsvParseError(f"{path}: missing column {label_column!r}", column=label_column)
         table = None if _has_separator_chars(path) else _bulk_parse(fh)

@@ -23,6 +23,7 @@ import functools
 import glob
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -479,34 +480,45 @@ def run_cell(ds: Dataset, plan: SweepPlan, model_id: str, fraction: float, seed:
 
 
 def read_results(path, fields=()) -> list[dict]:
-    """Parse a results file, tolerating a torn line after a crash.
+    """Parse a results file, tolerating a torn last line after a crash.
 
-    A line that parses to something other than a JSON object, or an ``ok``
+    An unparseable line is skipped with a warning when no line follows
+    it, as only a crash mid-write leaves one. A ConfigError naming the
+    file and the line refuses an unparseable line with lines after it, a
+    line that parses to something other than a JSON object, and an ``ok``
     row whose ``fields`` are not all there as the reader needs them
-    (``model_id`` a string, the rest numbers), is a ConfigError naming
-    the file and the line.
+    (``model_id`` a string, the rest finite numbers).
     """
     rows = []
     if not os.path.exists(path):
         return rows
+    torn = None  # the number of an unparseable line, if one was read
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            if torn is not None:
+                raise ConfigError(f"{path}: line {torn}: unparseable, and more lines follow it")
             try:
                 row = json.loads(line)
             except json.JSONDecodeError:
-                log.warning("%s: skipping unparseable line (torn write?)", path)
+                torn = n
                 continue
             if not isinstance(row, dict):
                 raise ConfigError(f"{path}: line {n}: not a JSON object")
             for key in fields if row.get("status") == "ok" else ():
                 value = row.get(key)
-                kind, want = (str, "a string") if key == "model_id" else ((int, float), "a number")
-                if not isinstance(value, kind) or isinstance(value, bool):
+                kind, want = (str, "a string") if key == "model_id" else ((int, float), "a finite number")
+                if (
+                    not isinstance(value, kind)
+                    or isinstance(value, bool)
+                    or (isinstance(value, float) and not math.isfinite(value))
+                ):
                     raise ConfigError(f"{path}: line {n}: ok row needs {key!r} as {want}, got {value!r}", key=key)
             rows.append(row)
+    if torn is not None:
+        log.warning("%s: skipping unparseable last line %d (torn write?)", path, torn)
     return rows
 
 

@@ -85,6 +85,10 @@ def _paired_diffs(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be equal-length 1-D sequences")
+    for name, sample in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(sample))
+        if bad.size:
+            raise ValueError(f"paired sample {name} has non-finite values at positions {bad.tolist()}")
     return a - b
 
 

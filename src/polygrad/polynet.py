@@ -1,14 +1,14 @@
-"""One network type, cubic or ReLU, and its tape-free value forward.
+"""One network type, cubic or ReLU, and its one value loop.
 
 A network is a stack of fully connected layers followed by a linear
 head. Every layer's per-neuron activation is either a learnable cubic
 phi(z) = c0 + c1 z + c2 z^2 + c3 z^3 or the fixed ReLU max(0, z), whose
 slope phi' is the subgradient 1[z > 0]. A ``Net`` is built from its
 shapes: ``param_shapes`` names every trainable array once, and each is a
-view into one flat vector (``Net.arena``). ``forward_values`` runs the
-ordinary value stream for inference, checking every layer for overflow.
-The per-sample input-Jacobian stream and the DREG penalty are recorded
-by ``tape.Tape``, alongside the value stream it trains on.
+view into one flat vector (``Net.arena``). ``forward_values`` is the
+package's one value loop: ``tape.Tape`` records from it, then builds
+the per-sample input-Jacobian stream and the DREG penalty, and
+``train.predict_logits`` runs it for inference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arena import ParamArena
-from .errors import NumericOverflowError, ShapeError
+from .errors import ShapeError
 from .linalg import Rng
 
 __all__ = [
@@ -209,23 +209,21 @@ def param_count(input_dim: int, widths: list[int], num_classes: int, activation:
 PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test net with this name
 
 
-def _check_finite(arr: np.ndarray, where: str):
-    if not np.all(np.isfinite(arr)):
-        raise NumericOverflowError(f"non-finite values in {where}")
+def forward_values(net: Net, x: np.ndarray, masks: list[np.ndarray] | None = None) -> tuple:
+    """The logits, one ``(h_in, z, slope)`` record per layer and the head's input.
 
-
-@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
-def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value stream only (eval mode, no dropout): the logits and each
-    layer's pre-activation z, (batch, width)."""
-    x = net.check_input(x)
-    preacts = []
+    Each layer forms z, then its slope, then its output, scaled by the
+    layer's mask when ``masks`` is given. ``x`` is a float64 (batch,
+    input_dim) array; nothing is validated or checked for overflow here.
+    """
+    records = []
     h = x
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
-        h = layer.activate(z)
-        _check_finite(h, f"layer {i}")
-        preacts.append(z)
-    logits = h @ net.head_weights.T + net.head_bias
-    _check_finite(logits, "head")
-    return logits, preacts
+        slope = layer.slope(z)
+        out = layer.activate(z)
+        if masks is not None:
+            out *= masks[i]
+        records.append((h, z, slope))
+        h = out
+    return h @ net.head_weights.T + net.head_bias, records, h

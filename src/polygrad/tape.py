@@ -1,19 +1,19 @@
 """The network's recorded forward pass, its Jacobian stream and its hand-written adjoint.
 
-``Tape`` runs the value stream of a ``Net`` on one batch and, when the
-penalty weight ``lam`` is nonzero, the per-sample Jacobian stream the
-DREG penalty is built from:
+``Tape`` records a ``Net``'s value stream on one batch through
+``polynet.forward_values`` and, when the penalty weight ``lam`` is
+nonzero, the per-sample Jacobian stream the DREG penalty is built from:
 
     S1 = diag(phi'(z1)) @ W1,    Sl = diag(phi'(zl)) @ Wl @ S(l-1)
 
 with optional dropout masks scaling each layer's output rows (and, in
 step, its Jacobian rows). It is the package's only code that builds
 Jacobian blocks, and it holds the one penalty formula, the mean over
-layers of sum_b ||S_(l,b)||_F^2 / B; ``unmasked_penalty`` gives a
-lambda = 0 or masked tape the penalty of its unmasked stream for the
-training log. It
-keeps one record ``(h_in, z, slope, S_in, S, W @ S_in)`` per layer in
-``nodes``, plus the softmax's ``exp(logits - max)`` and row sums.
+layers of sum_b ||S_(l,b)||_F^2 / B, and the one cross-entropy;
+``unmasked_penalty`` gives a lambda = 0 or masked tape the penalty of
+its unmasked stream for the training log. ``nodes`` holds each layer's
+``(h_in, z, slope)``, plus ``(S_in, S, W @ S_in)`` when ``lam`` is
+nonzero, beside the softmax's ``exp(logits - max)`` and row sums.
 ``loss`` is the task loss plus ``lam`` times the penalty. ``backward``
 is the adjoint of exactly that recurrence plus the softmax
 cross-entropy and the penalty's Frobenius terms, applied in reverse
@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MemoryBudgetError
+from .polynet import forward_values
 
 __all__ = ["Tape"]
 
@@ -82,10 +83,14 @@ def _stream(net, nodes: list[tuple], masks=None) -> list[tuple]:
     return out
 
 
-def _penalty(nodes: list[tuple]) -> np.float64:
+def _square_sums(nodes: list[tuple]) -> list[np.float64]:
+    """Each layer's sum_b ||S_b||_F^2 over the blocks of the records ``nodes``."""
+    return [np.add.reduce(node[4] * node[4], axis=None) for node in nodes]
+
+
+def _penalty(square_sums: list[np.float64], batch: int) -> np.float64:
     """The DREG penalty: the mean over layers of sum_b ||S_b||_F^2 / batch."""
-    batch = nodes[0][0].shape[0]
-    frobs = [np.float64(np.add.reduce(node[4] * node[4], axis=None) / batch) for node in nodes]
+    frobs = [np.float64(s / batch) for s in square_sums]
     return np.float64(sum(frobs) / len(frobs))
 
 
@@ -120,18 +125,7 @@ class Tape:
         self.masks = masks
         self.lam = lam
         self.reduction = reduction
-        nodes = []
-        h = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(net.layers):
-            z = h @ layer.weights.T + layer.bias
-            slope = layer.slope(z)
-            out = layer.activate(z)
-            if masks is not None:
-                out *= masks[i]
-            nodes.append((h, z, slope, None, None, None))
-            h = out
-        self.h_out = h
-        self.logits = h @ net.head_weights.T + net.head_bias
+        self.logits, nodes, self.h_out = forward_values(net, np.asarray(x, dtype=np.float64), masks)
 
         lv = self.logits
         batch = lv.shape[0]
@@ -150,22 +144,35 @@ class Tape:
         self.loss = self.task
         if lam != 0.0:
             nodes = _stream(net, nodes, masks)
-            self.penalty = _penalty(nodes)
+            self.penalty = _penalty(_square_sums(nodes), batch)
             self.loss = np.float64(self.task + lam * self.penalty)
         self.nodes = nodes
 
     def unmasked_penalty(self) -> np.float64:
         """The penalty of this batch's unmasked Jacobian stream, whatever
-        ``lam``: bit for bit ``Tape(net, x, labels, lam=1.0).penalty``.
+        ``lam``: bit for bit ``Tape(net, x, labels, lam=1.0).penalty``
+        when its blocks fit ``MAX_DUAL_BYTES``.
 
         Without masks the recorded slopes are the unmasked ones, so the
         stream is built from them, with no second forward. Masked layers
-        feed masked values forward, so a masked tape records the batch once
-        more without masks, with no backward.
+        feed masked values forward, so a masked tape runs ``forward_values``
+        once more without masks. Blocks over the budget are built in row
+        chunks that fit, each layer's sum_b ||S_b||_F^2 added up across
+        them (the one-block sum up to its last bits); a row that does not
+        fit alone raises.
         """
-        if self.masks is not None:
-            return Tape(self.net, self.nodes[0][0], self.labels, lam=1.0).penalty
-        return _penalty(_stream(self.net, self.nodes))
+        net = self.net
+        nodes = self.nodes if self.masks is None else forward_values(net, self.nodes[0][0])[1]
+        batch = nodes[0][0].shape[0]
+        # Rows whose blocks fit the budget; a lone row that does not raises in _stream.
+        rows = max(1, MAX_DUAL_BYTES // (8 * net.input_dim * sum(net.widths)))
+        if batch <= rows:
+            return _penalty(_square_sums(_stream(net, nodes)), batch)
+        chunks = [
+            _square_sums(_stream(net, [tuple(a[start : start + rows] for a in node[:3]) for node in nodes]))
+            for start in range(0, batch, rows)
+        ]
+        return _penalty([sum(layer) for layer in zip(*chunks)], batch)
 
     def backward(self, grads: tuple | None = None) -> np.ndarray:
         """Gradient of ``loss``; returns the input gradient.
@@ -193,7 +200,7 @@ class Tape:
         for i in reversed(range(len(self.nodes))):
             layer = net.layers[i]
             W, c = layer.weights, layer.coeffs
-            h_in, z, slope, S_in, _, WS = self.nodes[i]
+            h_in, z, slope = self.nodes[i][:3]
             if self.masks is not None:
                 dh = dh * self.masks[i]
                 if dS is not None:
@@ -201,20 +208,22 @@ class Tape:
             # The ReLU slope is piecewise constant: the Jacobian stream
             # reaches its weights but not its pre-activations.
             dslope = dW_jac = None
-            if dS is not None and S_in is None:
-                if c is not None:
-                    dslope = np.einsum("bwd,wd->bw", dS, W)
-                if grads is not None:
-                    dW_jac = np.einsum("bw,bwd->wd", slope, dS)
-            elif dS is not None:
-                if c is not None:
-                    dslope = np.add.reduce(dS * WS, axis=2)
-                dt = slope[:, :, None] * dS
-                if grads is not None:
-                    dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)
-                # Added in place, so dS stays C-contiguous: the next layer's sums read its layout.
-                dS = coef * S_in
-                dS += _contract_w(W, dt)
+            if dS is not None:
+                S_in, _, WS = self.nodes[i][3:]
+                if S_in is None:
+                    if c is not None:
+                        dslope = np.einsum("bwd,wd->bw", dS, W)
+                    if grads is not None:
+                        dW_jac = np.einsum("bw,bwd->wd", slope, dS)
+                else:
+                    if c is not None:
+                        dslope = np.add.reduce(dS * WS, axis=2)
+                    dt = slope[:, :, None] * dS
+                    if grads is not None:
+                        dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)
+                    # Added in place, so dS stays C-contiguous: the next layer's sums read its layout.
+                    dS = coef * S_in
+                    dS += _contract_w(W, dt)
 
             dz = dh * slope
             if dslope is not None:

@@ -139,18 +139,20 @@ def loss_and_grads(
 # -- plain inference helpers ----------------------------------------------
 
 
+def _check_finite(logits: np.ndarray, records: list[tuple], h_out: np.ndarray) -> None:
+    """NumericOverflowError naming the first layer, else the head, whose output is not
+    finite; ``forward_values``' outputs, or a tape's ``logits``, ``nodes`` and ``h_out``."""
+    for i, out in enumerate([record[0] for record in records[1:]] + [h_out, logits]):
+        if not np.all(np.isfinite(out)):
+            raise NumericOverflowError(f"non-finite values in {f'layer {i}' if i < len(records) else 'head'}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward_values(net, x)
+    """Eval-mode logits of ``x``, validated, from one ``forward_values``, every layer checked."""
+    logits, records, h_out = forward_values(net, net.check_input(x))
+    _check_finite(logits, records, h_out)
     return logits
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the rows of ``logits``."""
-    y = np.asarray(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1)) + logits.max(axis=1)
-    losses = lse - logits[np.arange(logits.shape[0]), y]
-    return float(losses.mean())
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

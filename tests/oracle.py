@@ -1,9 +1,13 @@
-"""Tape-free oracles: the Jacobian stream, the DREG penalty and the composite objective.
+"""Tape-free oracles: the value stream, the cross-entropy, the Jacobian
+stream, the DREG penalty and the composite objective.
 
 The finite-difference gates (acceptance 01/02, ``test_tape.py``,
 ``test_train.py``) check ``tape.Tape`` against these functions, so they
-share no arithmetic with it. They rebuild the stream from
-``forward_values``' pre-activations and take the penalty as
+share no arithmetic with it: ``forward_values`` and ``cross_entropy``
+here are the package's inference forward and eval loss as they stood
+before ``polynet.forward_values`` became the one value loop, kept
+unchanged. The oracles rebuild the stream from ``forward_values``'
+pre-activations and take the penalty as
 sum_l sum_b ||S_(l,b)||_F^2 / (B * L), a different summation order from
 the tape's mean over layers of sum_b ||S_(l,b)||_F^2 / B: the two agree
 to a few ULPs, and bit for bit when B and L are powers of two. Only the
@@ -12,9 +16,41 @@ memory guard is the library's.
 
 import numpy as np
 
-from polygrad.polynet import Net, forward_values
+from polygrad.errors import NumericOverflowError
+from polygrad.polynet import Net
 from polygrad.tape import _check_dual_budget
-from polygrad.train import TrainConfig, cross_entropy, predict_logits
+from polygrad.train import TrainConfig
+
+
+def _check_finite(arr: np.ndarray, where: str):
+    if not np.all(np.isfinite(arr)):
+        raise NumericOverflowError(f"non-finite values in {where}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
+def forward_values(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Value stream only (eval mode, no dropout): the logits and each
+    layer's pre-activation z, (batch, width)."""
+    x = net.check_input(x)
+    preacts = []
+    h = x
+    for i, layer in enumerate(net.layers):
+        z = h @ layer.weights.T + layer.bias
+        h = layer.activate(z)
+        _check_finite(h, f"layer {i}")
+        preacts.append(z)
+    logits = h @ net.head_weights.T + net.head_bias
+    _check_finite(logits, "head")
+    return logits, preacts
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy over the rows of ``logits``."""
+    y = np.asarray(labels)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=1)) + logits.max(axis=1)
+    losses = lse - logits[np.arange(logits.shape[0]), y]
+    return float(losses.mean())
 
 
 def forward_dual(net: Net, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -83,7 +119,7 @@ def objective_value(
     Kept as the finite-difference gates' oracle: it shares no code with
     the tape path those gates check.
     """
-    logits = predict_logits(net, x)
+    logits, _ = forward_values(net, x)
     task = cross_entropy(logits, labels)
     if cfg.lambda_dreg == 0.0:
         return task

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err
-from oracle import forward_dual, objective_value
+from oracle import forward_dual, forward_values, objective_value
 from test_golden import FULL_SWEEP, FULL_SWEEP_STATS, GOLDEN, diff_report, golden_lines, stats_digest
 from polygrad.cli import main
 from polygrad.config import load_config
 from polygrad.harness import plan_from_config, read_results, resolve_dataset, sweep
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import paired_t_one_sided, tail_ratio, wilcoxon_signed_rank
-from polygrad.polynet import Net, forward_values
+from polygrad.polynet import Net
 from polygrad.train import TrainConfig, loss_and_grads
 
 PLANS = Path(__file__).resolve().parent.parent / "plans"

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, make_net, rel_err
-from oracle import forward_dual
+from oracle import cross_entropy, forward_dual, forward_values
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ShapeError
 from polygrad.harness import matched_capacity
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import input_grad_norms
-from polygrad.polynet import Net, forward_values, param_count
+from polygrad.polynet import Net, param_count
 from polygrad.tape import Tape
 from polygrad.train import TrainConfig, dropout_masks, loss_and_grads
 
@@ -169,8 +169,6 @@ class TestDualAndInputGrads:
         np.testing.assert_allclose(input_grad_norms(net, x, y), expected, atol=1e-12)
 
     def test_input_grads_match_finite_differences(self):
-        from polygrad.train import cross_entropy
-
         net = relu_net("big")
         x = Rng(derive_seed("big-x")).standard_normal(4, 4)
         y = np.array([0, 1, 2, 1])

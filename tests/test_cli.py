@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import identity_coeffs, make_net
+from oracle import cross_entropy, forward_values
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.cli import _eval_view, main
-from polygrad.data import fit_preprocess, make_pima_like, stratified_split
+from polygrad.data import PIMA_LABEL, fit_preprocess, load_csv, make_pima_like, stratified_split
 from polygrad.config import load_config
 from polygrad.harness import plan_from_config, read_results
 from polygrad.linalg import Rng
@@ -88,6 +90,29 @@ class TestEval:
         printed = json.loads(capsys.readouterr().out.strip())
         assert printed["accuracy"] == summary["eval_accuracy"]
         assert printed["eval_rows"] == 24  # ceil(0.2 * 40) per blob class
+
+    def test_task_loss_equals_the_oracle_cross_entropy(self, trained, capsys):
+        out, _ = trained
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--data", str(out / "dataset.csv")])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out.strip())
+        bundle = load_checkpoint(out / "checkpoint.json")
+        X, y, _ = _eval_view(bundle, load_csv(out / "dataset.csv", PIMA_LABEL))
+        logits, _ = forward_values(bundle.net, X)
+        assert np.float64(printed["task_loss"]).tobytes() == np.float64(cross_entropy(logits, y)).tobytes()
+
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_overflow_names_the_layer(self, trained, tmp_path, capsys, activation):
+        # Layer 0 outputs its bias, 1e200, on every row; layer 1 scales it by 1e200.
+        out, _ = trained
+        coeffs = identity_coeffs(1) if activation == "poly" else None
+        layers = [(np.zeros((1, 2)), np.array([1e200]), coeffs), (np.array([[1e200]]), np.zeros(1), coeffs)]
+        ck = tmp_path / "overflow.json"
+        save_checkpoint(ck, make_net(layers, np.ones((3, 1)), np.zeros(3)))
+        code = main(["eval", "--checkpoint", str(ck), "--data", str(out / "dataset.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite values in layer 1\n"
 
     def test_schema_mismatch_is_reported(self, trained, tmp_path, capsys):
         out, _ = trained
@@ -488,7 +513,10 @@ class TestErrorPaths:
         ("stats", lambda row: {**row, "eval_accuracy": "abc"}),
         ("resume", lambda row: {k: v for k, v in row.items() if k != "seed"}),
         ("resume", lambda row: {k: v for k, v in row.items() if k != "final_task_loss"}),
-    ], ids=["stats-list", "stats-no-fraction", "stats-str-accuracy", "resume-no-seed", "resume-no-task-loss"])
+        ("stats", lambda row: {**row, "tau": float("nan")}),
+        ("resume", lambda row: {**row, "final_penalty": float("inf")}),
+    ], ids=["stats-list", "stats-no-fraction", "stats-str-accuracy", "resume-no-seed", "resume-no-task-loss",
+            "stats-nan-tau", "resume-inf-penalty"])
     def test_malformed_results_row_refused(self, smoke_run, tmp_path, capsys, command, edit):
         out, _ = smoke_run
         dest = TestResumeManifest.copy_run(out, tmp_path / "o")

@@ -179,6 +179,15 @@ class TestCsvRoundTrip:
             load_csv(p)
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("header", ["a,a,outcome", "a,outcome,outcome", "a, b,b ,outcome"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        p = tmp_path / "t.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        repeated = {"a,a,outcome": "a", "a,outcome,outcome": "outcome", "a, b,b ,outcome": "b"}[header]
+        with pytest.raises(CsvParseError, match=f"column '{repeated}' is named more than once") as exc:
+            load_csv(p)
+        assert exc.value.column == repeated
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")

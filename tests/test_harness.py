@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -28,7 +29,7 @@ from polygrad.harness import (
     train_cell,
     train_config_from_file,
 )
-from polygrad.errors import NumericOverflowError
+from polygrad.errors import ConfigError, NumericOverflowError
 from polygrad.linalg import derive_seed
 from polygrad.metrics import paired_t_one_sided, wilcoxon_signed_rank
 from polygrad.polynet import Net
@@ -528,6 +529,27 @@ class TestReadResults:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert read_results(tmp_path / "nope.jsonl") == []
+
+    def test_unparseable_line_before_others_refused(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        lines = [json.dumps({"row": i}) for i in range(6)]
+        lines[1] = lines[1][:5]  # cut short, as a torn write would, but mid-file
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: line 2: unparseable"):
+            read_results(p)
+        # Trailing blank lines do not make a torn last line a middle one.
+        p.write_text("\n".join(lines[:1] + lines[2:] + lines[1:2]) + "\n\n")
+        assert read_results(p) == [{"row": i} for i in (0, 2, 3, 4, 5)]
+
+    @pytest.mark.parametrize("key, value", [("tau", math.nan), ("eval_accuracy", math.inf), ("seed", -math.inf)])
+    def test_non_finite_field_refused(self, tmp_path, key, value):
+        p = tmp_path / "r.jsonl"
+        rows = [fake_row("cr", 1.0, s, 0.9, 2.0) for s in range(3)]
+        rows[1][key] = value
+        p.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert not math.isfinite(read_results(p)[1][key])  # unchecked fields pass as before
+        with pytest.raises(ConfigError, match=rf"line 2: ok row needs '{key}' as a finite number"):
+            read_results(p, harness._STATS_FIELDS)
 
 
 def fake_row(model_id, fraction, seed, acc, tau, status="ok"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import cross_entropy, forward_values
 from polygrad.errors import DegenerateDistributionError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.metrics import (
@@ -16,7 +17,6 @@ from polygrad.metrics import (
     wilcoxon_signed_rank,
 )
 from polygrad.polynet import Net
-from polygrad.train import cross_entropy, predict_logits
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -93,8 +93,8 @@ class TestInputGradNorms:
                 xp[b, j] += step
                 xm = x.copy()
                 xm[b, j] -= step
-                lp = cross_entropy(predict_logits(net, xp)[b:b + 1], y[b:b + 1])
-                lm = cross_entropy(predict_logits(net, xm)[b:b + 1], y[b:b + 1])
+                lp = cross_entropy(forward_values(net, xp)[0][b:b + 1], y[b:b + 1])
+                lm = cross_entropy(forward_values(net, xm)[0][b:b + 1], y[b:b + 1])
                 g[j] = (lp - lm) / (2 * step)
             assert abs(norms[b] - float(np.linalg.norm(g))) < 1e-6
 
@@ -194,6 +194,15 @@ class TestPairedT:
             paired_t_one_sided(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             paired_t_one_sided(np.array([1.0, 2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("test", [paired_t_one_sided, wilcoxon_signed_rank])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_paired_tests_refuse_non_finite_samples(test, bad):
+    with pytest.raises(ValueError, match=r"^paired sample a has non-finite values at positions \[0\]$"):
+        test([bad, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^paired sample b has non-finite values at positions \[2\]$"):
+        test([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, bad, 0.0])
 
 
 class TestWilcoxon:

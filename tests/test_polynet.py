@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import curved, fd_gradient, identity_coeffs, make_net, rel_err
-from oracle import dreg_penalty, forward_dual, jacobian_stream
+from oracle import dreg_penalty, forward_dual, forward_values, jacobian_stream
+from polygrad import polynet
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError, ShapeError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Layer, Net, forward_values
+from polygrad.polynet import Layer, Net
 from polygrad.tape import Tape
-from polygrad.train import dropout_masks
+from polygrad.train import dropout_masks, predict_logits
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
@@ -218,37 +219,61 @@ class TestNetworkConstruction:
     def test_input_shape_validated(self):
         net = small_net()
         with pytest.raises(ShapeError):
-            forward_values(net, np.zeros((2, 7)))
+            predict_logits(net, np.zeros((2, 7)))
         with pytest.raises(ShapeError):
-            forward_values(net, np.zeros(4))
+            predict_logits(net, np.zeros(4))
 
 
 class TestForwardValues:
+    """``polynet.forward_values``, the one value loop, and ``predict_logits``'
+    checks around it."""
+
     def test_matches_manual_layer_recomputation(self):
         net = small_net()
         x = Rng(derive_seed("fv-x")).standard_normal(6, 4)
-        logits, preacts = forward_values(net, x)
+        logits, records, h_out = polynet.forward_values(net, x)
         h = x
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
             c0, c1, c2, c3 = layer.coeffs
-            h = c0 + z * (c1 + z * (c2 + z * c3))
-            np.testing.assert_array_equal(preacts[i], z)
+            h_in, h = h, c0 + z * (c1 + z * (c2 + z * c3))
+            rec_h, rec_z, rec_slope = records[i]
+            np.testing.assert_array_equal(rec_h, h_in)
+            np.testing.assert_array_equal(rec_z, z)
+            np.testing.assert_array_equal(rec_slope, c1 + z * (2.0 * c2 + 3.0 * c3 * z))
+        np.testing.assert_array_equal(h_out, h)
         np.testing.assert_array_equal(logits, h @ net.head_weights.T + net.head_bias)
+        np.testing.assert_array_equal(predict_logits(net, x), logits)
 
     def test_value_cache_has_no_jacobians(self):
         net = small_net()
-        _, preacts = forward_values(net, np.zeros((2, 4)))
-        assert [z.shape for z in preacts] == [(2, 5), (2, 4)]
+        _, records, h_out = polynet.forward_values(net, np.zeros((2, 4)))
+        assert [[a.shape for a in record] for record in records] == [[(2, 4), (2, 5), (2, 5)], [(2, 5), (2, 4), (2, 4)]]
+        assert h_out.shape == (2, 4)
 
     def test_overflow_names_layer(self):
         net = make_net([(np.array([[1e200]]), np.zeros(1), identity_coeffs(1))], np.ones((2, 1)), np.zeros(2))
         relu = make_net([(np.array([[1e200]]), np.zeros(1), None)], np.ones((2, 1)), np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericOverflowError, match="layer 0"):
-                forward_values(net, np.array([[1e200]]))
+                predict_logits(net, np.array([[1e200]]))
             with pytest.raises(NumericOverflowError, match="layer 0"):
-                forward_values(relu, np.array([[1e200]]))
+                predict_logits(relu, np.array([[1e200]]))
+
+    @pytest.mark.parametrize("activation, scale, where", [
+        ("poly", (1e200, 1.0), "layer 1"), ("relu", (1e200, 1.0), "layer 1"), ("poly", (1.0, 1e200), "head"),
+    ])
+    def test_overflow_past_a_finite_layer_names_its_place(self, activation, scale, where):
+        # Layer 0 maps x = 1 to 1e200, finite; layer 1's weight, then the
+        # head's, scales that by ``scale``.
+        coeffs = identity_coeffs(1) if activation == "poly" else None
+        layers = [(np.array([[1e200]]), np.zeros(1), coeffs), (np.array([[scale[0]]]), np.zeros(1), coeffs)]
+        net = make_net(layers, np.full((2, 1), scale[1]), np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, records, _ = polynet.forward_values(net, np.ones((2, 1)))
+        assert np.all(np.isfinite(records[1][0]))  # layer 0's output
+        with pytest.raises(NumericOverflowError, match=f"^non-finite values in {where}$"):
+            predict_logits(net, np.ones((2, 1)))
 
 
 class TestForwardDual:

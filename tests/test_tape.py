@@ -19,17 +19,11 @@ import pytest
 import polygrad.tape
 
 from conftest import curved, fd_gradient, rel_err
-from oracle import dreg_penalty, measure_penalty, objective_value
+from oracle import cross_entropy, dreg_penalty, forward_values, measure_penalty, objective_value
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, forward_values
+from polygrad.polynet import Net
 from polygrad.tape import Tape, _contract_w
-from polygrad.train import (
-    TrainConfig,
-    cross_entropy,
-    dropout_masks,
-    loss_and_grads,
-    predict_logits,
-)
+from polygrad.train import TrainConfig, dropout_masks, loss_and_grads
 
 TOL = 1e-6
 STEP = 1e-6  # the cubic's third-order terms put a 1e-5 step's truncation error near TOL
@@ -63,7 +57,7 @@ def fd_check(net, x, y, masks=None, lam=0.0, names=None, reduction="mean", check
     ``check_x``, of the input, against central differences."""
     cfg = TrainConfig(lambda_dreg=lam)
     if reduction == "sum":
-        oracle = lambda: x.shape[0] * cross_entropy(predict_logits(net, x), y)
+        oracle = lambda: x.shape[0] * cross_entropy(forward_values(net, x)[0], y)
     elif masks is None:
         oracle = lambda: objective_value(net, x, y, cfg)
     else:
@@ -184,16 +178,16 @@ class TestTapeMechanics:
     def test_softmax_ce_value_matches_plain_cross_entropy(self):
         net, x, y, _ = probe()
         tape = Tape(net, x, y)
-        assert abs(float(tape.task) - cross_entropy(predict_logits(net, x), y)) < 1e-12
-        np.testing.assert_array_equal(tape.logits, predict_logits(net, x))
+        logits, _ = forward_values(net, x)
+        assert abs(float(tape.task) - cross_entropy(logits, y)) < 1e-12
+        np.testing.assert_array_equal(tape.logits, logits)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
     @pytest.mark.parametrize("activation", ["poly", "relu"])
     def test_zero_lam_records_no_stream(self, activation, masked):
         net, x, y, masks = probe(activation, masked)
         tape = Tape(net, x, y, masks)
-        for _, _, _, S_in, S, WS in tape.nodes:
-            assert S_in is None and S is None and WS is None
+        assert [len(node) for node in tape.nodes] == [3] * len(net.layers)  # (h_in, z, slope) only
         assert tape.penalty is None
         assert tape.loss.tobytes() == tape.task.tobytes()
 

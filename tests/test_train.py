@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import curved, fd_gradient, make_net, rel_err
-from oracle import jacobian_stream, measure_penalty, objective_value
+from oracle import cross_entropy, forward_values, jacobian_stream, measure_penalty, objective_value
 from polygrad import tape as tape_mod
 from polygrad.arena import ParamArena
 from polygrad.checkpoint import checkpoint_bytes
 from polygrad.data import make_blobs, stratified_split
 from polygrad.errors import MemoryBudgetError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
-from polygrad.polynet import Net, forward_values
+from polygrad.polynet import Net
 from polygrad.tape import Tape
 from polygrad.train import (
     ADAM_BETA1,
@@ -22,7 +22,6 @@ from polygrad.train import (
     AdamState,
     TrainConfig,
     accuracy,
-    cross_entropy,
     dropout_masks,
     evaluate_accuracy,
     loss_and_grads,
@@ -207,7 +206,7 @@ class TestLeanStep:
 
     def test_measure_penalty_budget_counts_hidden_blocks_only(self, monkeypatch):
         # The lambda = 0 penalty log builds the hidden layers' blocks only,
-        # with and without dropout.
+        # with and without dropout: in one block when they fit, else in chunks.
         hidden_bytes = 8 * 9 * 4 * (6 + 5)
         for rate in (0.0, 0.3):
             rng = Rng(derive_seed("penalty-budget", rate))
@@ -219,8 +218,26 @@ class TestLeanStep:
             bundle = loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
             assert np.float64(bundle.penalty).tobytes() == expected.tobytes()
             monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", hidden_bytes - 1)
+            chunked = loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
+            assert abs(chunked.penalty - bundle.penalty) < 1e-12
+
+    @pytest.mark.parametrize("activation, rate", [("poly", 0.0), ("poly", 0.3), ("relu", 0.0), ("relu", 0.3)])
+    def test_over_budget_penalty_log_sums_row_chunks(self, monkeypatch, activation, rate):
+        rng = Rng(derive_seed("penalty-chunks", activation, rate))
+        net = curved(Net.build(rng.spawn("net"), 4, [6, 5], 3, activation=activation, dropout_rate=rate))
+        x = rng.spawn("x").standard_normal(37, 4)
+        y = np.arange(37) % 3
+        whole = Tape(net, x, y, lam=1.0).penalty
+        row_bytes = 8 * 4 * (6 + 5)
+        for rows in (1, 5, 36):  # chunks of 1, of 5 plus a last 2, of 36 plus a last 1
+            monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", rows * row_bytes)
+            bundle = loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
+            assert abs(bundle.penalty - whole) < 1e-12, rows
             with pytest.raises(MemoryBudgetError):
-                loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
+                Tape(net, x, y, lam=1.0)  # the penalized tape keeps its one-block guard
+        monkeypatch.setattr(tape_mod, "MAX_DUAL_BYTES", row_bytes - 1)  # not even one row fits
+        with pytest.raises(MemoryBudgetError, match="batch=1"):
+            loss_and_grads(net, x, y, TrainConfig(), rng.spawn("drop"))
 
 
 class TestInferenceHelpers:
@@ -517,16 +534,10 @@ class TestTrainingLoop:
             train(net, tx, ty, ex, ey, TrainConfig(lambda_dreg=0.1, epochs=1, seed=0))
         assert net.arena.flat.tobytes() == start  # refused before the first step
         # A lambda = 0 step builds no blocks, so the same shapes train; only its
-        # penalty log builds them, and that was checked before.
+        # penalty log builds them, in row chunks that fit.
         loss_and_grads(net, tx[:32], ty[:32], TrainConfig(), log_penalty=False)
-        with pytest.raises(MemoryBudgetError):
-            loss_and_grads(net, tx[:32], ty[:32], TrainConfig())
+        assert np.isfinite(loss_and_grads(net, tx[:32], ty[:32], TrainConfig()).penalty)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=MemoryBudgetError,
-        reason="the lambda = 0 penalty log applies the dual budget to blocks no training step builds",
-    )
     def test_unpenalized_training_over_the_dual_budget_trains(self, monkeypatch):
         tx, ty, ex, ey, ds = blob_split()
         widths = [6, 5]
