@@ -30,8 +30,7 @@ from .harness import (
     write_stats_report,
 )
 from .metrics import input_grad_norms, tail_ratio
-from .tape import Tape
-from .train import _check_finite, accuracy
+from .train import accuracy, eval_tape
 from .train import evaluate_accuracy  # noqa: F401  (perfbench's tracer test reads cli.evaluate_accuracy)
 
 log = logging.getLogger(__name__)
@@ -178,9 +177,7 @@ def cmd_eval(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data, args.label_column)
     X, y, eval_idx = _eval_view(bundle, ds)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite raises instead
-        tape = Tape(bundle.net, bundle.net.check_input(X), y)
-    _check_finite(tape.logits, tape.nodes, tape.h_out)
+    tape = eval_tape(bundle.net, X, y)
     out = {
         "eval_rows": int(eval_idx.size),
         "accuracy": accuracy(tape.logits, y),

@@ -156,18 +156,17 @@ class Tape:
         Without masks the recorded slopes are the unmasked ones, so the
         stream is built from them, with no second forward. Masked layers
         feed masked values forward, so a masked tape runs ``forward_values``
-        once more without masks. Blocks over the budget are built in row
-        chunks that fit, each layer's sum_b ||S_b||_F^2 added up across
-        them (the one-block sum up to its last bits); a row that does not
-        fit alone raises.
+        once more without masks. The stream is built in row chunks whose
+        blocks fit the budget, each layer's sum_b ||S_b||_F^2 added up
+        across them: a batch that fits is one chunk, with the one-block
+        bits; more chunks give the one-block sum up to its last bits. A
+        row that does not fit alone raises.
         """
         net = self.net
         nodes = self.nodes if self.masks is None else forward_values(net, self.nodes[0][0])[1]
         batch = nodes[0][0].shape[0]
         # Rows whose blocks fit the budget; a lone row that does not raises in _stream.
         rows = max(1, MAX_DUAL_BYTES // (8 * net.input_dim * sum(net.widths)))
-        if batch <= rows:
-            return _penalty(_square_sums(_stream(net, nodes)), batch)
         chunks = [
             _square_sums(_stream(net, [tuple(a[start : start + rows] for a in node[:3]) for node in nodes]))
             for start in range(0, batch, rows)

@@ -32,6 +32,7 @@ __all__ = [
     "LossBundle",
     "loss_and_grads",
     "predict_logits",
+    "eval_tape",
     "accuracy",
     "evaluate_accuracy",
     "AdamState",
@@ -139,20 +140,27 @@ def loss_and_grads(
 # -- plain inference helpers ----------------------------------------------
 
 
-def _check_finite(logits: np.ndarray, records: list[tuple], h_out: np.ndarray) -> None:
-    """NumericOverflowError naming the first layer, else the head, whose output is not
-    finite; ``forward_values``' outputs, or a tape's ``logits``, ``nodes`` and ``h_out``."""
+def _check_finite(logits: np.ndarray, records: list[tuple], h_out: np.ndarray) -> np.ndarray:
+    """``logits``, or NumericOverflowError naming the first layer, else the head, whose output is
+    not finite; ``forward_values``' outputs, or a tape's ``logits``, ``nodes`` and ``h_out``."""
     for i, out in enumerate([record[0] for record in records[1:]] + [h_out, logits]):
         if not np.all(np.isfinite(out)):
             raise NumericOverflowError(f"non-finite values in {f'layer {i}' if i < len(records) else 'head'}")
+    return logits
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
     """Eval-mode logits of ``x``, validated, from one ``forward_values``, every layer checked."""
-    logits, records, h_out = forward_values(net, net.check_input(x))
-    _check_finite(logits, records, h_out)
-    return logits
+    return _check_finite(*forward_values(net, net.check_input(x)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
+def eval_tape(net: Net, x: np.ndarray, labels: np.ndarray) -> Tape:
+    """``predict_logits``' steps with the task loss: a ``Tape`` of validated ``x``, every layer checked."""
+    tape = Tape(net, net.check_input(x), labels)
+    _check_finite(tape.logits, tape.nodes, tape.h_out)
+    return tape
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

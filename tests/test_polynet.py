@@ -11,7 +11,7 @@ from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import Layer, Net
 from polygrad.tape import Tape
-from polygrad.train import dropout_masks, predict_logits
+from polygrad.train import dropout_masks, eval_tape, predict_logits
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
@@ -222,11 +222,13 @@ class TestNetworkConstruction:
             predict_logits(net, np.zeros((2, 7)))
         with pytest.raises(ShapeError):
             predict_logits(net, np.zeros(4))
+        with pytest.raises(ShapeError):
+            eval_tape(net, np.zeros((2, 7)), np.zeros(2, dtype=int))
 
 
 class TestForwardValues:
-    """``polynet.forward_values``, the one value loop, and ``predict_logits``'
-    checks around it."""
+    """``polynet.forward_values``, the one value loop, and the checks
+    ``predict_logits`` and ``eval_tape`` run around it."""
 
     def test_matches_manual_layer_recomputation(self):
         net = small_net()
@@ -244,6 +246,7 @@ class TestForwardValues:
         np.testing.assert_array_equal(h_out, h)
         np.testing.assert_array_equal(logits, h @ net.head_weights.T + net.head_bias)
         np.testing.assert_array_equal(predict_logits(net, x), logits)
+        np.testing.assert_array_equal(eval_tape(net, x, np.zeros(6, dtype=int)).logits, logits)
 
     def test_value_cache_has_no_jacobians(self):
         net = small_net()
@@ -259,6 +262,8 @@ class TestForwardValues:
                 predict_logits(net, np.array([[1e200]]))
             with pytest.raises(NumericOverflowError, match="layer 0"):
                 predict_logits(relu, np.array([[1e200]]))
+            with pytest.raises(NumericOverflowError, match="layer 0"):
+                eval_tape(net, np.array([[1e200]]), np.zeros(1, dtype=int))
 
     @pytest.mark.parametrize("activation, scale, where", [
         ("poly", (1e200, 1.0), "layer 1"), ("relu", (1e200, 1.0), "layer 1"), ("poly", (1.0, 1e200), "head"),
@@ -274,6 +279,8 @@ class TestForwardValues:
         assert np.all(np.isfinite(records[1][0]))  # layer 0's output
         with pytest.raises(NumericOverflowError, match=f"^non-finite values in {where}$"):
             predict_logits(net, np.ones((2, 1)))
+        with pytest.raises(NumericOverflowError, match=f"^non-finite values in {where}$"):
+            eval_tape(net, np.ones((2, 1)), np.zeros(2, dtype=int))
 
 
 class TestForwardDual:
