@@ -248,10 +248,16 @@ def fit_preprocess(
     Imputation fill for a zero-inflated column is the median of its
     nonzero fitted-subset values; standardization moments are computed
     after imputation. Constant columns keep std 1 so they map to zero
-    instead of dividing by zero.
+    instead of dividing by zero. A non-finite value in a fitted row would
+    make its column's constants, and so every row, NaN: it raises a
+    ValueError naming the first such column.
     """
     X = np.asarray(features, dtype=np.float64)
     sub = X[np.asarray(fit_idx)]
+    finite = np.isfinite(sub).all(axis=0)
+    if not finite.all():
+        name = feature_names[int(np.argmin(finite))]
+        raise ValueError(f"column {name!r} holds a non-finite value in the rows preprocessing is fitted on")
     stats = PreprocessStats(feature_names=list(feature_names))
     for name in PIMA_ZERO_MISSING:
         if name not in feature_names:

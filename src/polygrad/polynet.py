@@ -6,9 +6,9 @@ phi(z) = c0 + c1 z + c2 z^2 + c3 z^3 or the fixed ReLU max(0, z), whose
 slope phi' is the subgradient 1[z > 0]. A ``Net`` is built from its
 shapes: ``param_shapes`` names every trainable array once, and each is a
 view into one flat vector (``Net.arena``). ``forward_values`` is the
-package's one value loop: ``tape.Tape`` records from it, then builds
-the per-sample input-Jacobian stream and the DREG penalty, and
-``train.predict_logits`` runs it for inference.
+package's one value loop and forms no slope: ``train.predict_logits``
+runs it for inference; ``tape.Tape`` records from it, then forms the
+slopes, the per-sample input-Jacobian stream and the DREG penalty.
 """
 
 from __future__ import annotations
@@ -210,20 +210,19 @@ PolyNetwork = Net  # kept: perfbench/test_perfbench.py builds its tracer-test ne
 
 
 def forward_values(net: Net, x: np.ndarray, masks: list[np.ndarray] | None = None) -> tuple:
-    """The logits, one ``(h_in, z, slope)`` record per layer and the head's input.
+    """The logits, one ``(h_in, z)`` record per layer and the head's input.
 
-    Each layer forms z, then its slope, then its output, scaled by the
-    layer's mask when ``masks`` is given. ``x`` is a float64 (batch,
+    Each layer forms z, then its output, scaled by the layer's mask when
+    ``masks`` is given; no slope is formed. ``x`` is a float64 (batch,
     input_dim) array; nothing is validated or checked for overflow here.
     """
     records = []
     h = x
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
-        slope = layer.slope(z)
         out = layer.activate(z)
         if masks is not None:
             out *= masks[i]
-        records.append((h, z, slope))
+        records.append((h, z))
         h = out
     return h @ net.head_weights.T + net.head_bias, records, h

@@ -12,8 +12,9 @@ Jacobian blocks, and it holds the one penalty formula, the mean over
 layers of sum_b ||S_(l,b)||_F^2 / B, and the one cross-entropy;
 ``unmasked_penalty`` gives a lambda = 0 or masked tape the penalty of
 its unmasked stream for the training log. ``nodes`` holds each layer's
-``(h_in, z, slope)``, plus ``(S_in, S, W @ S_in)`` when ``lam`` is
-nonzero, beside the softmax's ``exp(logits - max)`` and row sums.
+``(h_in, z)`` and ``slopes`` its phi'(z); with nonzero ``lam``, ``blocks``
+holds its S and ``products`` its ``W @ S_in`` (W for layer 0), beside
+the softmax's ``exp(logits - max)`` and row sums.
 ``loss`` is the task loss plus ``lam`` times the penalty. ``backward``
 is the adjoint of exactly that recurrence plus the softmax
 cross-entropy and the penalty's Frobenius terms, applied in reverse
@@ -61,31 +62,27 @@ def _check_dual_budget(net, batch: int, rows: int) -> None:
         )
 
 
-def _stream(net, nodes: list[tuple], masks=None) -> list[tuple]:
-    """The layer records ``nodes`` with their Jacobian entries
-    ``(S_in, S, W @ S_in)`` filled in: each block from its layer's slope
-    phi'(z), (batch, width), its rows scaled by the layer's mask when
-    ``masks`` is given. Layer 0 has no ``S_in``; its ``W @ S_in`` is W
-    itself. Blocks over ``MAX_DUAL_BYTES`` raise before any is built.
+def _stream(net, slopes: list[np.ndarray], masks=None) -> tuple[list, list]:
+    """Each layer's Jacobian block S and the ``W @ S_in`` it scales (W
+    itself for layer 0), from the layers' slopes phi'(z), (batch, width)
+    each; S's rows are scaled by the layer's mask when ``masks`` is given.
+    Blocks over ``MAX_DUAL_BYTES`` raise before any is built.
     """
-    _check_dual_budget(net, nodes[0][0].shape[0], sum(net.widths))
-    out = []
-    S = None
-    for i, (layer, node) in enumerate(zip(net.layers, nodes)):
-        h, z, slope = node[:3]
-        S_in = S
-        W = layer.weights
-        WS = W[None, :, :] if S_in is None else W @ S_in
+    _check_dual_budget(net, slopes[0].shape[0], sum(net.widths))
+    blocks, products = [], []
+    for i, (layer, slope) in enumerate(zip(net.layers, slopes)):
+        WS = layer.weights if i == 0 else layer.weights @ blocks[-1]
         S = slope[:, :, None] * WS
         if masks is not None:
             S *= masks[i][:, :, None]
-        out.append((h, z, slope, S_in, S, WS))
-    return out
+        blocks.append(S)
+        products.append(WS)
+    return blocks, products
 
 
-def _square_sums(nodes: list[tuple]) -> list[np.float64]:
-    """Each layer's sum_b ||S_b||_F^2 over the blocks of the records ``nodes``."""
-    return [np.add.reduce(node[4] * node[4], axis=None) for node in nodes]
+def _square_sums(blocks: list[np.ndarray]) -> list[np.float64]:
+    """Each layer's sum_b ||S_b||_F^2 over its Jacobian block."""
+    return [np.add.reduce(S * S, axis=None) for S in blocks]
 
 
 def _penalty(square_sums: list[np.float64], batch: int) -> np.float64:
@@ -125,7 +122,8 @@ class Tape:
         self.masks = masks
         self.lam = lam
         self.reduction = reduction
-        self.logits, nodes, self.h_out = forward_values(net, np.asarray(x, dtype=np.float64), masks)
+        self.logits, self.nodes, self.h_out = forward_values(net, np.asarray(x, dtype=np.float64), masks)
+        self.slopes = [layer.slope(z) for layer, (_, z) in zip(net.layers, self.nodes)]
 
         lv = self.logits
         batch = lv.shape[0]
@@ -143,10 +141,9 @@ class Tape:
         self.penalty = None
         self.loss = self.task
         if lam != 0.0:
-            nodes = _stream(net, nodes, masks)
-            self.penalty = _penalty(_square_sums(nodes), batch)
+            self.blocks, self.products = _stream(net, self.slopes, masks)
+            self.penalty = _penalty(_square_sums(self.blocks), batch)
             self.loss = np.float64(self.task + lam * self.penalty)
-        self.nodes = nodes
 
     def unmasked_penalty(self) -> np.float64:
         """The penalty of this batch's unmasked Jacobian stream, whatever
@@ -155,20 +152,22 @@ class Tape:
 
         Without masks the recorded slopes are the unmasked ones, so the
         stream is built from them, with no second forward. Masked layers
-        feed masked values forward, so a masked tape runs ``forward_values``
-        once more without masks. The stream is built in row chunks whose
-        blocks fit the budget, each layer's sum_b ||S_b||_F^2 added up
-        across them: a batch that fits is one chunk, with the one-block
-        bits; more chunks give the one-block sum up to its last bits. A
-        row that does not fit alone raises.
+        feed masked values forward, so a masked tape takes its slopes from
+        one more ``forward_values`` without masks. The stream is built in
+        row chunks whose blocks fit the budget, each layer's
+        sum_b ||S_b||_F^2 added up across them: a batch that fits is one
+        chunk, with the one-block bits; more chunks give the one-block sum
+        up to its last bits. A row that does not fit alone raises.
         """
         net = self.net
-        nodes = self.nodes if self.masks is None else forward_values(net, self.nodes[0][0])[1]
-        batch = nodes[0][0].shape[0]
+        slopes = self.slopes
+        if self.masks is not None:
+            slopes = [layer.slope(z) for layer, (_, z) in zip(net.layers, forward_values(net, self.nodes[0][0])[1])]
+        batch = slopes[0].shape[0]
         # Rows whose blocks fit the budget; a lone row that does not raises in _stream.
         rows = max(1, MAX_DUAL_BYTES // (8 * net.input_dim * sum(net.widths)))
         chunks = [
-            _square_sums(_stream(net, [tuple(a[start : start + rows] for a in node[:3]) for node in nodes]))
+            _square_sums(_stream(net, [slope[start : start + rows] for slope in slopes])[0])
             for start in range(0, batch, rows)
         ]
         return _penalty([sum(layer) for layer in zip(*chunks)], batch)
@@ -194,12 +193,12 @@ class Tape:
         dS = None
         if self.penalty is not None:
             coef = 2.0 * (self.lam / len(self.nodes)) / g.shape[0]
-            dS = coef * self.nodes[-1][4]
+            dS = coef * self.blocks[-1]
 
         for i in reversed(range(len(self.nodes))):
             layer = net.layers[i]
             W, c = layer.weights, layer.coeffs
-            h_in, z, slope = self.nodes[i][:3]
+            (h_in, z), slope = self.nodes[i], self.slopes[i]
             if self.masks is not None:
                 dh = dh * self.masks[i]
                 if dS is not None:
@@ -208,15 +207,15 @@ class Tape:
             # reaches its weights but not its pre-activations.
             dslope = dW_jac = None
             if dS is not None:
-                S_in, _, WS = self.nodes[i][3:]
-                if S_in is None:
+                if i == 0:
                     if c is not None:
                         dslope = np.einsum("bwd,wd->bw", dS, W)
                     if grads is not None:
                         dW_jac = np.einsum("bw,bwd->wd", slope, dS)
                 else:
+                    S_in = self.blocks[i - 1]
                     if c is not None:
-                        dslope = np.add.reduce(dS * WS, axis=2)
+                        dslope = np.add.reduce(dS * self.products[i], axis=2)
                     dt = slope[:, :, None] * dS
                     if grads is not None:
                         dW_jac = np.einsum("bwd,bkd->wk", dt, S_in)

@@ -3,13 +3,13 @@
 The objective is mean softmax cross-entropy plus lambda times the DREG
 penalty, the mean over layers of sum_b ||S_(l,b)||_F^2 / B over the
 per-sample input-Jacobian blocks. ``loss_and_grads`` gives lambda once
-to a ``tape.Tape``, which records the batch (the value stream, the
-dropout masks and, when lambda is nonzero, the Jacobian stream), and
-runs its hand-written adjoint once, so every parameter class (weights,
-biases, activation coefficients) is differentiated through the Jacobian
-stream itself, second activation derivatives included. A lambda = 0
-step logs the tape's penalty of its unmasked stream. ``train`` returns
-its per-epoch ``EpochStats`` as a plain list.
+to a ``tape.Tape``, which records the batch (the value stream and its
+slopes, the dropout masks and, when lambda is nonzero, the Jacobian
+stream), and runs its hand-written adjoint once, so every parameter
+class (weights, biases, activation coefficients) is differentiated
+through the Jacobian stream itself, second activation derivatives
+included. A lambda = 0 step logs the tape's penalty of its unmasked
+stream. ``train`` returns its per-epoch ``EpochStats`` as a plain list.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _check_finite(logits: np.ndarray, records: list[tuple], h_out: np.ndarray) -
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite raises instead
 def predict_logits(net: Net, x: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of ``x``, validated, from one ``forward_values``, every layer checked."""
+    """Eval-mode logits of ``x``, validated, from one ``forward_values`` (no slopes), every layer checked."""
     return _check_finite(*forward_values(net, net.check_input(x)))
 
 

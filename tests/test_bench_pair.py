@@ -86,3 +86,18 @@ def test_claim_rule_ties_count_for_neither_side(ties, meets):
         assert out[name]["pairs"] == 10
         assert out[name]["beats_parent_iqr"] is True
         assert out[name]["meets_claim_rule"] is meets
+
+
+def test_code_identity_counts_source_lines(tmp_path):
+    # Two hand-made checkouts: only src/polygrad/*.py is hashed and counted.
+    for side, files in (("a", {"x.py": "1\n2\n", "y.py": "3\n"}), ("b", {"x.py": "1\n2\n", "y.py": "3\n4"})):
+        pkg = tmp_path / side / "src" / "polygrad"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+        (pkg / "notes.txt").write_text("5\n6\n")
+        (tmp_path / side / "tool.py").write_text("7\n")
+    a, b = (bench_pair.code_identity(str(tmp_path / side)) for side in "ab")
+    assert (a["src_lines"], b["src_lines"]) == (3, 3)  # wc -l counts newlines: "3\n4" is one line
+    assert a["src_sha256"] != b["src_sha256"]
+    assert a["git_head"] is None and b["git_head"] is None

@@ -13,7 +13,7 @@ from conftest import identity_coeffs, make_net
 from oracle import cross_entropy, forward_values
 from polygrad.checkpoint import load_checkpoint, save_checkpoint
 from polygrad.cli import _eval_view, main
-from polygrad.data import PIMA_LABEL, fit_preprocess, load_csv, make_pima_like, stratified_split
+from polygrad.data import PIMA_FEATURES, PIMA_LABEL, fit_preprocess, load_csv, make_pima_like, save_csv, stratified_split
 from polygrad.config import load_config
 from polygrad.harness import plan_from_config, read_results
 from polygrad.linalg import Rng
@@ -382,6 +382,19 @@ class TestErrorPaths:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "train.epochz" in capsys.readouterr().err
+
+    def test_non_finite_fitted_cell_names_its_column(self, tmp_path, capsys):
+        ds = make_pima_like(seed=0)
+        train_idx, _ = stratified_split(ds.labels, 0.2, 0)  # fraction 1.0 fits on every training row
+        ds.features[train_idx[0], PIMA_FEATURES.index("glucose")] = np.nan
+        save_csv(tmp_path / "d.csv", ds)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"format_version = 1\ndata.source = csv\ndata.path = {tmp_path / 'd.csv'}\nmodel.id = cr\n")
+        code = main(["train", "--config", str(cfg), "--fraction", "1.0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: column 'glucose' holds a non-finite value in the rows preprocessing is fitted on\n"
+        )
 
     def test_checkpoint_missing_field(self, trained, tmp_path, capsys):
         out, _ = trained

@@ -398,6 +398,15 @@ class TestPreprocess:
         assert stats.stds[0] == 1.0
         np.testing.assert_array_equal(stats.transform(X)[:, 0], np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fitted_value_names_its_column(self, bad):
+        X = np.ones((4, 3))
+        X[2, 1] = X[3, 2] = bad
+        with pytest.raises(ValueError, match="^column 'glucose' holds a non-finite value in the rows"):
+            fit_preprocess(X, ["age", "glucose", "bmi"], np.arange(4))
+        stats = fit_preprocess(X, ["age", "glucose", "bmi"], np.arange(2))  # rows 2 and 3 are not fitted
+        np.testing.assert_array_equal(stats.transform(X)[:2], np.zeros((2, 3)))
+
     def test_all_zero_missing_column_warns(self, caplog):
         X = np.zeros((4, 1))
         with caplog.at_level(logging.WARNING):

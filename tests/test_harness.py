@@ -14,7 +14,7 @@ import pytest
 from polygrad import harness
 from polygrad import train as train_mod
 from polygrad.config import load_config, parse_config
-from polygrad.data import save_csv
+from polygrad.data import PIMA_FEATURES, make_pima_like, save_csv, stratified_split, subsample_fraction
 from polygrad.harness import (
     RESULT_FIELDS,
     ModelSpec,
@@ -274,6 +274,44 @@ class TestRunCell:
         assert row["error"] == "NumericOverflowError: training diverged: non-finite training loss"
         assert (row["epoch"], row["batch"]) == (1, 1)
 
+
+    @staticmethod
+    def nan_glucose_plan(tmp_path, fraction, pick):
+        """A pima-like CSV whose one glucose cell is ``nan``, in the row
+        ``pick(train_idx, active)`` chooses, and a csv plan of it at ``fraction``."""
+        ds = make_pima_like(seed=0)
+        plan = plan_from_config(parse_config(
+            "format_version = 1\ndata.source = csv\n"
+            f"data.path = {tmp_path / 'dataset.csv'}\nplan.models = cr, vanilla\n"
+            f"plan.fractions = {fraction}\nplan.seeds = 0\ntrain.epochs = 2\n"
+        ))
+        train_idx, _ = stratified_split(ds.labels, plan.eval_fraction, 0)
+        active = subsample_fraction(train_idx, ds.labels, fraction, 0, rounding="ceil")
+        ds.features[pick(train_idx, active), PIMA_FEATURES.index("glucose")] = np.nan
+        save_csv(tmp_path / "dataset.csv", ds)
+        return resolve_dataset(plan), plan
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_fitted_cell_fails_naming_its_column(self, tmp_path):
+        ds, plan = self.nan_glucose_plan(tmp_path, 1.0, lambda train_idx, active: train_idx[0])
+        assert np.isnan(ds.features).sum() == 1
+        for model_id in ("cr", "vanilla"):
+            row = run_cell(ds, plan, model_id, 1.0, 0)
+            assert row["status"] == "failed"
+            assert row["error"] == (
+                "ValueError: column 'glucose' holds a non-finite value in the rows preprocessing is fitted on"
+            )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_cell_outside_fitted_and_eval_rows_trains(self, tmp_path):
+        ds, plan = self.nan_glucose_plan(tmp_path, 0.05, lambda train_idx, active: np.setdiff1d(train_idx, active)[0])
+        clean = make_pima_like(seed=0)
+        assert np.isnan(ds.features).sum() == 1
+        for model_id in ("cr", "vanilla"):
+            row = run_cell(ds, plan, model_id, 0.05, 0)
+            assert row["status"] == "ok"
+            row.pop("wall_time_seconds")
+            assert row == {k: v for k, v in run_cell(clean, plan, model_id, 0.05, 0).items() if k != "wall_time_seconds"}
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_mid_run_overflow_fails_at_next_batch(self):

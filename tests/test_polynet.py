@@ -11,7 +11,7 @@ from polygrad.errors import ConfigError, MemoryBudgetError, NumericOverflowError
 from polygrad.linalg import Rng, derive_seed
 from polygrad.polynet import Layer, Net
 from polygrad.tape import Tape
-from polygrad.train import dropout_masks, eval_tape, predict_logits
+from polygrad.train import dropout_masks, eval_tape, evaluate_accuracy, predict_logits
 
 
 def small_net(seed="polynet", d=4, widths=(5, 4), classes=3):
@@ -234,25 +234,42 @@ class TestForwardValues:
         net = small_net()
         x = Rng(derive_seed("fv-x")).standard_normal(6, 4)
         logits, records, h_out = polynet.forward_values(net, x)
+        tape = eval_tape(net, x, np.zeros(6, dtype=int))
         h = x
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias
             c0, c1, c2, c3 = layer.coeffs
             h_in, h = h, c0 + z * (c1 + z * (c2 + z * c3))
-            rec_h, rec_z, rec_slope = records[i]
+            rec_h, rec_z = records[i]
             np.testing.assert_array_equal(rec_h, h_in)
             np.testing.assert_array_equal(rec_z, z)
-            np.testing.assert_array_equal(rec_slope, c1 + z * (2.0 * c2 + 3.0 * c3 * z))
+            np.testing.assert_array_equal(tape.slopes[i], c1 + z * (2.0 * c2 + 3.0 * c3 * z))
         np.testing.assert_array_equal(h_out, h)
         np.testing.assert_array_equal(logits, h @ net.head_weights.T + net.head_bias)
         np.testing.assert_array_equal(predict_logits(net, x), logits)
-        np.testing.assert_array_equal(eval_tape(net, x, np.zeros(6, dtype=int)).logits, logits)
+        np.testing.assert_array_equal(tape.logits, logits)
 
     def test_value_cache_has_no_jacobians(self):
         net = small_net()
         _, records, h_out = polynet.forward_values(net, np.zeros((2, 4)))
-        assert [[a.shape for a in record] for record in records] == [[(2, 4), (2, 5), (2, 5)], [(2, 5), (2, 4), (2, 4)]]
+        assert [[a.shape for a in record] for record in records] == [[(2, 4), (2, 5)], [(2, 5), (2, 4)]]
         assert h_out.shape == (2, 4)
+        assert [s.shape for s in Tape(net, np.zeros((2, 4)), np.zeros(2, dtype=int)).slopes] == [(2, 5), (2, 4)]
+
+    @pytest.mark.parametrize("activation", ["poly", "relu"])
+    def test_inference_forms_no_slope(self, activation, monkeypatch):
+        rng = Rng(derive_seed("no-slope", activation))
+        net = curved(Net.build(rng.spawn("net"), 4, [5, 4], 3, activation=activation))
+        x = rng.spawn("x").standard_normal(9, 4)
+        y = np.arange(9) % 3
+        logits, acc = predict_logits(net, x), evaluate_accuracy(net, x, y)
+
+        def no_slope(self, z):
+            raise AssertionError("inference formed a slope")
+
+        monkeypatch.setattr(Layer, "slope", no_slope)
+        assert predict_logits(net, x).tobytes() == logits.tobytes()
+        assert evaluate_accuracy(net, x, y) == acc
 
     def test_overflow_names_layer(self):
         net = make_net([(np.array([[1e200]]), np.zeros(1), identity_coeffs(1))], np.ones((2, 1)), np.zeros(2))
@@ -392,7 +409,7 @@ class TestDregPenalty:
 
 def record(net, x, masks=None):
     tape = Tape(net, x, np.zeros(x.shape[0], int), masks, lam=1.0)
-    return tape.logits, [node[1] for node in tape.nodes], [node[4] for node in tape.nodes]
+    return tape.logits, [node[1] for node in tape.nodes], tape.blocks, tape.slopes
 
 
 class TestOneForwardPath:
@@ -408,22 +425,24 @@ class TestOneForwardPath:
         # Unit masks put the mask and Jacobian-mask nodes on the tape; they
         # must not change a bit of either stream.
         masks = [np.ones((7, w)) for w in net.widths] if rate else None
-        logits, preacts, S_nodes = record(net, x, masks)
+        logits, preacts, S_nodes, slopes = record(net, x, masks)
         values, value_preacts = forward_values(net, x)
         dual_logits, dual_blocks = forward_dual(net, x)
         blocks = jacobian_stream(net, [layer.slope(z) for layer, z in zip(net.layers, value_preacts)])
+        slope_blocks = jacobian_stream(net, slopes)  # the oracle stream of the tape's own slopes
         assert values.tobytes() == dual_logits.tobytes() == logits.tobytes()
-        assert len(preacts) == len(S_nodes) == len(net.layers)
+        assert len(preacts) == len(S_nodes) == len(slope_blocks) == len(net.layers)
         for i in range(len(net.layers)):
             assert value_preacts[i].tobytes() == preacts[i].tobytes()
             assert blocks[i].tobytes() == dual_blocks[i].tobytes() == S_nodes[i].tobytes()
+            assert slope_blocks[i].tobytes() == S_nodes[i].tobytes()
 
     def test_masked_record_matches_masked_layer_recomputation(self):
         rng = Rng(derive_seed("one-forward-masked"))
         net = Net.build(rng.spawn("net"), 4, [6, 5], 3, activation="relu", dropout_rate=0.3)
         x = rng.spawn("x").standard_normal(7, 4)
         masks = dropout_masks(net, 7, rng.spawn("masks"))
-        logits, preacts, S_nodes = record(net, x, masks)
+        logits, preacts, S_nodes, _ = record(net, x, masks)
         h, S = x, None
         for i, layer in enumerate(net.layers):
             z = h @ layer.weights.T + layer.bias

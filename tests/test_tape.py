@@ -160,7 +160,7 @@ class TestPrimitiveVjps:
         net, x, y, _ = probe()
         cfg = TrainConfig(lambda_dreg=0.7)
         tape = Tape(net, x, y, lam=0.7)
-        blocks = [node[4] for node in tape.nodes]
+        blocks = tape.blocks
         assert len(blocks) == len(net.layers)
         assert abs(float(tape.penalty) - dreg_penalty(blocks)) < 1e-12
         assert abs(float(tape.loss) - objective_value(net, x, y, cfg)) < 1e-12
@@ -187,7 +187,8 @@ class TestTapeMechanics:
     def test_zero_lam_records_no_stream(self, activation, masked):
         net, x, y, masks = probe(activation, masked)
         tape = Tape(net, x, y, masks)
-        assert [len(node) for node in tape.nodes] == [3] * len(net.layers)  # (h_in, z, slope) only
+        assert [len(node) for node in tape.nodes] == [2] * len(net.layers)  # (h_in, z) only
+        assert not hasattr(tape, "blocks") and not hasattr(tape, "products")
         assert tape.penalty is None
         assert tape.loss.tobytes() == tape.task.tobytes()
 

@@ -27,7 +27,8 @@ tie counting for neither side, and beats the parent's IQR:
 than the parent's by more than the metric's relative ``bound`` in
 ``BENCHMARK.json`` (``worse_than_bound``). It also
 records, per side, the code it measured: the sha256 of
-``src/polygrad/*.py`` and the checkout's git HEAD, and warns when both
+``src/polygrad/*.py``, their line count (``wc -l``'s total) and the
+checkout's git HEAD, and warns when both
 sides hash the same. Standard library only;
 both checkouts must be git checkouts with their own ``perfbench/`` and
 ``BENCHMARK.json``.
@@ -81,17 +82,21 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int | None, trace
 
 def code_identity(checkout: str) -> dict:
     """The sha256 of ``src/polygrad/*.py`` (each file's name and bytes, in
-    sorted order) and ``git rev-parse HEAD``, null outside a git checkout."""
+    sorted order), their newline count (``wc -l``'s total) and
+    ``git rev-parse HEAD``, null outside a git checkout."""
     digest = hashlib.sha256()
+    lines = 0
     for path in sorted(glob.glob(os.path.join(checkout, "src", "polygrad", "*.py"))):
         digest.update(os.path.basename(path).encode() + b"\0")
         with open(path, "rb") as fh:
-            digest.update(fh.read())
+            data = fh.read()
+        digest.update(data)
+        lines += data.count(b"\n")
     head = None
     if os.path.exists(os.path.join(checkout, ".git")):
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
         head = proc.stdout.strip() if proc.returncode == 0 else None
-    return {"src_sha256": digest.hexdigest(), "git_head": head}
+    return {"src_sha256": digest.hexdigest(), "src_lines": lines, "git_head": head}
 
 
 def quartiles(values: list[float]) -> dict:
